@@ -14,10 +14,11 @@ generators are exactly the odd-degree ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add as _add
 
-from .linfp import is_prime
+from .linfp import check_prime
 
 POLYNOMIAL = "polynomial"
 EXTERIOR = "exterior"
@@ -104,11 +105,21 @@ class Presentation:
     p: int
     generators: tuple
     max_degree: int
+    # per generator, derived once: total degree, odd flag, exponent cap
+    # (exponents must stay below it; None for polynomial generators)
+    degrees: tuple = field(init=False, repr=False, compare=False)
+    odd: tuple = field(init=False, repr=False, compare=False)
+    caps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not is_prime(self.p) or self.p < 5:
-            raise ValueError(f"p = {self.p}: need a prime >= 5")
+        check_prime(self.p, 5)
         object.__setattr__(self, "generators", tuple(self.generators))
+        gens = self.generators
+        object.__setattr__(self, "degrees", tuple(g.total_degree for g in gens))
+        object.__setattr__(self, "odd", tuple(g.odd for g in gens))
+        object.__setattr__(
+            self, "caps", tuple(2 if g.kind == EXTERIOR else g.height for g in gens)
+        )
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
@@ -201,7 +212,7 @@ def bidegree(pres: Presentation, mono: Monomial) -> Bidegree:
 
 
 def total_degree(pres: Presentation, mono: Monomial) -> int:
-    return sum(e * g.total_degree for e, g in zip(mono, pres.generators))
+    return sum(e * d for e, d in zip(mono, pres.degrees))
 
 
 def bidegree_of(pres: Presentation, el: Element) -> Bidegree | None:
@@ -239,23 +250,17 @@ def multiply_monomials(pres: Presentation, a: Monomial, b: Monomial):
     The sign is the Koszul sign from moving the odd-degree factors of b past
     the later odd-degree factors of a into generator order.
     """
-    gens = pres.generators
+    out = tuple(map(_add, a, b))
+    for e, cap in zip(out, pres.caps):
+        if cap is not None and e >= cap:
+            return 0, None
     swaps = 0
-    # odd_suffix[i]: odd-degree factors of a in slots i and later
-    odd_suffix = [0] * (len(gens) + 1)
-    for i in range(len(gens) - 1, -1, -1):
-        odd_suffix[i] = odd_suffix[i + 1] + (a[i] if gens[i].odd else 0)
-    out = []
-    for i, g in enumerate(gens):
-        e = a[i] + b[i]
-        if g.kind == EXTERIOR and e > 1:
-            return 0, None
-        if g.kind == TRUNCATED and e >= g.height:
-            return 0, None
-        if g.odd and b[i]:
-            swaps += b[i] * odd_suffix[i + 1]
-        out.append(e)
-    return (-1) ** (swaps % 2), tuple(out)
+    later = 0  # odd-degree factors of a in the slots after the current one
+    for x, y, odd in zip(reversed(a), reversed(b), reversed(pres.odd)):
+        if odd:
+            swaps += y * later
+            later += x
+    return (-1 if swaps & 1 else 1), out
 
 
 def multiply(pres: Presentation, a: Element, b: Element) -> Element:
@@ -300,11 +305,29 @@ def sub(pres: Presentation, a: Element, b: Element) -> Element:
     return add(pres, a, scale(pres, -1, b))
 
 
-def power(pres: Presentation, a: Element, k: int) -> Element:
-    out = element(pres, {pres.unit_monomial: 1})
-    for _ in range(k):
-        out = multiply(pres, out, a)
-    return out
+def monomial_map(source: Presentation, target: Presentation, images: dict):
+    """The algebra map source -> target fixed by generator images, on monomials.
+
+    Returns a memoized f with f(1) = 1 and f(m) = f(m / g) * images[g] for g
+    the last generator dividing m: the factors are multiplied left to right
+    in generator order, one multiply per new monomial.
+    """
+    gen_images = [images[g.name] for g in source.generators]
+    cache = {source.unit_monomial: element(target, {target.unit_monomial: 1})}
+
+    def f(mono: Monomial) -> Element:
+        chain = []  # (monomial, its last generator), peeled down to a cached one
+        while mono not in cache:
+            i = max(k for k, e in enumerate(mono) if e)
+            chain.append((mono, i))
+            mono = mono[:i] + (mono[i] - 1,) + mono[i + 1 :]
+        out = cache[mono]
+        for mono, i in reversed(chain):
+            out = multiply(target, out, gen_images[i])
+            cache[mono] = out
+        return out
+
+    return f
 
 
 @lru_cache(maxsize=None)
@@ -354,14 +377,6 @@ def basis_in_bidegree(pres: Presentation, bd: Bidegree) -> list:
 def bidegrees(pres: Presentation) -> list:
     """All bidegrees carrying at least one monomial, sorted."""
     return sorted(monomial_table(pres))
-
-
-def basis_in_total_degree(pres: Presentation, d: int) -> list:
-    out = []
-    for (n, m), monos in sorted(monomial_table(pres).items()):
-        if n + m == d:
-            out.extend(monos)
-    return out
 
 
 def dimension_series(pres: Presentation, n_max: int) -> list[int]:

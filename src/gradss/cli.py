@@ -20,6 +20,7 @@ from .dga import DifferentialError, extend_derivation, homology
 from .dsl import ParseError, ParsedFile, parse
 from .filtered import compare_with_total_homology, exact_couple_run, random_filtered_complex
 from .homalg import BaseRing, ResourceLimit, hochschild_homology, koszul_tor
+from .linfp import check_prime
 from .specseq import PageError, init_page, turn_page
 from .thhku import PipelineError, reproduce_thh_ku
 
@@ -227,6 +228,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    check_prime(args.prime, 5)
     report = reproduce_thh_ku(args.prime, args.max_degree)
     _write(report.to_json(), args.report)
     return 0
@@ -265,7 +267,7 @@ def run_command(argv) -> int:
     except (PageError, DifferentialError, ResourceLimit) as err:
         print(f"certificate failure: {err}", file=sys.stderr)
         return 1
-    except (ParseError, FileNotFoundError, ValueError) as err:
+    except (ParseError, OSError, ValueError, alg.BeyondTruncation) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra as alg
-from .algebra import EXTERIOR, TRUNCATED, Element, Presentation, ZERO
-from .linfp import FpMatrix, RowSpan, kernel_basis, solve, subquotient_basis
+from .algebra import Element, Presentation, ZERO
+from .linfp import FpMatrix, kernel_basis, rank, solve, stacked_rank, subquotient_basis
 
 
 class DifferentialError(ValueError):
@@ -284,6 +284,13 @@ def verify_presentation_iso(
     homology in every bidegree; (c) the candidate quotient by the relation
     ideal has the homology's dimensions.  (a) makes the algebra map factor
     through the quotient, and (b) + (c) force it to be bijective.
+
+    The induced map is built multiplicatively, f(m) = f(m / g) * f(g) with g
+    the last generator dividing m, so each candidate monomial costs one
+    multiply and every image equals the left-to-right product in generator
+    order.  Per bidegree, (b) is one rank of the stacked homology coordinates
+    of the images, and (c) one rank of the ideal rows cofactor * relation,
+    taken straight from multiply_monomials and reduced in bounded blocks.
     """
     pres = H.pres
     bound = min(H.cert_bound, n_max, candidate.max_degree)
@@ -311,27 +318,17 @@ def verify_presentation_iso(
     if gen_failures:
         return IsoReport(bound, gen_failures, [], [], [], [], [])
 
+    # induced map on candidate monomials, one multiply per new monomial
+    f = alg.monomial_map(candidate, pres, images)
+
     # kind-bound relations: exterior squares and truncated powers must die
-    for g in candidate.generators:
-        if g.kind == EXTERIOR:
-            k = 2
-        elif g.kind == TRUNCATED:
-            k = g.height
-        else:
-            continue
-        if k * g.total_degree > pres.max_degree:
-            continue  # power lives past the box; nothing to check there
-        pw = alg.power(pres, images[g.name], k)
+    unit = candidate.unit_monomial
+    for i, (g, k) in enumerate(zip(candidate.generators, candidate.caps)):
+        if k is None or k * g.total_degree > pres.max_degree:
+            continue  # no kind bound, or the power lives past the box
+        pw = f(unit[:i] + (k,) + unit[i + 1 :])
         if pw and not H.is_zero_class(pw):
             kind_failures.append(f"{g.name}^{k} survives in homology")
-
-    # induced map on monomials, per bidegree
-    def f_of(mono) -> Element:
-        out = alg.element(pres, {pres.unit_monomial: 1})
-        for e, g in zip(mono, candidate.generators):
-            for _ in range(e):
-                out = alg.multiply(pres, out, images[g.name])
-        return out
 
     cand_table = alg.monomial_table(candidate)
     hom_bds = {bd for bd, reps in H.representatives.items() if reps}
@@ -340,22 +337,10 @@ def verify_presentation_iso(
     )
 
     surj_failures = []
-    f_cache = {}
     for bd in all_bds:
-        monos = cand_table.get(bd, [])
         want = H.dim(bd)
-        got = 0
-        vecs = []
-        for mono in monos:
-            img = f_of(mono)
-            f_cache[mono] = img
-            if img:
-                vecs.append(H.homology_coords(img))
-        if want:
-            span = RowSpan(pres.p, want)
-            for v in vecs:
-                span.add(v)
-            got = span.rank()
+        vecs = [H.homology_coords(img) for img in map(f, cand_table.get(bd, [])) if img]
+        got = rank(FpMatrix(pres.p, np.array(vecs))) if want and vecs else 0
         if got < want:
             surj_failures.append((bd, got, want))
 
@@ -370,37 +355,39 @@ def verify_presentation_iso(
         if sum(rbd) > bound:
             skipped.append((i, rbd))
             continue
-        live_relations.append((i, rbd, rel))
+        live_relations.append((rbd, list(rel.items())))
         val = ZERO
         for mono, c in rel.items():
-            val = alg.add(pres, val, alg.scale(pres, c, f_cache.get(mono) or f_of(mono)))
+            val = alg.add(pres, val, alg.scale(pres, c, f(mono)))
         if val and not H.is_zero_class(val):
             relation_failures.append(
                 (i, rbd, f"image {alg.element_str(pres, val)} survives")
             )
 
-    # quotient dimensions: candidate dim minus the relation ideal, bidegreewise
+    del f  # drop the image cache before the ideal ranks
+
+    def ideal_blocks(bd, index):
+        """Rows cofactor * relation in bidegree bd, one block per relation."""
+        for rbd, terms in live_relations:
+            cofactors = cand_table.get((bd[0] - rbd[0], bd[1] - rbd[1]))
+            if not cofactors:
+                continue
+            block = np.zeros((len(cofactors), len(index)), dtype=np.int64)
+            for row, mono in enumerate(cofactors):
+                for term, c in terms:
+                    sign, prod = alg.multiply_monomials(candidate, mono, term)
+                    if sign:
+                        block[row, index[prod]] += sign * c
+            yield block
+
+    # quotient dimensions: free dimension minus the rank of the ideal rows
     dim_mismatches = []
     for bd in all_bds:
-        free_dim = len(cand_table.get(bd, []))
         basis = cand_table.get(bd, [])
         index = {m: i for i, m in enumerate(basis)}
-        ideal = RowSpan(candidate.p, max(free_dim, 1))
-        for _, rbd, rel in live_relations:
-            cbd = (bd[0] - rbd[0], bd[1] - rbd[1])
-            if cbd[0] < 0 or cbd[1] < 0:
-                continue
-            for mono in cand_table.get(cbd, []):
-                prod = alg.multiply(
-                    candidate, alg.element(candidate, {mono: 1}), rel
-                )
-                if not prod:
-                    continue
-                v = np.zeros(free_dim, dtype=np.int64)
-                for mm, c in prod.items():
-                    v[index[mm]] = c
-                ideal.add(v)
-        quotient = free_dim - (ideal.rank() if free_dim else 0)
+        quotient = len(basis)
+        if basis:
+            quotient -= stacked_rank(candidate.p, len(basis), ideal_blocks(bd, index))
         if quotient != H.dim(bd):
             dim_mismatches.append((bd, quotient, H.dim(bd)))
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import algebra as alg
 from .algebra import Presentation, ext, poly, trunc
-from .linfp import is_prime
+from .linfp import check_prime
 from .specseq import DifferentialSpec
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -122,8 +122,10 @@ def parse(text: str) -> ParsedFile:
     if not lines or toks[0] != "prime" or len(toks) != 2:
         raise ParseError(ln if lines else 1, "missing prime declaration")
     p = _int(toks[1], ln, "prime")
-    if not is_prime(p) or p < 5:
-        raise ParseError(ln, f"p = {p} is not a prime >= 5")
+    try:
+        check_prime(p, 5)
+    except ValueError as err:
+        raise ParseError(ln, str(err)) from None
     ln, toks = take()
     if toks[0] != "maxdeg" or len(toks) != 2:
         raise ParseError(ln, "missing maxdeg declaration")

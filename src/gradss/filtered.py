@@ -23,7 +23,7 @@ import numpy as np
 
 from . import algebra as alg
 from .dga import Derivation, d_monomial
-from .linfp import FpMatrix, RowSpan, kernel_basis, rank, solve, subquotient_basis
+from .linfp import FpMatrix, RowSpan, kernel_basis, matmul, rank, solve, subquotient_basis
 
 
 @dataclass
@@ -64,7 +64,7 @@ class FilteredComplex:
         for d in self.dims:
             lower = self.bmat(d)
             upper = self.bmat(d + 1)
-            if lower.size and upper.size and np.any((lower @ upper) % self.p):
+            if lower.size and upper.size and np.any(matmul(lower, upper, self.p)):
                 raise ValueError(f"not a complex: d^2 != 0 out of degree {d + 1}")
 
     def bmat(self, d) -> np.ndarray:
@@ -161,7 +161,7 @@ def exact_couple_run(fc: FilteredComplex, r_max: int | None = None) -> SSRun:
                     continue
                 dead = _cycle_space(fc, n - 1, r - 1, d)
                 for v in _cycle_space(fc, n + r - 1, r - 1, d + 1):
-                    dead.append(fc.bmat(d + 1) @ v % fc.p)
+                    dead.append(matmul(fc.bmat(d + 1), v, fc.p))
                 rep = subquotient_basis(fc.dims[d], z, dead, fc.p)
                 if rep:
                     dims[(n, m)] = len(rep)
@@ -184,7 +184,7 @@ def exact_couple_run(fc: FilteredComplex, r_max: int | None = None) -> SSRun:
                 [tgt_span.reduce(v) for v in tgt_reps], axis=1
             )
             for v in rep:
-                w = fc.bmat(d) @ v % fc.p
+                w = matmul(fc.bmat(d), v, fc.p)
                 w = tgt_span.reduce(w)
                 x = solve(FpMatrix(fc.p, basis_mat), w)
                 if x is None:

@@ -6,18 +6,26 @@ to rank/kernel/subquotient computations done here.  Pivoting is deterministic
 is reproducible bit for bit.
 
 Vectors are 1-d numpy int64 arrays with entries in [0, p); matrices are 2-d
-arrays of the same kind.  p stays small, so int64 arithmetic never overflows.
+arrays of the same kind.  Every modulus must be a prime p <= MAX_PRIME =
+2**31 - 1, so (p - 1)**2 < 2**62: a product of two residues, plus a residue,
+never overflows int64 (row reduction, RowSpan), and `matmul` sums at most
+2**62 // (p - 1)**2 such products before reducing.  check_prime enforces the
+bound wherever a modulus enters: here, in presentations and in the parser.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 
 class SubquotientError(ValueError):
     """Boundaries do not lie in the span of the cycles."""
+
+
+MAX_PRIME = 2**31 - 1
 
 
 def is_prime(n: int) -> bool:
@@ -31,6 +39,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_prime(p: int, least: int = 2):
+    """Refuse p unless it is a prime in [least, MAX_PRIME]."""
+    if not least <= p <= MAX_PRIME or not is_prime(p):
+        raise ValueError(f"p = {p}: need a prime in [{least}, {MAX_PRIME}]")
+
+
+def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p, exact: the inner sum is reduced in chunks that fit int64."""
+    step = 2**62 // (p - 1) ** 2
+    out = a[..., :step] @ b[:step] % p
+    for s in range(step, a.shape[-1], step):
+        out = (out + a[..., s : s + step] @ b[s : s + step]) % p
+    return out
+
+
 @dataclass(frozen=True)
 class FpMatrix:
     """Dense matrix over F_p, entries stored as residues in [0, p)."""
@@ -39,8 +62,7 @@ class FpMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+        check_prime(self.p)
         a = np.asarray(self.entries, dtype=np.int64)
         if a.ndim != 2:
             raise ValueError("entries must be a 2-d array")
@@ -116,6 +138,27 @@ def rref(m: FpMatrix) -> tuple[FpMatrix, list[int]]:
 
 def rank(m: FpMatrix) -> int:
     return len(rref(m)[1])
+
+
+def stacked_rank(p: int, width: int, blocks) -> int:
+    """Rank of the rows of all `blocks` (integer arrays `width` wide) stacked.
+
+    Blocks are gathered until they hold about 2**15 entries (and at least
+    `width` rows), then row reduced together with the echelon rows found so
+    far, so memory stays bounded however many rows come in.
+    """
+    echelon = np.zeros((0, width), dtype=np.int64)
+    pending, rows = [], 0
+    batch = max(width, 2**15 // max(width, 1))
+    for block in chain(blocks, [None]):
+        if block is not None:
+            pending.append(block)
+            rows += len(block)
+        if pending and (block is None or rows >= batch):
+            a = np.concatenate([echelon, *pending]) % p
+            echelon = a[: len(_rref_inplace(a, p))]
+            pending, rows = [], 0
+    return len(echelon)
 
 
 def kernel_basis(m: FpMatrix) -> list[np.ndarray]:

@@ -20,7 +20,9 @@ boundary are reported as uncertified rather than assumed to survive.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -260,12 +262,22 @@ def _coords_in_cell(page: Page, bd, el: Element) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _shared(*item) -> tuple:
+    """One copy of a small certificate tuple.
+
+    Every collapse certificate repeats the same (index, reason) pairs and
+    per-cell reason tuples; callers that keep many reports keep one copy.
+    """
+    return item
+
+
 @dataclass
 class CollapseCertificate:
     """Evidence that no differential moves on or after the given page."""
 
     from_page: int
-    certified: dict      # (n, m) -> list of (class index, reason)
+    certified: dict      # (n, m) -> tuple of (class index, reason)
     uncertified: list    # (n, m, index, "beyond-truncation")
     refusals: list       # (n, m, index, r, target) possible differentials
 
@@ -277,7 +289,7 @@ class CollapseCertificate:
         return {
             "from_page": self.from_page,
             "certified": {
-                f"{n},{m}": reasons for (n, m), reasons in sorted(self.certified.items())
+                sys.intern(f"{n},{m}"): reasons for (n, m), reasons in sorted(self.certified.items())
             },
             "uncertified": [list(x) for x in self.uncertified],
             "refusals": [list(x) for x in self.refusals],
@@ -308,7 +320,7 @@ def certify_collapse(page: Page) -> CollapseCertificate:
                 uncertified.append((n, m, i, "beyond-truncation"))
                 continue
             if n < page.r:
-                reasons.append((i, "column-bound"))
+                reasons.append(_shared(i, "column-bound"))
                 continue
             blocked = None
             for r in range(page.r, n + 1):
@@ -317,11 +329,11 @@ def certify_collapse(page: Page) -> CollapseCertificate:
                     blocked = (r, target)
                     break
             if blocked is None:
-                reasons.append((i, "target-vanishes"))
+                reasons.append(_shared(i, "target-vanishes"))
             else:
                 refusals.append((n, m, i, blocked[0], blocked[1]))
         if reasons:
-            certified[bd] = reasons
+            certified[bd] = _shared(*reasons)
     return CollapseCertificate(page.r, certified, uncertified, refusals)
 
 
@@ -429,7 +441,9 @@ class RelationSpec:
     """x = y in the abutment: lhs a formal generator monomial, rhs terms.
 
     lhs is a tuple of (generator name, exponent); rhs is a tuple of
-    (coefficient, lhs-style monomial) terms, empty for x = 0.
+    (coefficient, lhs-style monomial) terms, empty for x = 0.  Exponents may
+    exceed the kind bounds (u^{p-1}, a^2); a monomial's lifts are multiplied
+    in generator order.
     """
 
     label: str
@@ -464,7 +478,7 @@ class AbutmentReport:
     def to_json_dict(self) -> dict:
         return {
             "free_commutative": self.free_commutative,
-            "einf_dims": {f"{n},{m}": v for (n, m), v in sorted(self.einf_dims.items())},
+            "einf_dims": {sys.intern(f"{n},{m}"): v for (n, m), v in sorted(self.einf_dims.items())},
             "generator_lifts": {
                 name: {
                     "filtration": f,
@@ -482,14 +496,6 @@ class AbutmentReport:
             "beyond_truncation": list(self.beyond_truncation),
             "ok": self.ok,
         }
-
-
-def _lift_monomial(page: Page, lifts: dict, mono: tuple) -> Element:
-    out = alg.element(page.pres, {page.pres.unit_monomial: 1})
-    for name, e in mono:
-        for _ in range(e):
-            out = alg.multiply(page.pres, out, lifts[name])
-    return out
 
 
 def assemble_abutment(
@@ -561,29 +567,29 @@ def assemble_abutment(
                 free_commutative=True,
             )
 
-    def mono_data(mono):
-        deg = 0
-        filt = 0
-        w = 0
-        for name, e in mono:
-            g = candidate.gen(name)
-            deg += e * g.total_degree
-            filt += e * g.bidegree[0]
-            w += e * g.weight
-        return deg, filt, w % (candidate.p - 1)
+    def exponents(mono):
+        e = [0] * len(candidate.generators)
+        for name, k in mono:
+            e[candidate.index(name)] += k
+        return tuple(e)
+
+    lift = alg.monomial_map(candidate, pres, gen_lifts)
 
     resolved = []
     unresolved = []
     beyond = []
     for rel in relations:
-        deg, filt, w = mono_data(rel.lhs)
+        lhs = exponents(rel.lhs)
+        deg = alg.total_degree(candidate, lhs)
+        filt = alg.bidegree(candidate, lhs)[0]
+        w = alg.weight_of(candidate, lhs)
         if deg > survival_bound:
             beyond.append(rel.label)
             continue
-        lhs_val = einf.reduce(_lift_monomial(einf, gen_lifts, rel.lhs))
+        lhs_val = einf.reduce(lift(lhs))
         rhs_val = ZERO
         for c, mono in rel.rhs:
-            term = _lift_monomial(einf, gen_lifts, mono)
+            term = lift(exponents(mono))
             rhs_val = alg.add(pres, rhs_val, alg.scale(pres, c, term))
         rhs_val = einf.reduce(rhs_val)
         if lhs_val != rhs_val:

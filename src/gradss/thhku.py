@@ -26,7 +26,7 @@ from . import algebra as alg
 from .algebra import Presentation, ext, monomial_element, poly, trunc
 from .dga import extend_derivation, homology, verify_presentation_iso
 from .homalg import BaseRing, koszul_tor, recognize_free_presentation
-from .linfp import is_prime
+from .linfp import check_prime
 from .specseq import (
     DifferentialSpec,
     RelationSpec,
@@ -168,8 +168,10 @@ def presentation_dict(pres: Presentation) -> dict:
 
 
 def _require_prime(p: int):
-    if not is_prime(p) or p < 5:
-        raise PipelineError(f"p = {p} is not a prime >= 5")
+    try:
+        check_prime(p, 5)
+    except ValueError as err:
+        raise PipelineError(str(err)) from None
 
 
 # ------------------------------------------------------------------ step 1

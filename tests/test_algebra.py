@@ -212,3 +212,57 @@ def test_weight_multiplicative(data):
     assert weight_of(pres, prod) == (
         weight_of(pres, m1) + weight_of(pres, m2)
     ) % (pres.p - 1)
+
+
+def koszul_product(pres, a, b):
+    """Reference a*b: bubble-sort the word a b into generator order, flipping
+    the sign whenever two odd-degree letters pass each other."""
+    word = [i for mono in (a, b) for i, e in enumerate(mono) for _ in range(e)]
+    sign = 1
+    for end in range(len(word) - 1, 0, -1):
+        for k in range(end):
+            if word[k] > word[k + 1]:
+                word[k], word[k + 1] = word[k + 1], word[k]
+                if pres.generators[word[k]].odd and pres.generators[word[k + 1]].odd:
+                    sign = -sign
+    expo = tuple(word.count(i) for i in range(len(a)))
+    for e, g in zip(expo, pres.generators):
+        if (g.kind == "exterior" and e > 1) or (g.kind == "truncated" and e >= g.height):
+            return 0, None
+    return sign, expo
+
+
+def random_monomial(draw, pres):
+    def top(g):
+        return 1 if g.kind == "exterior" else g.height - 1 if g.height else 3
+
+    return tuple(draw(st.integers(0, top(g))) for g in pres.generators)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_multiply_monomials_matches_koszul_reference(data):
+    pres = data.draw(random_presentations(max_gens=6))
+    a = random_monomial(data.draw, pres)
+    b = random_monomial(data.draw, pres)
+    assert alg.multiply_monomials(pres, a, b) == koszul_product(pres, a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_monomial_map_is_left_to_right_product(data):
+    pres = data.draw(random_presentations())
+    images = {}
+    for g in pres.generators:
+        monos = basis_in_bidegree(pres, g.bidegree)
+        coeffs = data.draw(st.lists(st.integers(0, 4), min_size=len(monos), max_size=len(monos)))
+        images[g.name] = element(pres, dict(zip(monos, coeffs)))
+    f = alg.monomial_map(pres, pres, images)
+    table = alg.monomial_table(pres)
+    monos = data.draw(st.permutations(sorted(m for ms in table.values() for m in ms)))
+    for mono in monos:
+        want = element(pres, {pres.unit_monomial: 1})
+        for e, g in zip(mono, pres.generators):
+            for _ in range(e):
+                want = multiply(pres, want, images[g.name])
+        assert f(mono) == want

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 from importlib.resources import files
 
@@ -236,3 +238,56 @@ def test_parser_fuzz_only_raises_parse_errors(text):
         parse(text)
     except ParseError:
         pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hh", "{data}/brunku2_p5.ss", "--smax", "1", "--tmax", "200"],
+        ["run", "{tmp}"],
+        ["run", "{tmp}/missing.ss"],
+        ["run", "{tmp}/binary.ss"],
+        ["homology", "{tmp}/past_bound.ss"],
+        ["tor", "--base", "fpu-trunc:1", "--left", "fp", "--right", "fp", "--max", "4"],
+        ["tor", "--base", "fpu-trunc:x", "--left", "fp", "--right", "fp", "--max", "4"],
+        ["tor", "--base", "zpu", "--left", "fp", "--right", "fpu", "--max", "4", "--prime", "9"],
+        ["tor", "--base", "zpu", "--left", "fp", "--right", "zp", "--max", "4", "--prime", "4294967311"],
+        ["oracle", "filtered", "--seed", "1", "--cases", "1", "--prime", "4"],
+        ["oracle", "filtered", "--seed", "1", "--cases", "1", "--prime", "4294967311"],
+        ["reproduce", "thh-ku", "--prime", "9", "--max-degree", "100"],
+        ["reproduce", "thh-ku", "--prime", "4294967311", "--max-degree", "100"],
+        ["reproduce", "thh-ku", "--prime", "5", "--max-degree", "-3"],
+    ],
+)
+def test_usage_errors_exit_with_one_line(argv, tmp_path, capsys):
+    (tmp_path / "binary.ss").write_bytes(b"\xff\xfe")
+    (tmp_path / "past_bound.ss").write_text("prime 2147483659\nmaxdeg 10\n")
+    data = str(files("gradss") / "data")
+    argv = [a.format(data=data, tmp=tmp_path) for a in argv]
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    smax=st.integers(-2, 3),
+    tmax=st.integers(-2, 20),
+    base=st.sampled_from(["zpu", "fpu", "fpu-trunc:1", "fpu-trunc:3", "qpu"]),
+    prime=st.sampled_from([2, 4, 5, 7, 2147483647, 2147483659]),
+    top=st.integers(-2, 10),
+)
+def test_cli_fuzz_exit_codes(tmp_path_factory, smax, tmax, base, prime, top):
+    src = tmp_path_factory.mktemp("hh") / "pu.ss"
+    src.write_text("prime 5\nmaxdeg 12\nalgebra A {\n gen u trunc 4 bideg 0 2\n}\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        codes = [
+            run_command(["hh", str(src), "--smax", str(smax), "--tmax", str(tmax)]),
+            run_command(
+                ["tor", "--base", base, "--left", "fp", "--right", "fpu",
+                 "--max", str(top), "--prime", str(prime)]
+            ),
+        ]
+    assert set(codes) <= {0, 1, 2}
+    assert "Traceback" not in err.getvalue()

@@ -240,3 +240,37 @@ def test_homology_of_tensor_with_zero_factor():
         if total >= 1:
             expected += Hb.dim_total(total - 1)  # times E(y), |y| = 1
         assert Hab.dim_total(total) == expected, total
+
+
+def test_verify_iso_dropped_relation_only_mismatches_dimensions():
+    # without u^{p-2} a_0 = 0 the candidate quotient is too big, but every
+    # remaining check still passes
+    p, N = 5, 60
+    pres, d = intro_dga(p, N)
+    H = homology(pres, d, N)
+    cand = omega_candidate(p, N)
+    rels = omega_relations(cand, p)
+    assert rels[0] == monomial_element(cand, {"u": p - 2, "a0": 1})
+    report = verify_presentation_iso(H, cand, omega_reps(pres, p), rels[1:], N)
+    assert report.dimension_mismatches
+    assert not (
+        report.generator_failures
+        or report.kind_failures
+        or report.relation_failures
+        or report.surjectivity_failures
+    )
+    assert all(got > want for _, got, want in report.dimension_mismatches)
+
+
+def test_verify_iso_missing_generator_fails_surjectivity():
+    p, N = 5, 60
+    pres, d = intro_dga(p, N)
+    H = homology(pres, d, N)
+    full = omega_candidate(p, N)
+    cand = Presentation(p, tuple(g for g in full.generators if g.name != "l1"), N)
+    report = verify_presentation_iso(
+        H, cand, omega_reps(pres, p), omega_relations(cand, p), N
+    )
+    l1 = full.gen("l1").bidegree
+    assert (l1, 0, 1) in report.surjectivity_failures
+    assert not (report.generator_failures or report.relation_failures)

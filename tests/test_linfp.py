@@ -2,17 +2,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradss.algebra import Presentation
+from gradss.dsl import ParseError, parse
 from gradss.linfp import (
+    MAX_PRIME,
     FpMatrix,
     RowSpan,
     SubquotientError,
     is_prime,
     kernel_basis,
+    matmul,
     rank,
     rref,
     solve,
+    stacked_rank,
     subquotient_basis,
 )
+
+# the first prime past the int64 bound
+PAST_MAX_PRIME = 2147483659
 
 
 def mat(p, rows):
@@ -172,3 +180,58 @@ def test_subquotient_reps_independent_mod_boundaries(data):
     for v in bnd:
         bspan.add(v)
     assert len(reps) == cyc.rank() - bspan.rank()
+
+
+def test_prime_bound_edges():
+    assert is_prime(MAX_PRIME) and is_prime(PAST_MAX_PRIME)
+    assert not any(is_prime(n) for n in range(MAX_PRIME + 1, PAST_MAX_PRIME))
+
+
+def test_solve_exact_at_edge_prime():
+    p = MAX_PRIME
+    a = [[p - 1, p - 2], [p - 3, p - 5]]
+    b = [p - 7, p - 11]
+    x = solve(mat(p, a), np.array(b))
+    assert x is not None
+    x = [int(v) for v in x]
+    for row, rhs in zip(a, b):
+        assert (row[0] * x[0] + row[1] * x[1] - rhs) % p == 0
+
+
+def test_matmul_exact_at_edge_prime():
+    p = MAX_PRIME
+    rng = np.random.default_rng(0)
+    a = rng.integers(p - 1000, p, size=(3, 9), dtype=np.int64)
+    b = rng.integers(p - 1000, p, size=(9, 2), dtype=np.int64)
+    want = [
+        [sum(int(a[i, k]) * int(b[k, j]) for k in range(9)) % p for j in range(2)]
+        for i in range(3)
+    ]
+    assert matmul(a, b, p).tolist() == want
+    assert matmul(a, b[:, 0], p).tolist() == [row[0] for row in want]
+
+
+@pytest.mark.parametrize("p", [PAST_MAX_PRIME, 4294967311])
+def test_modulus_past_bound_refused(p):
+    with pytest.raises(ValueError):
+        FpMatrix.zeros(p, 1, 1)
+    with pytest.raises(ValueError):
+        Presentation(p, (), 10)
+    with pytest.raises(ParseError):
+        parse(f"prime {p}\nmaxdeg 10\n")
+
+
+def test_edge_prime_accepted_by_presentation_and_parser():
+    assert Presentation(MAX_PRIME, (), 10).p == MAX_PRIME
+    assert parse(f"prime {MAX_PRIME}\nmaxdeg 10\n").presentation.p == MAX_PRIME
+
+
+@pytest.mark.parametrize("width, rows, true_rank", [(3, 40000, 2), (200, 1500, 37), (40, 30, 9)])
+def test_stacked_rank_matches_rank(width, rows, true_rank):
+    # enough rows that several batches are reduced against the running echelon
+    p = 7
+    rng = np.random.default_rng(width)
+    a = rng.integers(0, p, (rows, true_rank)) @ rng.integers(0, p, (true_rank, width)) % p
+    cuts = np.sort(rng.integers(0, rows, 25))
+    blocks = np.split(a - p * rng.integers(0, 2, a.shape), cuts)
+    assert stacked_rank(p, width, iter(blocks)) == rank(FpMatrix(p, a)) == true_rank

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from gradss import algebra as alg
@@ -149,3 +151,15 @@ def test_reproduce_pipeline_json_roundtrip():
         "relative-run",
         "absolute-run",
     ]
+
+
+GOLDEN_REPORT = Path(__file__).parent / "data" / "reproduce_thh_ku_p5_N103.json"
+
+
+def test_reproduce_report_bytes_match_golden():
+    """The report at the p = 5 acceptance box is pinned byte for byte.
+
+    Regenerate the file only for an intended change of the report:
+    reproduce_thh_ku(5, 103).to_json() written to GOLDEN_REPORT.
+    """
+    assert reproduce_thh_ku(5, 103).to_json().encode() == GOLDEN_REPORT.read_bytes()
