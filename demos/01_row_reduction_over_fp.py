@@ -6,7 +6,7 @@ leftmost pivot, topmost row, representatives greedily chosen from the input.
 
 import numpy as np
 
-from gradss.linfp import FpMatrix, kernel_basis, rank, rref, subquotient_basis
+from gradss.linfp import FpMatrix, Subquotient, kernel_basis, rank, rref
 
 p = 5
 m = FpMatrix.from_rows(p, [[2, 4, 1], [1, 2, 3], [0, 0, 2]])
@@ -20,6 +20,9 @@ print("rank:", rank(m), " kernel:", [v.tolist() for v in kernel_basis(m)])
 print()
 print("a subquotient: cycles e1, e2 modulo the boundary e1 + e2")
 e = np.eye(3, dtype=np.int64)
-reps = subquotient_basis(3, [e[0], e[1]], [(e[0] + e[1]) % p], p)
-print("representatives:", [v.tolist() for v in reps])
+sq = Subquotient(p, 3, [e[0], e[1]], [(e[0] + e[1]) % p])
+print("representatives:", [v.tolist() for v in sq.reps])
 print("one class survives, as the dimension count 2 - 1 says it must")
+print("e2 in that class's coordinates:", sq.coords(e[1]).tolist(), "(e2 = -e1 modulo e1 + e2)")
+print("normal form of e1 modulo the boundary:", sq.reduce(e[0]).tolist())
+print("e3 is a class:", sq.contains(e[2]))

@@ -229,6 +229,12 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     check_prime(args.prime, 5)
+    # refuse a report path that cannot be a file before computing; an
+    # existing report is only replaced once the new one is complete
+    if args.report and os.path.isdir(args.report):
+        raise IsADirectoryError(f"report path {args.report} is a directory")
+    if args.report and not os.path.isdir(os.path.dirname(os.path.abspath(args.report))):
+        raise FileNotFoundError(f"report path {args.report}: no such directory")
     report = reproduce_thh_ku(args.prime, args.max_degree)
     _write(report.to_json(), args.report)
     return 0

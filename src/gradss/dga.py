@@ -7,6 +7,9 @@ total degree always drops by one and homology at total degree d is certified
 once every monomial of degree d + 1 is enumerated: the certified bound is
 N - 1.
 
+Each bidegree's homology is a linfp.Subquotient of kernel modulo image, which
+also gives the coordinates of a class in the homology basis.
+
 verify_presentation_iso checks a candidate presentation-with-relations
 against a computed homology: relations must become boundaries, the induced
 algebra map must be surjective, and the candidate quotient must have the same
@@ -15,13 +18,13 @@ dimensions.  Together these certify an isomorphism degree by degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra as alg
 from .algebra import Element, Presentation, ZERO
-from .linfp import FpMatrix, kernel_basis, rank, solve, stacked_rank, subquotient_basis
+from .linfp import FpMatrix, Subquotient, kernel_basis, rank, stacked_rank
 
 
 class DifferentialError(ValueError):
@@ -130,8 +133,9 @@ def element_from_coords(pres: Presentation, bd, v) -> Element:
 class HomologyResult:
     """Degreewise homology of (presentation, derivation).
 
-    representatives[bd] are actual cycles in the monomial basis; boundaries[bd]
-    spans the image of d.  Results are certified up to total degree cert_bound
+    subquotients[bd] is the kernel of d modulo its image in the monomial
+    coordinates of bd, and representatives[bd] are its reps as elements,
+    actual cycles.  Results are certified up to total degree cert_bound
     = N - 1, since boundaries out of degree N + 1 are invisible.
     """
 
@@ -140,8 +144,7 @@ class HomologyResult:
     max_degree: int
     cert_bound: int
     representatives: dict
-    boundaries: dict
-    _solvers: dict = field(default_factory=dict, repr=False)
+    subquotients: dict
 
     def dim(self, bd) -> int:
         return len(self.representatives.get(bd, []))
@@ -154,19 +157,6 @@ class HomologyResult:
             len(reps) for (n, m), reps in self.representatives.items() if n + m == d
         )
 
-    def _solver(self, bd):
-        """Echelon data for [representatives | boundaries] at one bidegree."""
-        if bd not in self._solvers:
-            cols = [coords(self.pres, bd, r) for r in self.representatives.get(bd, [])]
-            cols += [coords(self.pres, bd, b) for b in self.boundaries.get(bd, [])]
-            dim = len(alg.basis_in_bidegree(self.pres, bd))
-            if cols:
-                mat = FpMatrix(self.pres.p, np.stack(cols, axis=1))
-            else:
-                mat = FpMatrix.zeros(self.pres.p, dim, 0)
-            self._solvers[bd] = mat
-        return self._solvers[bd]
-
     def homology_coords(self, el: Element) -> np.ndarray:
         """Coordinates of a cycle in the homology basis of its bidegree.
 
@@ -175,11 +165,11 @@ class HomologyResult:
         bd = alg.bidegree_of(self.pres, el)
         if bd is None:
             return np.zeros(0, dtype=np.int64)
-        mat = self._solver(bd)
-        x = solve(mat, coords(self.pres, bd, el))
+        sub = self.subquotients.get(bd)
+        x = None if sub is None else sub.coords(coords(self.pres, bd, el))
         if x is None:
             raise ValueError("element does not represent a homology class")
-        return x[: len(self.representatives.get(bd, []))]
+        return x
 
     def is_zero_class(self, el: Element) -> bool:
         if not el:
@@ -204,7 +194,7 @@ def homology(pres: Presentation, d: Derivation, n_max: int) -> HomologyResult:
     table = alg.monomial_table(pres)
     shift = d.shift
     reps: dict = {}
-    bnds: dict = {}
+    subs: dict = {}
     for bd in sorted(table):
         n, m = bd
         if n + m > n_max:
@@ -226,10 +216,9 @@ def homology(pres: Presentation, d: Derivation, n_max: int) -> HomologyResult:
                 v = coords(pres, bd, d_monomial(d, mono))
                 if np.any(v):
                     bvecs.append(v)
-        rep_vecs = subquotient_basis(len(basis), cycles, bvecs, pres.p)
-        reps[bd] = [element_from_coords(pres, bd, v) for v in rep_vecs]
-        bnds[bd] = [element_from_coords(pres, bd, v) for v in bvecs]
-    return HomologyResult(pres, d, n_max, n_max - 1, reps, bnds)
+        subs[bd] = Subquotient(pres.p, len(basis), cycles, bvecs)
+        reps[bd] = [element_from_coords(pres, bd, v) for v in subs[bd].reps]
+    return HomologyResult(pres, d, n_max, n_max - 1, reps, subs)
 
 
 @dataclass

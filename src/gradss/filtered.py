@@ -23,7 +23,7 @@ import numpy as np
 
 from . import algebra as alg
 from .dga import Derivation, d_monomial
-from .linfp import FpMatrix, RowSpan, kernel_basis, matmul, rank, solve, subquotient_basis
+from .linfp import FpMatrix, Subquotient, kernel_basis, matmul, rank
 
 
 @dataclass
@@ -140,8 +140,9 @@ def exact_couple_run(fc: FilteredComplex, r_max: int | None = None) -> SSRun:
     """Pages E^1, E^2, ... of the filtered complex, up to stabilization.
 
     E^r(n, m) = Z^r(n, d) / (Z^{r-1}(n-1, d) + d Z^{r-1}(n+r-1, d+1)) with
-    d = n + m; the finite filtration forces E^{S+1} = E-infinity for S the
-    top level.
+    d = n + m, a linfp.Subquotient of C_d; d_r is read off in the target's
+    coordinates.  The finite filtration forces E^{S+1} = E-infinity for S
+    the top level.
     """
     stable = fc.top_level + 1
     if r_max is None:
@@ -151,8 +152,7 @@ def exact_couple_run(fc: FilteredComplex, r_max: int | None = None) -> SSRun:
     diffs = []
     for r in range(1, r_max + 1):
         dims = {}
-        reps = {}
-        spans = {}
+        cells = {}
         for d in fc.degrees:
             for n in range(0, fc.top_level + 1):
                 m = d - n
@@ -162,31 +162,20 @@ def exact_couple_run(fc: FilteredComplex, r_max: int | None = None) -> SSRun:
                 dead = _cycle_space(fc, n - 1, r - 1, d)
                 for v in _cycle_space(fc, n + r - 1, r - 1, d + 1):
                     dead.append(matmul(fc.bmat(d + 1), v, fc.p))
-                rep = subquotient_basis(fc.dims[d], z, dead, fc.p)
-                if rep:
-                    dims[(n, m)] = len(rep)
-                    reps[(n, m)] = rep
-                span = RowSpan(fc.p, fc.dims[d])
-                for v in dead:
-                    span.add(v)
-                spans[(n, m)] = span
+                sub = Subquotient(fc.p, fc.dims[d], z, dead)
+                if sub.reps:
+                    dims[(n, m)] = len(sub.reps)
+                    cells[(n, m)] = sub
         # induced differential with the (-1)^{degree} boundary sign
         dmat = {}
-        for (n, m), rep in reps.items():
-            target = (n - r, m + r - 1)
-            if target not in reps:
+        for (n, m), sub in cells.items():
+            target = cells.get((n - r, m + r - 1))
+            if target is None:
                 continue
             d = n + m
-            tgt_reps = reps[target]
-            tgt_span = spans[target]
             cols = []
-            basis_mat = np.stack(
-                [tgt_span.reduce(v) for v in tgt_reps], axis=1
-            )
-            for v in rep:
-                w = matmul(fc.bmat(d), v, fc.p)
-                w = tgt_span.reduce(w)
-                x = solve(FpMatrix(fc.p, basis_mat), w)
+            for v in sub.reps:
+                x = target.coords(matmul(fc.bmat(d), v, fc.p))
                 if x is None:
                     raise AssertionError("differential image outside the page")
                 cols.append(((-1) ** d * x) % fc.p)

@@ -1,7 +1,10 @@
 """Exact dense linear algebra over the prime field F_p.
 
 Everything downstream (homology, Tor tables, spectral sequence pages) reduces
-to rank/kernel/subquotient computations done here.  Pivoting is deterministic
+to rank/kernel/subquotient computations done here.  Every "class modulo
+boundaries" question (page classes, homology classes, exact-couple pages) is
+answered by one object, Subquotient: greedily picked representatives,
+canonical normal forms and unique coordinates.  Pivoting is deterministic
 (leftmost nonzero column, topmost row), so every basis produced by the package
 is reproducible bit for bit.
 
@@ -198,8 +201,8 @@ def solve(m: FpMatrix, b: np.ndarray) -> np.ndarray | None:
 class RowSpan:
     """Incrementally built row space in echelon form.
 
-    Used wherever vectors must be reduced against an accumulating span
-    (subquotient representatives, boundary spaces, page reductions).
+    For callers that grow a span one vector at a time; a fixed pair of
+    cycles and boundaries is a Subquotient.
     """
 
     def __init__(self, p: int, dim: int):
@@ -241,11 +244,78 @@ class RowSpan:
     def rank(self) -> int:
         return len(self.rows)
 
-    def copy(self) -> "RowSpan":
-        out = RowSpan(self.p, self.dim)
-        out.rows = [r.copy() for r in self.rows]
-        out.pivots = list(self.pivots)
-        return out
+
+def _stack(vectors, dim: int) -> np.ndarray:
+    """The vectors as the rows of a fresh len(vectors) x dim int64 array."""
+    return np.array(vectors, dtype=np.int64).reshape(len(vectors), dim)
+
+
+def _independent(p: int, dim: int, vectors) -> list[int]:
+    """Indices of the vectors that are not combinations of earlier ones.
+
+    These are the pivot columns of the matrix with the vectors as columns.
+    """
+    return _rref_inplace(np.ascontiguousarray(_stack(vectors, dim).T), p)
+
+
+class Subquotient:
+    """span(cycles) / span(boundaries) inside F_p^dim.
+
+    `reps` are the cycles that are independent modulo the boundaries and the
+    earlier picks, chosen greedily in the order given, so they are a subset
+    of the cycles and the choice is reproducible.  `boundaries` is the same
+    greedy pick from the boundary list, a basis of its span.  Raises
+    SubquotientError when some boundary is not a combination of the cycles
+    (the signature of an inconsistent differential).
+
+    The echelon forms behind reduce, contains and coords are built on first
+    use.
+    """
+
+    def __init__(self, p: int, dim: int, cycles, boundaries):
+        self.p = p
+        self.dim = dim
+        cycles = [np.mod(np.asarray(v, dtype=np.int64), p) for v in cycles]
+        bnd = [np.mod(np.asarray(v, dtype=np.int64), p) for v in boundaries]
+        if bnd and any(i >= len(cycles) for i in _independent(p, dim, cycles + bnd)):
+            raise SubquotientError("boundary outside the span of the cycles")
+        picks = _independent(p, dim, bnd + cycles)
+        self.boundaries = [bnd[i] for i in picks if i < len(bnd)]
+        self.reps = [cycles[i - len(bnd)] for i in picks if i >= len(bnd)]
+        self._boundary_echelon = None
+        self._solver = None
+
+    def reduce(self, v: np.ndarray) -> np.ndarray:
+        """The normal form of v modulo the boundaries: zero at their pivots."""
+        if self._boundary_echelon is None:
+            rows = _stack(self.boundaries, self.dim)
+            self._boundary_echelon = (_rref_inplace(rows, self.p), rows)
+        pivots, rows = self._boundary_echelon
+        v = np.mod(np.asarray(v, dtype=np.int64), self.p)
+        return (v - matmul(v[pivots], rows, self.p)) % self.p
+
+    def coords(self, v: np.ndarray) -> np.ndarray | None:
+        """The unique x with v = sum x_i reps_i modulo the boundaries.
+
+        None when v is not in span(reps + boundaries).
+        """
+        if self._solver is None:
+            # [basis | I] row reduced: echelon rows T @ basis, and T itself.
+            # The basis rows are independent, so every pivot lies in the
+            # first dim columns.
+            basis = _stack(self.reps + self.boundaries, self.dim)
+            a = np.concatenate([basis, np.eye(len(basis), dtype=np.int64)], axis=1)
+            self._solver = (_rref_inplace(a, self.p), a)
+        pivots, a = self._solver
+        v = np.mod(np.asarray(v, dtype=np.int64), self.p)
+        y = v[pivots]
+        if np.any((v - matmul(y, a[:, : self.dim], self.p)) % self.p):
+            return None
+        return matmul(y, a[:, self.dim : self.dim + len(self.reps)], self.p)
+
+    def contains(self, v: np.ndarray) -> bool:
+        """Whether v lies in span(reps + boundaries)."""
+        return self.coords(v) is not None
 
 
 def subquotient_basis(
@@ -254,23 +324,5 @@ def subquotient_basis(
     boundaries: list[np.ndarray],
     p: int,
 ) -> list[np.ndarray]:
-    """Representatives of span(cycles)/span(boundaries).
-
-    Raises SubquotientError when some boundary is not a combination of the
-    cycles (the signature of an inconsistent differential).  Representatives
-    are picked greedily from the cycle list in order, so they are a subset of
-    the vectors handed in and the choice is reproducible.
-    """
-    cyc_span = RowSpan(p, ambient_dim)
-    for v in cycles:
-        cyc_span.add(v)
-    span = RowSpan(p, ambient_dim)
-    for v in boundaries:
-        if not cyc_span.contains(v):
-            raise SubquotientError("boundary outside the span of the cycles")
-        span.add(v)
-    reps = []
-    for v in cycles:
-        if span.add(v):
-            reps.append(np.mod(np.asarray(v, dtype=np.int64), p))
-    return reps
+    """Representatives of span(cycles)/span(boundaries): Subquotient(...).reps."""
+    return Subquotient(p, ambient_dim, cycles, boundaries).reps

@@ -2,9 +2,11 @@
 
 A page stores, per bidegree, surviving classes as elements of the fixed
 E2-monomial basis together with the boundary subspace accumulated by earlier
-differentials.  Products of classes are computed by multiplying their
-representatives in the E2 algebra and reducing modulo those boundaries, so
-the multiplicative structure stays effective on every page.
+differentials; as vectors, each cell is a linfp.Subquotient, which reduces
+elements modulo the boundaries and gives class coordinates.  Products of
+classes are computed by multiplying their representatives in the E2 algebra
+and reducing modulo those boundaries, so the multiplicative structure stays
+effective on every page.
 
 Differentials are only accepted on algebra generators of the E2 presentation
 and are extended by the Leibniz rule with the sign (-1)^{n+m} on the right
@@ -29,7 +31,7 @@ import numpy as np
 from . import algebra as alg
 from .algebra import Element, Presentation, ZERO
 from .dga import coords, d_element, element_from_coords, extend_derivation
-from .linfp import FpMatrix, RowSpan, kernel_basis, solve, subquotient_basis
+from .linfp import FpMatrix, Subquotient, kernel_basis, matmul
 
 
 class PageError(ValueError):
@@ -69,7 +71,7 @@ class Page:
     r: int
     cert_bound: int
     cells: dict = field(default_factory=dict)
-    _spans: dict = field(default_factory=dict, repr=False)
+    _subquotients: dict = field(default_factory=dict, repr=False)
 
     def cell(self, bd) -> Cell:
         return self.cells.get(bd, Cell([], []))
@@ -88,21 +90,22 @@ class Page:
             for i, rep in enumerate(self.cells[bd].reps):
                 yield bd, i, rep
 
-    def boundary_span(self, bd) -> RowSpan:
-        if bd not in self._spans:
+    def subquotient(self, bd) -> Subquotient:
+        """The cell at bd in the monomial coordinates of bd: reps modulo boundaries."""
+        if bd not in self._subquotients:
+            cell = self.cell(bd)
             dim = len(alg.basis_in_bidegree(self.pres, bd))
-            span = RowSpan(self.pres.p, dim)
-            for b in self.cell(bd).boundaries:
-                span.add(coords(self.pres, bd, b))
-            self._spans[bd] = span
-        return self._spans[bd]
+            bnd = [coords(self.pres, bd, b) for b in cell.boundaries]
+            cycles = [coords(self.pres, bd, x) for x in cell.reps] + bnd
+            self._subquotients[bd] = Subquotient(self.pres.p, dim, cycles, bnd)
+        return self._subquotients[bd]
 
     def reduce(self, el: Element) -> Element:
         """Canonical representative of el modulo the accumulated boundaries."""
         if not el:
             return ZERO
         bd = alg.bidegree_of(self.pres, el)
-        v = self.boundary_span(bd).reduce(coords(self.pres, bd, el))
+        v = self.subquotient(bd).reduce(coords(self.pres, bd, el))
         return element_from_coords(self.pres, bd, v)
 
     def class_coords(self, el: Element) -> np.ndarray:
@@ -114,18 +117,10 @@ class Page:
         if not el:
             return np.zeros(0, dtype=np.int64)
         bd = alg.bidegree_of(self.pres, el)
-        cell = self.cell(bd)
-        cols = [coords(self.pres, bd, x) for x in cell.reps + cell.boundaries]
-        dim = len(alg.basis_in_bidegree(self.pres, bd))
-        mat = (
-            FpMatrix(self.pres.p, np.stack(cols, axis=1))
-            if cols
-            else FpMatrix.zeros(self.pres.p, dim, 0)
-        )
-        x = solve(mat, coords(self.pres, bd, el))
+        x = self.subquotient(bd).coords(coords(self.pres, bd, el))
         if x is None:
             raise PageError("element is not a class on this page")
-        return x[: len(cell.reps)]
+        return x
 
     def is_surviving(self, el: Element) -> bool:
         try:
@@ -166,7 +161,7 @@ def turn_page(page: Page, specs: list) -> Page:
         if spec.page != page.r:
             raise PageError(f"spec for page {spec.page} applied on page {page.r}")
     if not live:
-        return Page(pres, page.r + 1, page.cert_bound, page.cells)
+        return Page(pres, page.r + 1, page.cert_bound, page.cells, page._subquotients)
 
     r = page.r
     images = {}
@@ -209,57 +204,34 @@ def turn_page(page: Page, specs: list) -> Page:
 
     shift = (-r, r - 1)
     new_cells = {}
+    new_subquotients = {}
     for bd in sorted(page.cells):
         n, m = bd
         cell = page.cells[bd]
-        dim = len(alg.basis_in_bidegree(pres, bd))
+        sub = page.subquotient(bd)
+        reps = np.array(sub.reps, dtype=np.int64).reshape(len(sub.reps), sub.dim)
         # kernel of the induced differential on surviving classes
         target = (n + shift[0], m + shift[1])
         if cell.reps and target in page.cells:
-            mat_cols = []
-            for rep in cell.reps:
-                mat_cols.append(_coords_in_cell(page, target, d_of(rep)))
-            mat = FpMatrix(pres.p, np.stack(mat_cols, axis=1))
-            kernel = kernel_basis(mat)
-        else:
-            kernel = [v for v in np.eye(len(cell.reps), dtype=np.int64)]
-        cycle_vecs = []
-        for kv in kernel:
-            v = np.zeros(dim, dtype=np.int64)
-            for c, rep in zip(kv, cell.reps):
-                if c:
-                    v = (v + c * coords(pres, bd, rep)) % pres.p
-            cycle_vecs.append(v)
+            tsub = page.subquotient(target)
+            cols = [tsub.coords(coords(pres, target, d_of(rep))) for rep in cell.reps]
+            kernel = kernel_basis(FpMatrix(pres.p, np.stack(cols, axis=1)))
+            kernel = np.array(kernel, dtype=np.int64).reshape(len(kernel), len(cols))
+            reps = matmul(kernel, reps, pres.p)
         # new boundaries: the old ones plus images from one shift up
         source = (n - shift[0], m - shift[1])
-        new_bnd = [coords(pres, bd, b) for b in cell.boundaries]
+        new_bnd = list(sub.boundaries)
         if source in page.cells:
             for rep in page.cells[source].reps:
                 img = d_of(rep)
                 if img:
                     new_bnd.append(coords(pres, bd, img))
-        reps = subquotient_basis(dim, cycle_vecs, new_bnd, pres.p)
-        span = RowSpan(pres.p, dim)
-        bnd_basis = []
-        for v in new_bnd:
-            if span.add(v):
-                bnd_basis.append(v)
+        new = new_subquotients[bd] = Subquotient(pres.p, sub.dim, reps, new_bnd)
         new_cells[bd] = Cell(
-            [element_from_coords(pres, bd, v) for v in reps],
-            [element_from_coords(pres, bd, v) for v in bnd_basis],
+            [element_from_coords(pres, bd, v) for v in new.reps],
+            [element_from_coords(pres, bd, v) for v in new.boundaries],
         )
-    return Page(pres, r + 1, page.cert_bound - 1, new_cells)
-
-
-def _coords_in_cell(page: Page, bd, el: Element) -> np.ndarray:
-    """Coordinates of el in the surviving basis at bd (0 if el is zero)."""
-    if not el:
-        return np.zeros(len(page.cell(bd).reps), dtype=np.int64)
-    v = page.class_coords(el)
-    want = len(page.cell(bd).reps)
-    out = np.zeros(want, dtype=np.int64)
-    out[: len(v)] = v
-    return out
+    return Page(pres, r + 1, page.cert_bound - 1, new_cells, new_subquotients)
 
 
 @lru_cache(maxsize=None)
@@ -350,6 +322,18 @@ class ZeroDifferentialCertificate:
         return not self.obstructions
 
 
+def _permanent_classes(page: Page, bd, permanent) -> Subquotient:
+    """The classes of `permanent` that lie at bd, modulo the boundaries there."""
+    pres = page.pres
+    cell = page.subquotient(bd)
+    perm = [
+        coords(pres, bd, el)
+        for el in permanent
+        if el and alg.bidegree_of(pres, el) == bd
+    ]
+    return Subquotient(pres.p, cell.dim, perm + cell.boundaries, cell.boundaries)
+
+
 def certify_zero_differentials(page: Page, permanent: list = ()) -> ZeroDifferentialCertificate:
     """Show d_{page.r} = 0 using only generator-level evidence.
 
@@ -360,9 +344,6 @@ def certify_zero_differentials(page: Page, permanent: list = ()) -> ZeroDifferen
     """
     pres = page.pres
     r = page.r
-    perm_set = []
-    for el in permanent:
-        perm_set.append(page.reduce(el))
     reasons = {}
     obstructions = []
     for g in pres.generators:
@@ -379,17 +360,8 @@ def certify_zero_differentials(page: Page, permanent: list = ()) -> ZeroDifferen
             reasons[g.name] = "target-empty"
             continue
         # every class in the target must be a recorded permanent cycle
-        span = RowSpan(pres.p, len(alg.basis_in_bidegree(pres, target)))
-        for el in perm_set:
-            if el and alg.bidegree_of(pres, el) == target:
-                span.add(coords(pres, target, el))
-        for b in page.cell(target).boundaries:
-            span.add(coords(pres, target, b))
-        covered = all(
-            span.contains(coords(pres, target, rep))
-            for rep in page.cell(target).reps
-        )
-        if covered:
+        known = _permanent_classes(page, target, permanent)
+        if all(known.contains(v) for v in page.subquotient(target).reps):
             reasons[g.name] = "target-permanent"
         else:
             obstructions.append((g.name, target))
@@ -409,18 +381,11 @@ def infer_forced_differentials(
     pres = page.pres
     if not page.is_surviving(must_die):
         raise PageError("must_die is not a surviving class on this page")
-    perm = [page.reduce(el) for el in permanent]
     target_bd = alg.bidegree_of(pres, must_die)
 
     def is_permanent(el: Element) -> bool:
         bd = alg.bidegree_of(pres, el)
-        span = RowSpan(pres.p, len(alg.basis_in_bidegree(pres, bd)))
-        for q in perm:
-            if q and alg.bidegree_of(pres, q) == bd:
-                span.add(coords(pres, bd, q))
-        for b in page.cell(bd).boundaries:
-            span.add(coords(pres, bd, b))
-        return span.contains(coords(pres, bd, page.reduce(el)))
+        return _permanent_classes(page, bd, permanent).contains(coords(pres, bd, el))
 
     if is_permanent(must_die):
         return []

@@ -305,54 +305,26 @@ def omega_candidate(p: int, N: int) -> Presentation:
     return Presentation(p, tuple(gens), N)
 
 
-def _b(i: int, extra: dict | None = None) -> dict:
-    """Exponent dict for b_i, with the convention b_0 = u."""
-    e = dict(extra or {})
-    key = "u" if i == 0 else f"b{i}"
-    e[key] = e.get(key, 0) + 1
-    return e
-
-
 def omega_relations(candidate: Presentation, p: int) -> list:
-    """rel2..rel8 as candidate elements; rel1 and a_i^2 live in the kinds."""
+    """rel2..rel7 and rel8[i,j], i < j, as candidate elements lhs - rhs.
+
+    Derived from abutment_relations.  The relations x^k = 0 with k at the
+    kind bound of x (rel1 = u^{p-1} and rel8[i,i] = a_i^2) are left out: the
+    kinds of the candidate's generators already impose them.
+    """
+    caps = {g.name: cap for g, cap in zip(candidate.generators, candidate.caps)}
+
+    def element(mono, c=1):
+        return monomial_element(candidate, dict(mono), c)
+
     rels = []
-    for i in range(p - 1):
-        rels.append(monomial_element(candidate, {"u": p - 2, f"a{i}": 1}))
-    for i in range(1, p):
-        rels.append(monomial_element(candidate, _b(i, {"u": p - 2})))
-    for i in range(1, p):
-        for j in range(i, p):
-            lhs = _b(i)
-            for k, v in _b(j).items():
-                lhs[k] = lhs.get(k, 0) + v
-            rhs = _b(i + j, {"u": 1}) if i + j <= p - 1 else _b(
-                i + j - p, {"u": 1, "mu2": 1}
-            )
-            rels.append(
-                alg.sub(
-                    candidate,
-                    monomial_element(candidate, lhs),
-                    monomial_element(candidate, rhs),
-                )
-            )
-    for i in range(p):
-        for j in range(1, p):
-            lhs = _b(j, {f"a{i}": 1})
-            rhs = (
-                {"u": 1, f"a{i + j}": 1}
-                if i + j <= p - 1
-                else {"u": 1, f"a{i + j - p}": 1, "mu2": 1}
-            )
-            rels.append(
-                alg.sub(
-                    candidate,
-                    monomial_element(candidate, lhs),
-                    monomial_element(candidate, rhs),
-                )
-            )
-    for i in range(p):
-        for j in range(i + 1, p):
-            rels.append(monomial_element(candidate, {f"a{i}": 1, f"a{j}": 1}))
+    for rel in abutment_relations(p):
+        if not rel.rhs and any(caps[x] and k >= caps[x] for x, k in rel.lhs):
+            continue
+        val = element(rel.lhs)
+        for c, mono in rel.rhs:
+            val = alg.sub(candidate, val, element(mono, c))
+        rels.append(val)
     return rels
 
 
@@ -371,52 +343,46 @@ def omega_reps(pres: Presentation, p: int) -> dict:
 
 
 def abutment_relations(p: int) -> list:
-    """rel1..rel8 as abutment statements, with b_0 = u throughout."""
+    """rel1..rel8 as abutment statements, with b_0 = u throughout.
 
-    def bmono(i, extra=()):
-        out = dict(extra)
-        key = "u" if i == 0 else f"b{i}"
-        out[key] = out.get(key, 0) + 1
+    The one place the relations are written; omega_relations derives the
+    candidate's relation list from them.
+    """
+
+    def mono(*factors, **named):
+        """Sorted (name, exponent) pairs: each listed name once, times the keywords."""
+        out = dict(named)
+        for name in factors:
+            out[name] = out.get(name, 0) + 1
         return tuple(sorted(out.items()))
+
+    def b(i):
+        """The name of b_i."""
+        return "u" if i == 0 else f"b{i}"
 
     rels = [RelationSpec("rel1", (("u", p - 1),))]
     for i in range(p - 1):
         rels.append(RelationSpec(f"rel2[{i}]", ((f"a{i}", 1), ("u", p - 2))))
     for i in range(1, p):
-        rels.append(RelationSpec(f"rel3[{i}]", bmono(i, {"u": p - 2}.items())))
+        rels.append(RelationSpec(f"rel3[{i}]", mono(b(i), u=p - 2)))
     for i in range(1, p):
         for j in range(i, p):
-            lhs = dict(bmono(i))
-            for k, v in bmono(j):
-                lhs[k] = lhs.get(k, 0) + v
-            lhs = tuple(sorted(lhs.items()))
             if i + j <= p - 1:
-                rhs = ((1, bmono(i + j, {"u": 1}.items())),)
-                label = f"rel4[{i},{j}]"
+                rhs, label = mono(b(i + j), "u"), f"rel4[{i},{j}]"
             else:
-                rhs = ((1, bmono(i + j - p, {"u": 1, "mu2": 1}.items())),)
-                label = f"rel6[{i},{j}]"
-            rels.append(RelationSpec(label, lhs, rhs))
+                rhs, label = mono(b(i + j - p), "u", "mu2"), f"rel6[{i},{j}]"
+            rels.append(RelationSpec(label, mono(b(i), b(j)), ((1, rhs),)))
     for i in range(p):
         for j in range(1, p):
-            lhs = tuple(sorted({f"a{i}": 1, **dict(bmono(j))}.items()))
             if i + j <= p - 1:
-                rhs = ((1, tuple(sorted({"u": 1, f"a{i + j}": 1}.items()))),)
-                label = f"rel5[{i},{j}]"
+                rhs, label = mono("u", f"a{i + j}"), f"rel5[{i},{j}]"
             else:
-                rhs = (
-                    (
-                        1,
-                        tuple(
-                            sorted({"u": 1, f"a{i + j - p}": 1, "mu2": 1}.items())
-                        ),
-                    ),
-                )
-                label = f"rel7[{i},{j}]"
-            rels.append(RelationSpec(label, lhs, rhs))
+                rhs, label = mono("u", f"a{i + j - p}", "mu2"), f"rel7[{i},{j}]"
+            rels.append(RelationSpec(label, mono(f"a{i}", b(j)), ((1, rhs),)))
     for i in range(p):
         for j in range(i, p):
-            rels.append(RelationSpec(f"rel8[{i},{j}]", ((f"a{i}", 1), (f"a{j}", 1)) if i != j else ((f"a{i}", 2),)))
+            lhs = ((f"a{i}", 1), (f"a{j}", 1)) if i != j else ((f"a{i}", 2),)
+            rels.append(RelationSpec(f"rel8[{i},{j}]", lhs))
     return rels
 
 

@@ -1,36 +1,16 @@
-"""Shared builders for the two first-quadrant runs and the target algebra."""
+"""Shared builders for tests of the absolute run and of random DGAs.
 
-from gradss import thhku
+The E2 presentations themselves are gradss.thhku.relative_e2 and absolute_e2.
+"""
+
 from gradss.algebra import Presentation, ext, monomial_element, poly, trunc
 from gradss.dga import extend_derivation
 from gradss.specseq import DifferentialSpec
-
-
-def brunku1_presentation(p=5, N=60):
-    """E(su) (row 3) tensor E(l1), P(m1) (columns 2p-1, 2p)."""
-    return Presentation(
-        p,
-        (ext("su", (0, 3)), ext("l1", (2 * p - 1, 0)), poly("m1", (2 * p, 0))),
-        N,
-    )
-
-
-def brunku2_presentation(p=5, N=60):
-    """P_{p-1}(u) (row 2) tensor E(su, l1), P(m1) (columns 3, 2p-1, 2p)."""
-    return Presentation(
-        p,
-        (
-            trunc("u", p - 1, (0, 2), weight=1),
-            ext("su", (3, 0), weight=1),
-            ext("l1", (2 * p - 1, 0)),
-            poly("m1", (2 * p, 0)),
-        ),
-        N,
-    )
+from gradss.thhku import absolute_e2
 
 
 def intro_dga(p=5, N=60):
-    pres = brunku2_presentation(p, N)
+    pres = absolute_e2(p, N)
     img = monomial_element(pres, {"u": p - 2, "su": 1})
     return pres, extend_derivation(pres, {"m1": img}, 2 * p - 3)
 
@@ -43,18 +23,6 @@ def brunku2_spec(pres, p):
         monomial_element(pres, {"u": p - 2, "su": 1}),
         provenance="forced by the vanishing of u^{p-2} su in the abutment",
     )
-
-
-def omega_candidate(p=5, N=60):
-    return thhku.omega_candidate(p, N)
-
-
-def omega_relations(cand, p):
-    return thhku.omega_relations(cand, p)
-
-
-def omega_reps(pres, p):
-    return thhku.omega_reps(pres, p)
 
 
 def random_dga_instance(rng, with_extra_factor=None):

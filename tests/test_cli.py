@@ -2,11 +2,13 @@ import contextlib
 import io
 import json
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradss import algebra as alg
+from gradss import cli
 from gradss.cli import chart_rows, run_command
 from gradss.dsl import ParsedFile, ParseError, parse, print_file
 
@@ -196,6 +198,28 @@ def test_reproduce_writes_report(tmp_path):
     assert data["prime"] == 5
 
 
+@pytest.mark.parametrize("target", ["{tmp}", "{tmp}/missing/report.json"])
+def test_reproduce_refuses_unwritable_report_before_computing(target, tmp_path, monkeypatch, capsys):
+    def not_called(*args):
+        raise AssertionError("the pipeline ran before the report path was checked")
+
+    monkeypatch.setattr(cli, "reproduce_thh_ku", not_called)
+    argv = ["reproduce", "thh-ku", "--prime", "5", "--max-degree", "100",
+            "--report", target.format(tmp=tmp_path)]
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_failed_reproduce_keeps_existing_report(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    out.write_text("previous report\n")
+    argv = ["reproduce", "thh-ku", "--prime", "5", "--max-degree", "10", "--report", str(out)]
+    assert run_command(argv) == 2
+    assert out.read_text() == "previous report\n"
+    capsys.readouterr()
+
+
 def test_threads_env_validation(monkeypatch, capsys):
     monkeypatch.setenv("GRADSS_THREADS", "zebra")
     assert run_command(["tor", "--base", "fpu", "--left", "fp", "--right", "fp", "--max", "4"]) == 2
@@ -291,3 +315,12 @@ def test_cli_fuzz_exit_codes(tmp_path_factory, smax, tmax, base, prime, top):
         ]
     assert set(codes) <= {0, 1, 2}
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("name", ["brunku1_p5", "brunku1_p7", "brunku2_p5", "brunku2_p7"])
+@pytest.mark.parametrize("command, suffix", [("run", "tsv"), ("homology", "txt")])
+def test_shipped_outputs_match_golden_bytes(command, suffix, name, capsys):
+    # pages and homology representatives are canonical: these bytes never change
+    golden = Path(__file__).parent / "data" / f"{command}_{name}.{suffix}"
+    assert run_command([command, str(files("gradss") / "data" / f"{name}.ss")]) == 0
+    assert capsys.readouterr().out.encode() == golden.read_bytes()

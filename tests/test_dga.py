@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from gradss import algebra as alg
 from gradss import dga
 from gradss.algebra import Presentation, element, ext, monomial_element, poly, trunc
-from helpers import intro_dga, omega_candidate, omega_relations, omega_reps
+from gradss.thhku import omega_candidate, omega_relations, omega_reps
+from helpers import intro_dga
 from gradss.dga import (
     DifferentialError,
     check_d_squared,

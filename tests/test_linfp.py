@@ -8,6 +8,7 @@ from gradss.linfp import (
     MAX_PRIME,
     FpMatrix,
     RowSpan,
+    Subquotient,
     SubquotientError,
     is_prime,
     kernel_basis,
@@ -235,3 +236,89 @@ def test_stacked_rank_matches_rank(width, rows, true_rank):
     cuts = np.sort(rng.integers(0, rows, 25))
     blocks = np.split(a - p * rng.integers(0, 2, a.shape), cuts)
     assert stacked_rank(p, width, iter(blocks)) == rank(FpMatrix(p, a)) == true_rank
+
+
+# ------------------------------------------------------------ Subquotient
+
+@st.composite
+def subquotient_inputs(draw):
+    """(p, dim, cycles, boundaries, vectors): boundaries are combinations of cycles."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    dim = draw(st.integers(0, 6))
+    coeffs = st.integers(0, p - 1)
+    vec = st.lists(coeffs, min_size=dim, max_size=dim).map(lambda v: np.array(v, dtype=np.int64))
+    cycles = draw(st.lists(vec, max_size=6))
+
+    def combination():
+        cs = draw(st.lists(coeffs, min_size=len(cycles), max_size=len(cycles)))
+        return sum((c * z for c, z in zip(cs, cycles)), np.zeros(dim, dtype=np.int64)) % p
+
+    boundaries = [combination() for _ in range(draw(st.integers(0, 4)))]
+    # vectors to query: some inside span(cycles), some arbitrary
+    vectors = [combination() for _ in range(3)] + draw(st.lists(vec, min_size=1, max_size=3))
+    return p, dim, cycles, boundaries, vectors
+
+
+def reference_coords(sub, v):
+    """The rep part of one solution of [reps | boundaries] x = v, or None."""
+    cols = sub.reps + sub.boundaries
+    if cols:
+        m = FpMatrix(sub.p, np.stack(cols, axis=1))
+    else:
+        m = FpMatrix.zeros(sub.p, sub.dim, 0)
+    x = solve(m, v)
+    return None if x is None else x[: len(sub.reps)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(subquotient_inputs())
+def test_subquotient_coords_match_solve(inputs):
+    p, dim, cycles, boundaries, vectors = inputs
+    sub = Subquotient(p, dim, cycles, boundaries)
+    assert [r.tolist() for r in sub.reps] == [
+        r.tolist() for r in subquotient_basis(dim, cycles, boundaries, p)
+    ]
+    for v in vectors:
+        got, want = sub.coords(v), reference_coords(sub, v)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.tolist() == want.tolist()
+        assert sub.contains(v) == (got is not None)
+    for rep in sub.reps:
+        assert sub.contains(rep)
+
+
+@settings(max_examples=150, deadline=None)
+@given(subquotient_inputs(), st.randoms(use_true_random=False))
+def test_subquotient_reduce_is_a_normal_form(inputs, rnd):
+    p, dim, cycles, boundaries, vectors = inputs
+    sub = Subquotient(p, dim, cycles, boundaries)
+    shuffled = list(boundaries)
+    rnd.shuffle(shuffled)
+    other = Subquotient(p, dim, cycles, shuffled)
+    bspan = RowSpan(p, dim)
+    for b in boundaries:
+        bspan.add(b)
+    for v in vectors:
+        normal = sub.reduce(v)
+        assert normal.tolist() == other.reduce(v).tolist()
+        assert bspan.contains((v - normal) % p)
+        assert sub.reduce(normal).tolist() == normal.tolist()
+    for b in boundaries:
+        assert not np.any(sub.reduce(b))
+    assert len(sub.boundaries) == bspan.rank()
+
+
+@settings(max_examples=100, deadline=None)
+@given(subquotient_inputs())
+def test_subquotient_rejects_boundary_outside_cycle_span(inputs):
+    p, dim, cycles, boundaries, vectors = inputs
+    cspan = RowSpan(p, dim)
+    for z in cycles:
+        cspan.add(z)
+    for v in vectors:
+        if cspan.contains(v):
+            Subquotient(p, dim, cycles, boundaries + [v])
+        else:
+            with pytest.raises(SubquotientError):
+                Subquotient(p, dim, cycles, boundaries + [v])

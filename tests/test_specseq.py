@@ -26,17 +26,13 @@ from gradss.specseq import (
     turn_page,
 )
 
-from helpers import (
-    brunku1_presentation,
-    brunku2_presentation,
-    brunku2_spec,
-    intro_dga,
-    random_dga_instance,
-)
+from gradss.thhku import absolute_e2, omega_candidate, omega_reps, relative_e2
+
+from helpers import brunku2_spec, intro_dga, random_dga_instance
 
 
 def run_brunku2(p=5, N=60):
-    pres = brunku2_presentation(p, N)
+    pres = absolute_e2(p, N)
     page = init_page(pres)
     spec = brunku2_spec(pres, p)
     while page.r < 2 * p - 3:
@@ -48,14 +44,14 @@ def run_brunku2(p=5, N=60):
 # ---------------------------------------------------------------- init_page
 
 def test_init_page_brunku1_lambda_position():
-    pres = brunku1_presentation(5)
+    pres = relative_e2(5, 60)
     page = init_page(pres)
     cell = page.cell((9, 0))
     assert [alg.element_str(pres, r) for r in cell.reps] == ["l1"]
 
 
 def test_init_page_brunku2_u_position():
-    pres = brunku2_presentation(5)
+    pres = absolute_e2(5, 60)
     page = init_page(pres)
     assert [alg.element_str(pres, r) for r in page.cell((0, 2)).reps] == ["u"]
 
@@ -85,7 +81,7 @@ def test_turn_page_kills_leibniz_image():
 
 
 def test_turn_page_zero_specs_identical():
-    pres = brunku2_presentation(5)
+    pres = absolute_e2(5, 60)
     page = init_page(pres)
     nxt = turn_page(page, [])
     assert nxt.r == 3
@@ -94,14 +90,14 @@ def test_turn_page_zero_specs_identical():
 
 
 def test_turn_page_rejects_wrong_page_spec():
-    pres = brunku2_presentation(5)
+    pres = absolute_e2(5, 60)
     page = init_page(pres)
     with pytest.raises(PageError):
         turn_page(page, [brunku2_spec(pres, 5)])  # page 7 spec on page 2
 
 
 def test_turn_page_rejects_non_generator_source():
-    pres = brunku2_presentation(5)
+    pres = absolute_e2(5, 60)
     page = init_page(pres)
     bad = DifferentialSpec(
         2, monomial_element(pres, {"u": 2}), monomial_element(pres, {"u": 1})
@@ -123,7 +119,7 @@ def test_turned_page_matches_direct_homology():
 # ---------------------------------------------------------------- collapse
 
 def test_certify_collapse_brunku1_full():
-    pres = brunku1_presentation(5, 40)
+    pres = relative_e2(5, 40)
     page = init_page(pres)
     cert = certify_collapse(page)
     assert cert.full
@@ -151,7 +147,7 @@ def test_certify_collapse_after_turn():
 
 def test_certify_zero_differentials_uses_permanent_fact():
     # on page 3, d(su) could only hit u; the permanence of u excludes it
-    pres = brunku2_presentation(5)
+    pres = absolute_e2(5, 60)
     page = turn_page(init_page(pres), [])
     u = monomial_element(pres, {"u": 1})
     cert = certify_zero_differentials(page, permanent=[u])
@@ -165,7 +161,7 @@ def test_certify_zero_differentials_uses_permanent_fact():
 # ---------------------------------------------------------------- inference
 
 def test_infer_forced_differential_unique_candidate():
-    pres = brunku2_presentation(5)
+    pres = absolute_e2(5, 60)
     page = init_page(pres)
     u = monomial_element(pres, {"u": 1})
     must_die = monomial_element(pres, {"u": 3, "su": 1})
@@ -177,14 +173,14 @@ def test_infer_forced_differential_unique_candidate():
 
 
 def test_infer_on_permanent_class_is_empty():
-    pres = brunku2_presentation(5)
+    pres = absolute_e2(5, 60)
     page = init_page(pres)
     u = monomial_element(pres, {"u": 1})
     assert infer_forced_differentials(page, u, permanent=[u]) == []
 
 
 def test_infer_unit_class_has_no_source():
-    pres = brunku2_presentation(5)
+    pres = absolute_e2(5, 60)
     page = init_page(pres)
     one = element(pres, {pres.unit_monomial: 1})
     assert infer_forced_differentials(page, one) == []
@@ -193,7 +189,7 @@ def test_infer_unit_class_has_no_source():
 # ---------------------------------------------------------------- abutment
 
 def test_abutment_free_commutative_shortcut():
-    pres = brunku1_presentation(5, 40)
+    pres = relative_e2(5, 40)
     page = init_page(pres)
     candidate = Presentation(
         5, (ext("su", (0, 3)), ext("l1", (9, 0)), poly("m1", (10, 0))), 40
@@ -208,7 +204,6 @@ def test_abutment_weight_obstruction_for_mixed_relation():
     # a1 b1 = u a2: lower-filtration degree-25 classes all have weight 3
     p = 5
     pres, _, _, einf = run_brunku2(p, 60)
-    from helpers import omega_candidate, omega_reps
 
     candidate = omega_candidate(p, 60)
     lifts = omega_reps(pres, p)
@@ -226,7 +221,6 @@ def test_abutment_weight_obstruction_for_mixed_relation():
 def test_abutment_strict_lift_for_truncation_relation():
     p = 5
     pres, _, _, einf = run_brunku2(p, 60)
-    from helpers import omega_candidate, omega_reps
 
     candidate = omega_candidate(p, 60)
     lifts = omega_reps(pres, p)
@@ -402,7 +396,6 @@ def test_abutment_without_weight_fact_leaves_relation_unresolved():
     while page.r < 2 * p - 3:
         page = turn_page(page, [])
     einf = turn_page(page, [spec])
-    from helpers import omega_reps
 
     # zero-weight candidate: same generators, no Galois grading
     gens = [trunc("u", p - 1, (0, 2)), ext("l1", (2 * p - 1, 0)), poly("mu2", (50, 0))]
@@ -441,7 +434,6 @@ def test_abutment_rejects_inconsistent_weight_data():
     while page.r < 2 * p - 3:
         page = turn_page(page, [])
     einf = turn_page(page, [spec])
-    from helpers import omega_candidate, omega_reps
 
     weighted = omega_candidate(p, 60)  # declares weight 1 on u, a_i, b_i
     with pytest.raises(PageError, match="weight"):

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from gradss import algebra as alg
+from gradss.algebra import monomial_element
 from gradss.dga import homology
 from gradss.thhku import (
     PipelineError,
@@ -10,6 +11,8 @@ from gradss.thhku import (
     basis_formula_count,
     full_basis_count,
     input_facts,
+    omega_candidate,
+    omega_relations,
     reproduce_thh_ku,
     step1_tor,
     step2_v0,
@@ -163,3 +166,37 @@ def test_reproduce_report_bytes_match_golden():
     reproduce_thh_ku(5, 103).to_json() written to GOLDEN_REPORT.
     """
     assert reproduce_thh_ku(5, 103).to_json().encode() == GOLDEN_REPORT.read_bytes()
+
+
+GOLDEN_OMEGA = Path(__file__).parent / "data" / "omega_relations_p5_p7_p11.txt"
+
+
+def render_relation(p, candidate, el):
+    """One line per relation: the prime, then its terms as `coeff name^exp ...`."""
+    names = [g.name for g in candidate.generators]
+    terms = []
+    for mono, c in sorted(el.coeffs.items()):
+        factors = " ".join(f"{n}^{e}" for n, e in zip(names, mono) if e)
+        terms.append(f"{c} {factors}")
+    return f"{p}: " + " + ".join(terms)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_omega_relations_match_golden(p):
+    """omega_relations, relation by relation, as written when rel2-rel8 were
+    still stated a second time in thhku; regenerate only for an intended
+    change of the relations."""
+    candidate = omega_candidate(p, 10)
+    got = omega_relations(candidate, p)
+    want = [
+        line
+        for line in GOLDEN_OMEGA.read_text().splitlines()
+        if line.startswith(f"{p}: ")
+    ]
+    assert [render_relation(p, candidate, el) for el in got] == want
+    # abutment_relations minus rel1 and the p relations rel8[i,i] = a_i^2
+    specs = abutment_relations(p)
+    kind_bounds = {"rel1"} | {f"rel8[{i},{i}]" for i in range(p)}
+    assert kind_bounds <= {rel.label for rel in specs}
+    assert len(got) == len(specs) - len(kind_bounds)
+    assert got[0] == monomial_element(candidate, {"u": p - 2, "a0": 1})
