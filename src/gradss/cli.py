@@ -211,6 +211,8 @@ def _cmd_hh(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.cases < 1:
+        raise ValueError(f"--cases {args.cases}: need at least 1 case")
     failures = 0
     for case in range(args.cases):
         rng = random.Random(args.seed + case)

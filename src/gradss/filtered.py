@@ -17,6 +17,7 @@ homology of the total complex.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +85,7 @@ class FilteredComplex:
         """dim F_s C_d; levels are sorted so this is a prefix length."""
         if s < 0:
             return 0
-        lv = self.levels.get(d, [])
-        return sum(1 for x in lv if x <= s)
+        return bisect_right(self.levels.get(d, []), s)
 
     def total_homology(self) -> dict:
         out = {}
@@ -143,26 +143,51 @@ def exact_couple_run(fc: FilteredComplex, r_max: int | None = None) -> SSRun:
     d = n + m, a linfp.Subquotient of C_d; d_r is read off in the target's
     coordinates.  The finite filtration forces E^{S+1} = E-infinity for S
     the top level.
+
+    Z^r(n, d) is the kernel of the slice bmat(d)[dim F_{n-r} C_{d-1}:,
+    :dim F_n C_d], and that slice is fixed by the key
+    (d, dim F_n C_d, dim F_{n-r} C_{d-1}), so a memo on the key is exact.
+    Most (r, n, d) share a key, since F_s stops growing past the top level
+    and F_{n-r} is 0 once r > n.  Within one call each cycle space and each
+    boundary image d Z is built once per key, and each Subquotient once per
+    triple of its input keys: identical inputs give an identical object, so
+    every distinct SubquotientError check still runs, once.
     """
-    stable = fc.top_level + 1
+    top = fc.top_level
+    stable = top + 1
     if r_max is None:
         r_max = stable
     r_max = max(r_max, stable)
+    spaces = {}   # key -> basis of Z
+    images = {}   # key of Z in degree d + 1 -> d Z in C_d
+    subs = {}     # (key of Z^r(n, d), of Z^{r-1}(n-1, d), of Z^{r-1}(n+r-1, d+1))
+
+    def cycles(n, r, d):
+        key = (d, fc.filtration_dim(n, d), fc.filtration_dim(n - r, d - 1))
+        if key not in spaces:
+            spaces[key] = _cycle_space(fc, n, r, d)
+        return key
+
     pages = []
     diffs = []
     for r in range(1, r_max + 1):
         dims = {}
         cells = {}
         for d in fc.degrees:
-            for n in range(0, fc.top_level + 1):
+            for n in range(0, top + 1):
                 m = d - n
-                z = _cycle_space(fc, n, r, d)
-                if not z:
+                z = cycles(n, r, d)
+                if not spaces[z]:
                     continue
-                dead = _cycle_space(fc, n - 1, r - 1, d)
-                for v in _cycle_space(fc, n + r - 1, r - 1, d + 1):
-                    dead.append(matmul(fc.bmat(d + 1), v, fc.p))
-                sub = Subquotient(fc.p, fc.dims[d], z, dead)
+                key = (z, cycles(n - 1, r - 1, d), cycles(n + r - 1, r - 1, d + 1))
+                if key not in subs:
+                    src = key[2]
+                    if src not in images:
+                        bmat = fc.bmat(d + 1)
+                        images[src] = [matmul(bmat, v, fc.p) for v in spaces[src]]
+                    dead = spaces[key[1]] + images[src]
+                    subs[key] = Subquotient(fc.p, fc.dims[d], spaces[z], dead)
+                sub = subs[key]
                 if sub.reps:
                     dims[(n, m)] = len(sub.reps)
                     cells[(n, m)] = sub

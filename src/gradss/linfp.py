@@ -19,6 +19,7 @@ bound wherever a modulus enters: here, in presentations and in the parser.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -31,7 +32,10 @@ class SubquotientError(ValueError):
 MAX_PRIME = 2**31 - 1
 
 
+@lru_cache(maxsize=128)
 def is_prime(n: int) -> bool:
+    """Trial division, memoized: a run uses a handful of moduli, and every
+    FpMatrix checks its own."""
     if n < 2:
         return False
     d = 2

@@ -3,8 +3,11 @@
 The E2 presentations themselves are gradss.thhku.relative_e2 and absolute_e2.
 """
 
+from hypothesis import strategies as st
+
 from gradss.algebra import Presentation, ext, monomial_element, poly, trunc
 from gradss.dga import extend_derivation
+from gradss.filtered import realize_filtered_dga
 from gradss.specseq import DifferentialSpec
 from gradss.thhku import absolute_e2
 
@@ -35,15 +38,43 @@ def random_dga_instance(rng, with_extra_factor=None):
     h = rng.randint(2, 4)
     j = rng.randint(1, h - 1)
     k = rng.randint(j + 1, j + 3)
+    if with_extra_factor is None:
+        with_extra_factor = rng.random() < 0.5
+    N = rng.randint(6 * k, 8 * k)
+    return dga_instance(p, h, j, k, with_extra_factor, N)
+
+
+def dga_instance(p, h, j, k, extra, N):
+    """P_h(u) (x) E(s) (x) P(m), (x) E(y) if extra, with d(m) = u^j s on page
+    2j + 1; needs 1 <= j < h and k > j.  Returns (presentation, [spec])."""
     r = 2 * j + 1
     sigma = 2 * k - r  # odd and positive since k > j
     gens = [trunc("u", h, (0, 2)), ext("s", (sigma, 0)), poly("m", (2 * k, 0))]
-    if with_extra_factor is None:
-        with_extra_factor = rng.random() < 0.5
-    if with_extra_factor:
+    if extra:
         gens.append(ext("y", (2 * k + 1, 0)))
-    N = rng.randint(6 * k, 8 * k)
     pres = Presentation(p, tuple(gens), N)
     image = monomial_element(pres, {"u": j, "s": 1})
     spec = DifferentialSpec(r, monomial_element(pres, {"m": 1}), image)
     return pres, [spec]
+
+
+@st.composite
+def dga_shapes(draw, max_k=None):
+    """(p, h, j, k, extra, N) over the random_dga_instance ranges; max_k >= 2
+    caps k, as the benchmark's oracle cards do at 3."""
+    p = draw(st.sampled_from([5, 7]))
+    h = draw(st.integers(2, 4))
+    if max_k is None:
+        max_k = h + 2
+    j = draw(st.integers(1, min(h - 1, max_k - 1)))
+    k = draw(st.integers(j + 1, min(j + 3, max_k)))
+    extra = draw(st.booleans())
+    N = draw(st.integers(6 * k, 8 * k))
+    return p, h, j, k, extra, N
+
+
+def filtered_dga(pres, specs):
+    """The presentation's DGA (d from the one spec) as a FilteredComplex."""
+    spec = specs[0]
+    deriv = extend_derivation(pres, {spec.source_generator(pres): spec.image}, spec.page)
+    return realize_filtered_dga(pres, deriv, pres.max_degree)

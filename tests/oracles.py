@@ -2,14 +2,18 @@
 
 These recompute Tor and Hochschild homology from dense unnormalized bar
 complexes by raw rank counting, so the library's resolution-based and
-normalized-complex answers can be checked against a second route.
+normalized-complex answers can be checked against a second route.  The
+exact-couple loop is also kept here in its unmemoized form, which rebuilds
+every cycle space and subquotient at every (r, n, d).
 """
 
 import itertools
 
 import numpy as np
 
-from gradss.linfp import FpMatrix, kernel_basis, rank
+from gradss import filtered
+from gradss.filtered import SSRun
+from gradss.linfp import FpMatrix, Subquotient, kernel_basis, matmul, rank
 
 
 def truncated_poly_basis(height, var_degree, t_max):
@@ -135,3 +139,47 @@ def dense_hochschild(p, height, var_degree, s_max, t_max):
             if cycles - incoming:
                 dims[(s, t)] = cycles - incoming
     return dims
+
+
+def naive_exact_couple_run(fc, r_max=None):
+    """filtered.exact_couple_run without its memos: every Z and every
+    Subquotient is rebuilt at every (r, n, d), through filtered._cycle_space."""
+    stable = fc.top_level + 1
+    if r_max is None:
+        r_max = stable
+    r_max = max(r_max, stable)
+    pages = []
+    diffs = []
+    for r in range(1, r_max + 1):
+        dims = {}
+        cells = {}
+        for d in fc.degrees:
+            for n in range(0, fc.top_level + 1):
+                m = d - n
+                z = filtered._cycle_space(fc, n, r, d)
+                if not z:
+                    continue
+                dead = filtered._cycle_space(fc, n - 1, r - 1, d)
+                for v in filtered._cycle_space(fc, n + r - 1, r - 1, d + 1):
+                    dead.append(matmul(fc.bmat(d + 1), v, fc.p))
+                sub = Subquotient(fc.p, fc.dims[d], z, dead)
+                if sub.reps:
+                    dims[(n, m)] = len(sub.reps)
+                    cells[(n, m)] = sub
+        dmat = {}
+        for (n, m), sub in cells.items():
+            target = cells.get((n - r, m + r - 1))
+            if target is None:
+                continue
+            d = n + m
+            cols = []
+            for v in sub.reps:
+                x = target.coords(matmul(fc.bmat(d), v, fc.p))
+                if x is None:
+                    raise AssertionError("differential image outside the page")
+                cols.append(((-1) ** d * x) % fc.p)
+            dmat[(n, m)] = np.stack(cols, axis=1)
+        pages.append((r, dims))
+        diffs.append((r, dmat))
+    einf = pages[stable - 1][1]
+    return SSRun(fc.p, pages, diffs, dict(einf), stable)

@@ -278,6 +278,8 @@ def test_parser_fuzz_only_raises_parse_errors(text):
         ["tor", "--base", "zpu", "--left", "fp", "--right", "zp", "--max", "4", "--prime", "4294967311"],
         ["oracle", "filtered", "--seed", "1", "--cases", "1", "--prime", "4"],
         ["oracle", "filtered", "--seed", "1", "--cases", "1", "--prime", "4294967311"],
+        ["oracle", "filtered", "--seed", "1", "--cases", "0"],
+        ["oracle", "filtered", "--seed", "1", "--cases", "-1"],
         ["reproduce", "thh-ku", "--prime", "9", "--max-degree", "100"],
         ["reproduce", "thh-ku", "--prime", "4294967311", "--max-degree", "100"],
         ["reproduce", "thh-ku", "--prime", "5", "--max-degree", "-3"],

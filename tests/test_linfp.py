@@ -188,6 +188,21 @@ def test_prime_bound_edges():
     assert not any(is_prime(n) for n in range(MAX_PRIME + 1, PAST_MAX_PRIME))
 
 
+def test_prime_checked_once_per_modulus():
+    is_prime.cache_clear()
+    for _ in range(50):
+        for p in (5, 7, MAX_PRIME):
+            FpMatrix.zeros(p, 2, 2)
+    info = is_prime.cache_info()
+    assert (info.misses, info.hits) == (3, 147)
+    # the memo changes no answer: refusals repeat on every call
+    for _ in range(3):
+        for bad in (PAST_MAX_PRIME, 6, MAX_PRIME - 2):
+            with pytest.raises(ValueError):
+                FpMatrix.zeros(bad, 1, 1)
+    assert is_prime(PAST_MAX_PRIME)  # prime, refused only by the bound
+
+
 def test_solve_exact_at_edge_prime():
     p = MAX_PRIME
     a = [[p - 1, p - 2], [p - 3, p - 5]]

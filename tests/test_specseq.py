@@ -2,17 +2,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradss import algebra as alg
 from gradss.algebra import Presentation, element, ext, monomial_element, poly, trunc
+from gradss import filtered
 from gradss.dga import homology
 from gradss.filtered import (
     FilteredComplex,
     compare_with_total_homology,
     exact_couple_run,
     random_filtered_complex,
-    realize_filtered_dga,
 )
+from gradss.linfp import SubquotientError
 from gradss.specseq import (
     DifferentialSpec,
     PageError,
@@ -28,7 +30,15 @@ from gradss.specseq import (
 
 from gradss.thhku import absolute_e2, omega_candidate, omega_reps, relative_e2
 
-from helpers import brunku2_spec, intro_dga, random_dga_instance
+from helpers import (
+    brunku2_spec,
+    dga_instance,
+    dga_shapes,
+    filtered_dga,
+    intro_dga,
+    random_dga_instance,
+)
+from oracles import naive_exact_couple_run
 
 
 def run_brunku2(p=5, N=60):
@@ -323,33 +333,101 @@ def test_filtered_complex_rejects_filtration_violation():
 
 # ------------------------------------------------- engine vs oracle
 
-def test_engine_pages_match_exact_couple_on_filtered_dga():
-    rng = random.Random(7)
-    for _ in range(8):
-        pres, specs = random_dga_instance(rng)
-        from gradss.dga import extend_derivation
+@settings(max_examples=40, deadline=None)
+@given(dga_shapes())
+def test_engine_pages_match_exact_couple_on_filtered_dga(shape):
+    pres, specs = dga_instance(*shape)
+    r0 = specs[0].page
+    fc = filtered_dga(pres, specs)
+    run = exact_couple_run(fc, r_max=r0 + 2)
+    page = init_page(pres)
+    while True:
+        bound = page.cert_bound
+        engine_dims = {
+            bd: v for bd, v in page.dims_by_bidegree().items() if sum(bd) <= bound
+        }
+        oracle_dims = {
+            bd: v for bd, v in run.page_dims(page.r).items() if v and sum(bd) <= bound
+        }
+        assert engine_dims == oracle_dims, (page.r, engine_dims, oracle_dims)
+        if page.r > r0:
+            break
+        page = turn_page(page, specs if page.r == r0 else [])
+    # every differential has length r0, so E^{r0+1} is already E-infinity
+    einf = {bd: v for bd, v in run.einf.items() if sum(bd) <= page.cert_bound}
+    assert engine_dims == einf
+    comparison = compare_with_total_homology(fc, run)
+    assert all(ok for (_, _, ok) in comparison.values()), comparison
 
-        r0 = specs[0].page
-        deriv = extend_derivation(
-            pres, {specs[0].source_generator(pres): specs[0].image}, r0
-        )
-        fc = realize_filtered_dga(pres, deriv, pres.max_degree)
-        run = exact_couple_run(fc, r_max=r0 + 2)
-        page = init_page(pres)
-        while page.r <= r0 + 1:
-            oracle_dims = {
-                bd: v for bd, v in run.page_dims(page.r).items() if v
-            }
-            engine_dims = {
-                bd: v
-                for bd, v in page.dims_by_bidegree().items()
-                if sum(bd) <= page.cert_bound
-            }
-            oracle_dims = {
-                bd: v for bd, v in oracle_dims.items() if sum(bd) <= page.cert_bound
-            }
-            assert engine_dims == oracle_dims, (page.r, engine_dims, oracle_dims)
-            page = turn_page(page, specs if page.r == r0 else [])
+
+# ------------------------------------- memoized oracle vs the unmemoized loop
+
+def assert_same_run(got, want):
+    """Pages, E-infinity and every d_r matrix equal byte for byte."""
+    assert got.stable_page == want.stable_page
+    assert got.pages == want.pages
+    assert got.einf == want.einf
+    assert [r for r, _ in got.differentials] == [r for r, _ in want.differentials]
+    for (r, mats), (_, ref) in zip(got.differentials, want.differentials):
+        assert mats.keys() == ref.keys(), r
+        for cell, a in mats.items():
+            b = ref[cell]
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3, 5, 7]))
+def test_exact_couple_matches_unmemoized_loop(seed, p):
+    fc = random_filtered_complex(random.Random(seed), p=p)
+    assert_same_run(exact_couple_run(fc), naive_exact_couple_run(fc))
+
+
+@settings(max_examples=5, deadline=None)
+@given(dga_shapes(max_k=3))
+def test_exact_couple_matches_unmemoized_loop_on_filtered_dga(shape):
+    pres, specs = dga_instance(*shape)
+    fc = filtered_dga(pres, specs)
+    r_max = specs[0].page + 2
+    assert_same_run(exact_couple_run(fc, r_max), naive_exact_couple_run(fc, r_max))
+
+
+def _cycle_key(fc, n, r, d):
+    """What Z^r(n, d) depends on: (d, dim F_n C_d, dim F_{n-r} C_{d-1})."""
+    return (d, fc.filtration_dim(n, d), fc.filtration_dim(n - r, d - 1))
+
+
+@pytest.mark.parametrize("run", [exact_couple_run, naive_exact_couple_run])
+def test_exact_couple_keeps_subquotient_check(run, monkeypatch):
+    # negative control: F_0 C_0 = <a, a'>, C_1 = <b> at level 0, db = a'.
+    # Dropping a' from Z^1(0, 0) leaves the boundary a' outside the cycles.
+    fc = FilteredComplex(
+        5, {0: 2, 1: 1}, {1: np.array([[0], [1]])}, {0: [0, 0], 1: [0]}
+    )
+    assert run(fc).einf == {(0, 0): 1}
+    original = filtered._cycle_space
+
+    def damaged(fc, n, r, d):
+        z = original(fc, n, r, d)
+        return z[:-1] if _cycle_key(fc, n, r, d) == (0, 2, 0) else z
+
+    monkeypatch.setattr(filtered, "_cycle_space", damaged)
+    with pytest.raises(SubquotientError):
+        run(fc)
+
+
+def test_exact_couple_builds_each_cycle_space_once(monkeypatch):
+    pres, specs = dga_instance(7, 4, 2, 4, True, 30)
+    fc = filtered_dga(pres, specs)
+    original = filtered._cycle_space
+    keys = []
+
+    def counted(fc, n, r, d):
+        keys.append(_cycle_key(fc, n, r, d))
+        return original(fc, n, r, d)
+
+    monkeypatch.setattr(filtered, "_cycle_space", counted)
+    exact_couple_run(fc, r_max=specs[0].page + 2)
+    assert keys and len(keys) == len(set(keys))
 
 
 def test_turn_page_rejects_d_squared_violation():
