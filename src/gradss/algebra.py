@@ -180,9 +180,6 @@ class Element:
     def items(self):
         return self.coeffs.items()
 
-    def monomials(self):
-        return sorted(self.coeffs)
-
 
 ZERO = Element()
 
@@ -372,11 +369,6 @@ def basis_in_bidegree(pres: Presentation, bd: Bidegree) -> list:
     if n + m > pres.max_degree:
         raise BeyondTruncation(n + m, pres.max_degree)
     return list(monomial_table(pres).get((n, m), []))
-
-
-def bidegrees(pres: Presentation) -> list:
-    """All bidegrees carrying at least one monomial, sorted."""
-    return sorted(monomial_table(pres))
 
 
 def dimension_series(pres: Presentation, n_max: int) -> list[int]:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import algebra as alg
 from .dga import Derivation, d_monomial
-from .linfp import FpMatrix, Subquotient, kernel_basis, matmul, rank
+from .linfp import FpMatrix, Subquotient, homology_dims, kernel_basis, matmul
 
 
 @dataclass
@@ -88,15 +88,8 @@ class FilteredComplex:
         return bisect_right(self.levels.get(d, []), s)
 
     def total_homology(self) -> dict:
-        out = {}
-        for d in self.degrees:
-            dim = self.dims[d]
-            cycles = dim - rank(FpMatrix(self.p, self.bmat(d)))
-            boundaries = rank(FpMatrix(self.p, self.bmat(d + 1)))
-            h = cycles - boundaries
-            if h:
-                out[d] = h
-        return out
+        dims = {d: self.dims[d] for d in self.degrees}
+        return homology_dims(self.p, dims, self.boundary)
 
 
 def _cycle_space(fc: FilteredComplex, n: int, r: int, d: int) -> list:

@@ -8,7 +8,9 @@ u-powers, and tensoring with a p-torsion module reduces everything to F_p.
 
 Hochschild homology uses the normalized cyclic bar complex with the Koszul
 sign on the rotating face, so HH_0 of a graded-commutative algebra is the
-algebra itself.
+algebra itself.  The faces keep the internal degree, so the bar complex is
+built one internal degree at a time: no matrix spans two degrees.  Both Tor
+and HH read their dimensions off linfp.homology_dims, one rank per block.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import algebra as alg
 from .algebra import EXTERIOR, Presentation, ext, poly
-from .linfp import FpMatrix, kernel_basis, rank
+from .linfp import check_prime, homology_dims
 
 
 class ResourceLimit(RuntimeError):
@@ -48,6 +50,7 @@ class BaseRing:
             raise ValueError("the polynomial variable must have positive even degree")
         if self.height is not None and self.height < 2:
             raise ValueError("truncation height must be >= 2")
+        check_prime(self.p)
 
 
 @dataclass(frozen=True)
@@ -173,7 +176,7 @@ def koszul_tor(base: BaseRing, left: str, right: str, n_internal: int) -> TorTab
     dims: dict = {}
     for t in range(n_internal + 1):
         spaces = [basis(n, t) for n in range(len(levels))]
-        mats = []
+        mats = {}  # mats[n + 1]: level n + 1 -> level n
         for n in range(len(levels) - 1):
             rows = {b: i for i, b in enumerate(spaces[n])}
             m = np.zeros((len(spaces[n]), len(spaces[n + 1])), dtype=np.int64)
@@ -187,22 +190,10 @@ def koszul_tor(base: BaseRing, left: str, right: str, n_internal: int) -> TorTab
                         key = (gi, tdeg)
                         if key in rows:
                             m[rows[key], j] = (m[rows[key], j] + coeff) % p
-            mats.append(m)
-        for n in range(len(levels)):
-            dim_n = len(spaces[n])
-            if dim_n == 0:
-                continue
-            if n < len(mats):
-                incoming = rank(FpMatrix(p, mats[n]))
-            else:
-                incoming = 0
-            if n > 0:
-                cycles = len(kernel_basis(FpMatrix(p, mats[n - 1])))
-            else:
-                cycles = dim_n
-            h = cycles - incoming
-            if h:
-                dims[(n, t)] = h
+            mats[n + 1] = m
+        sizes = {n: len(space) for n, space in enumerate(spaces)}
+        for n, h in homology_dims(p, sizes, mats).items():
+            dims[(n, t)] = h
     return TorTable(p, n_internal, dims)
 
 
@@ -269,7 +260,9 @@ def hochschild_homology(
 
     Chains in simplicial degree s are A (x) Abar^{(x) s} with Abar the
     positive-degree part; the rotating face carries the Koszul sign for
-    moving the last tensor factor to the front.  Refuses past the size cap.
+    moving the last tensor factor to the front.  Every face keeps the
+    internal degree t, so the chains are grouped by t as they are built and
+    d_s is one block per t.  Refuses past the size cap.
     """
     if t_max > pres.max_degree:
         raise alg.BeyondTruncation(t_max, pres.max_degree)
@@ -281,15 +274,15 @@ def hochschild_homology(
     monos.sort(key=lambda t: (t[1], t[0]))
     positive = [(mono, d) for mono, d in monos if d > 0]
 
-    # chains[s]: list of tuples (m0, m1, ..., ms) with total degree <= t_max
-    chains: list[list[tuple]] = []
+    # chains[s][t]: tuples (m0, m1, ..., ms) of total degree t <= t_max
+    chains: list[dict] = []
     total = 0
     for s in range(s_max + 2):
-        level = []
+        level: dict = {}
 
         def build(prefix, deg, remaining):
             if remaining == 0:
-                level.append(tuple(prefix))
+                level.setdefault(deg, []).append(tuple(prefix))
                 return
             for mono, d in positive:
                 if deg + d > t_max:
@@ -300,89 +293,41 @@ def hochschild_homology(
 
         for m0, d0 in monos:
             build([m0], d0, s)
-        total += len(level)
+        total += sum(map(len, level.values()))
         if total > cap:
             raise ResourceLimit(
                 f"bar complex size {total} exceeds the cap {cap}"
             )
         chains.append(level)
 
-    def chain_degree(c):
-        return sum(alg.total_degree(pres, m) for m in c)
+    def boundary(s, t):
+        """Matrix of d_s: chains[s][t] -> chains[s-1][t]."""
+        sources = chains[s].get(t, [])
+        index = {c: i for i, c in enumerate(chains[s - 1].get(t, []))}
+        mat = np.zeros((len(index), len(sources)), dtype=np.int64)
 
-    index = [
-        {c: i for i, c in enumerate(level)} for level in chains
-    ]
+        def emit(j, x, y, head, tail, sign):
+            """Add sign * (head, x * y, tail) to column j."""
+            koszul, mono = alg.multiply_monomials(pres, x, y)
+            i = index.get(head + (mono,) + tail) if koszul else None
+            if i is not None:
+                mat[i, j] = (mat[i, j] + sign * koszul) % pres.p
 
-    def boundary(s):
-        """Matrix of d_s: chains[s] -> chains[s-1]."""
-        rows, cols = len(chains[s - 1]), len(chains[s])
-        mat = np.zeros((rows, cols), dtype=np.int64)
-        for j, c in enumerate(chains[s]):
-
-            def emit(prod, tail, sign):
-                for mono, coeff in prod.items():
-                    key = (mono,) + tail
-                    if key in index[s - 1]:
-                        mat[index[s - 1][key], j] = (
-                            mat[index[s - 1][key], j] + sign * coeff
-                        ) % pres.p
-
+        for j, c in enumerate(sources):
             # inner faces: merge slots i and i+1; products of positive
             # factors stay positive, so no degeneracies appear
             for i in range(s):
-                prod = alg.multiply(
-                    pres,
-                    alg.element(pres, {c[i]: 1}),
-                    alg.element(pres, {c[i + 1]: 1}),
-                )
-                if not prod:
-                    continue
-                sign = (-1) ** i
-                for mono, coeff in prod.items():
-                    key = c[:i] + (mono,) + c[i + 2 :]
-                    if key in index[s - 1]:
-                        mat[index[s - 1][key], j] = (
-                            mat[index[s - 1][key], j] + sign * coeff
-                        ) % pres.p
+                emit(j, c[i], c[i + 1], c[:i], c[i + 2 :], (-1) ** i)
             # rotating face: move the last factor to the front, with the
             # Koszul sign for passing everything before it
-            last = c[s]
-            koszul = alg.total_degree(pres, last) * (
-                chain_degree(c) - alg.total_degree(pres, last)
-            )
-            sign = (-1) ** (s + koszul)
-            prod = alg.multiply(
-                pres, alg.element(pres, {last: 1}), alg.element(pres, {c[0]: 1})
-            )
-            emit(prod, c[1:s], sign)
+            last = alg.total_degree(pres, c[s])
+            emit(j, c[s], c[0], (), c[1:s], (-1) ** (s + last * (t - last)))
         return mat
 
-    mats = [boundary(s) for s in range(1, s_max + 2)]
     dims: dict = {}
-    for s in range(s_max + 1):
-        by_degree: dict = {}
-        for i, c in enumerate(chains[s]):
-            by_degree.setdefault(chain_degree(c), []).append(i)
-        for t, idxs in by_degree.items():
-            if t > t_max:
-                continue
-            sel = np.array(idxs)
-            if s == 0:
-                cycles = len(idxs)
-            else:
-                sub = mats[s - 1][:, sel]
-                cycles = len(kernel_basis(FpMatrix(pres.p, sub)))
-            nxt = [
-                i for i, c in enumerate(chains[s + 1]) if chain_degree(c) == t
-            ]
-            if nxt:
-                img = mats[s][:, np.array(nxt)]
-                # restrict rows to this degree block for a clean rank
-                incoming = rank(FpMatrix(pres.p, img))
-            else:
-                incoming = 0
-            h = cycles - incoming
-            if h:
-                dims[(s, t)] = h
-    return dims
+    for t in range(t_max + 1):
+        sizes = {s: len(chains[s].get(t, [])) for s in range(s_max + 1)}
+        mats = {s: boundary(s, t) for s in range(1, s_max + 2)}
+        for s, h in homology_dims(pres.p, sizes, mats).items():
+            dims[(s, t)] = h
+    return dict(sorted(dims.items()))

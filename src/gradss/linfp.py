@@ -147,6 +147,22 @@ def rank(m: FpMatrix) -> int:
     return len(rref(m)[1])
 
 
+def homology_dims(p: int, dims: dict, mats: dict) -> dict:
+    """Nonzero dim C_i - rank d_i - rank d_{i+1}, for i in `dims` in order.
+
+    dims[i] is dim C_i; mats[i] is the matrix of d_i: C_i -> C_{i-1}, and a
+    missing d_i counts as zero.  Every matrix is ranked once, empty ones
+    included, so each checks the modulus.
+    """
+    ranks = {i: rank(FpMatrix(p, m)) for i, m in mats.items()}
+    out = {}
+    for i, dim in dims.items():
+        h = dim - ranks.get(i, 0) - ranks.get(i + 1, 0)
+        if h:
+            out[i] = h
+    return out
+
+
 def stacked_rank(p: int, width: int, blocks) -> int:
     """Rank of the rows of all `blocks` (integer arrays `width` wide) stacked.
 

@@ -128,13 +128,6 @@ class Page:
         except PageError:
             return False
 
-    def product(self, x: Element, y: Element) -> Element:
-        """Product of two page classes, reduced modulo boundaries.
-
-        Propagates BeyondTruncation when the target degree leaves the box.
-        """
-        return self.reduce(alg.multiply(self.pres, x, y))
-
 
 def init_page(pres: Presentation, n_max: int | None = None) -> Page:
     """E2: every admissible monomial is its own class, no boundaries yet."""

@@ -427,7 +427,6 @@ def step3_v1(p: int, N: int = 100):
             f"max degree {N} too small for p = {p}: the abutment generators "
             f"reach total degree {2 * p * p}, need at least {2 * p * p + 2}"
         )
-    _, step2_report = step2_v0(p, N)
     pres = absolute_e2(p, N)
     facts = [
         "v1-ku",

@@ -283,6 +283,9 @@ def test_parser_fuzz_only_raises_parse_errors(text):
         ["reproduce", "thh-ku", "--prime", "9", "--max-degree", "100"],
         ["reproduce", "thh-ku", "--prime", "4294967311", "--max-degree", "100"],
         ["reproduce", "thh-ku", "--prime", "5", "--max-degree", "-3"],
+        ["tor", "--base", "fpu", "--left", "fp", "--right", "fpu", "--max", "6", "--prime", "4"],
+        ["tor", "--base", "fpu", "--left", "fp", "--right", "fpu", "--max", "6", "--prime", "2147483659"],
+        ["tor", "--base", "fpu-trunc:3", "--left", "fp", "--right", "fpu", "--max", "6", "--prime", "4"],
     ],
 )
 def test_usage_errors_exit_with_one_line(argv, tmp_path, capsys):

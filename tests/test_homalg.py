@@ -1,6 +1,11 @@
+import itertools
+import random
+
 import pytest
 
+from gradss import homalg, linfp
 from gradss.algebra import Presentation, ext, trunc
+from gradss.filtered import random_filtered_complex
 from gradss.homalg import (
     BaseRing,
     ResourceLimit,
@@ -27,6 +32,14 @@ def test_tor_fp_base_fp_fp():
     # tensored Koszul differential is multiplication by u = 0
     table = koszul_tor(BaseRing("fp", 5), "fp", "fp", 20)
     assert table.nonzero() == [((0, 0), 1), ((1, 2), 1)]
+
+
+@pytest.mark.parametrize("p", [1, 4, 9, 2147483659])
+def test_base_ring_refuses_non_prime(p):
+    # refused even where the Tor complex has no differential to check p
+    for coefficients, height in (("zp", None), ("fp", None), ("fp", 3)):
+        with pytest.raises(ValueError, match="need a prime"):
+            BaseRing(coefficients, p, height=height)
 
 
 def test_tor_left_module_must_be_p_torsion():
@@ -86,11 +99,55 @@ def test_hh_of_unit_algebra():
     assert dims == {(0, 0): 1}
 
 
-def test_hh_truncated_polynomial_matches_dense_oracle():
-    pres = Presentation(5, (trunc("u", 4, (0, 2)),), 16)
-    dims = hochschild_homology(pres, 2, 12)
-    oracle = dense_hochschild(5, 4, 2, s_max=2, t_max=12)
+@pytest.mark.parametrize(
+    "p, h, s, t",
+    [(5, 4, 2, 12)]
+    + [(p, h, s, 16) for p in (5, 7) for h in (3, 4, 5, 6) for s in (1, 2, 3)]
+    + [(7, 6, 3, 28)],
+)
+def test_hh_truncated_polynomial_matches_dense_oracle(p, h, s, t):
+    pres = Presentation(p, (trunc("u", h, (0, 2)),), max(t, 16))
+    dims = hochschild_homology(pres, s, t)
+    oracle = dense_hochschild(p, h, 2, s_max=s, t_max=t)
     assert dims == oracle
+
+
+def test_each_boundary_block_is_reduced_once(monkeypatch):
+    shapes = []
+    real = linfp._rref_inplace
+
+    def counting(a, p):
+        shapes.append(a.shape)
+        return real(a, p)
+
+    monkeypatch.setattr(linfp, "_rref_inplace", counting)
+
+    # Tor: one block per differential of the resolution and internal degree
+    base = BaseRing("zp", 5)
+    _, diffs = homalg._resolution(base, "fp", 20)
+    koszul_tor(base, "fp", "fp", 20)
+    assert len(shapes) == len(diffs) * 21
+
+    # total homology: one reduction per boundary matrix
+    fc = random_filtered_complex(random.Random(3), p=5)
+    shapes.clear()
+    fc.total_homology()
+    assert len(shapes) == len(fc.boundary)
+
+    # HH: blocks d_1 .. d_{s_max + 1}, one per internal degree 0..t_max; the
+    # blocks of d_s partition the chains of s - 1 (rows) and of s (columns)
+    pres = Presentation(5, (trunc("u", 4, (0, 2)),), 16)
+    shapes.clear()
+    hochschild_homology(pres, 2, 12)
+    assert len(shapes) == 3 * 13
+
+    def chains(s):
+        # u-exponents (e0, ..., es) of P_4(u), e1..es positive, degree <= 12
+        ranges = [range(4)] + [range(1, 4)] * s
+        return sum(1 for e in itertools.product(*ranges) if 2 * sum(e) <= 12)
+
+    assert sum(rows for rows, _ in shapes) == sum(chains(s) for s in (0, 1, 2))
+    assert sum(cols for _, cols in shapes) == sum(chains(s) for s in (1, 2, 3))
 
 
 def test_hh_exterior_is_divided_power_pattern():

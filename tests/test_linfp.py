@@ -10,6 +10,7 @@ from gradss.linfp import (
     RowSpan,
     Subquotient,
     SubquotientError,
+    homology_dims,
     is_prime,
     kernel_basis,
     matmul,
@@ -251,6 +252,19 @@ def test_stacked_rank_matches_rank(width, rows, true_rank):
     cuts = np.sort(rng.integers(0, rows, 25))
     blocks = np.split(a - p * rng.integers(0, 2, a.shape), cuts)
     assert stacked_rank(p, width, iter(blocks)) == rank(FpMatrix(p, a)) == true_rank
+
+
+def test_homology_dims_small_complex():
+    # C_2 -> C_1 -> C_0 with d_1 = [[1, 0], [0, 0]], d_2 = [[0], [1]]
+    mats = {1: np.array([[1, 0], [0, 0]]), 2: np.array([[0], [1]])}
+    assert homology_dims(5, {0: 2, 1: 2, 2: 1}, mats) == {0: 1}
+    # a missing differential is zero; an empty one still counts
+    assert homology_dims(5, {1: 3, 4: 2}, {1: np.zeros((0, 3))}) == {1: 3, 4: 2}
+
+
+def test_homology_dims_empty_matrix_checks_the_prime():
+    with pytest.raises(ValueError, match="need a prime"):
+        homology_dims(4, {0: 0}, {1: np.zeros((0, 0), dtype=np.int64)})
 
 
 # ------------------------------------------------------------ Subquotient

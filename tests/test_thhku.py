@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from gradss import algebra as alg
+from gradss import thhku
 from gradss.algebra import monomial_element
 from gradss.dga import homology
 from gradss.thhku import (
@@ -154,6 +155,19 @@ def test_reproduce_pipeline_json_roundtrip():
         "relative-run",
         "absolute-run",
     ]
+
+
+def test_reproduce_runs_step2_once(monkeypatch):
+    # step 3 builds its own E2 page; the relative run is not one of its inputs
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return step2_v0(*args)
+
+    monkeypatch.setattr(thhku, "step2_v0", counted)
+    assert reproduce_thh_ku(5, 60).ok
+    assert calls == [(5, 60)]
 
 
 GOLDEN_REPORT = Path(__file__).parent / "data" / "reproduce_thh_ku_p5_N103.json"
