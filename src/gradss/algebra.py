@@ -363,6 +363,38 @@ def monomial_table(pres: Presentation):
     return table
 
 
+def standard_monomials(pres: Presentation, leads, bound: int) -> dict:
+    """Monomials of total degree <= bound divisible by no lead, by bidegree.
+
+    They form an order ideal, m is standard iff it is not a lead and every
+    m / g is standard, grown one generator at a time: each standard monomial
+    over the earlier generators is raised in the new one until that fails.
+    The list stays in lex order, so every m / g is decided before m; only the
+    standard monomials and one refusal each are visited.
+    """
+    leads = set(leads)
+    unit = pres.unit_monomial
+    standard = [] if unit in leads else [(unit, 0)]  # (monomial, total degree)
+    seen = {m for m, _ in standard}
+    for i, (d, cap) in enumerate(zip(pres.degrees, pres.caps)):
+        grown = []
+        for mono, deg in standard:
+            grown.append((mono, deg))
+            for e in range(1, cap or bound // d + 1):
+                m = mono[:i] + (e,) + mono[i + 1 :]
+                if deg + e * d > bound or m in leads or any(
+                    k and m[:j] + (k - 1,) + m[j + 1 :] not in seen for j, k in enumerate(m)
+                ):
+                    break
+                seen.add(m)
+                grown.append((m, deg + e * d))
+        standard = grown
+    table: dict = {}
+    for mono, _ in standard:
+        table.setdefault(bidegree(pres, mono), []).append(mono)
+    return table
+
+
 def basis_in_bidegree(pres: Presentation, bd: Bidegree) -> list:
     """Admissible monomials of the given bidegree, in the fixed order."""
     n, m = bd

@@ -10,10 +10,12 @@ N - 1.
 Each bidegree's homology is a linfp.Subquotient of kernel modulo image, which
 also gives the coordinates of a class in the homology basis.
 
-verify_presentation_iso checks a candidate presentation-with-relations
-against a computed homology: relations must become boundaries, the induced
-algebra map must be surjective, and the candidate quotient must have the same
-dimensions.  Together these certify an isomorphism degree by degree.
+verify_presentation_iso certifies candidate/(relations) = homology degree by
+degree: relations must become boundaries, and the standard monomials (divisible
+by no relation's lex-least term), which span the quotient, must map to a basis
+of the homology, one square rank per bidegree.  Its one limit: a relation set
+that is not a Groebner basis for lex order has too many standard monomials
+somewhere and is refused with a dimension mismatch, never accepted wrongly.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import algebra as alg
 from .algebra import Element, Presentation, ZERO
-from .linfp import FpMatrix, Subquotient, kernel_basis, rank, stacked_rank
+from .linfp import FpMatrix, Subquotient, kernel_basis, rank
 
 
 class DifferentialError(ValueError):
@@ -229,9 +231,9 @@ class IsoReport:
     generator_failures: list
     kind_failures: list
     relation_failures: list
-    surjectivity_failures: list
-    dimension_mismatches: list
-    skipped_relations: list
+    surjectivity_failures: list  # (bd, rank of f(standard monomials), dim H)
+    dimension_mismatches: list  # (bd, count of standard monomials, dim H)
+    skipped_relations: list  # (index, bd) of relations past the bound
 
     @property
     def ok(self) -> bool:
@@ -268,18 +270,24 @@ def verify_presentation_iso(
 ) -> IsoReport:
     """Certify H = candidate/(relations) as bigraded algebras up to degree bound.
 
-    Three checks, itemized on failure: (a) every relation and every kind-bound
-    power maps to a boundary; (b) the candidate monomials surject onto the
-    homology in every bidegree; (c) the candidate quotient by the relation
-    ideal has the homology's dimensions.  (a) makes the algebra map factor
-    through the quotient, and (b) + (c) force it to be bijective.
+    (a) Every relation and every kind-bound power must map to a boundary, so
+    the algebra map f factors through the quotient by the relation ideal I.
+    (b) In every bidegree the standard monomials S, those divisible by no
+    relation's lead, must satisfy rank f(S) = |S| = dim H.
 
-    The induced map is built multiplicatively, f(m) = f(m / g) * f(g) with g
-    the last generator dividing m, so each candidate monomial costs one
-    multiply and every image equals the left-to-right product in generator
-    order.  Per bidegree, (b) is one rank of the stacked homology coordinates
-    of the images, and (c) one rank of the ideal rows cofactor * relation,
-    taken straight from multiply_monomials and reduced in bounded blocks.
+    The lead of a relation is its lex-least exponent tuple, min(rel.coeffs).
+    Lex order is compatible with multiplying monomials, so rewriting a lead
+    multiple into the other terms of its relation only reaches lex-greater
+    monomials of the same finite bidegree and terminates: S spans the
+    quotient.  Given (a), f then maps the quotient onto span f(S), and (b)
+    makes that map onto H with dim quotient <= |S| = dim H, so it is an
+    isomorphism.  No overlap check is needed: if the relations are not a
+    Groebner basis for this order, |S| exceeds dim H and the bidegree is
+    listed as a dimension mismatch, so such a set is refused, never accepted.
+
+    f is built multiplicatively, f(m) = f(m / g) * f(g) with g the last
+    generator dividing m, and S is an order ideal, so f is evaluated on S and
+    the relation terms only, never on all of the candidate algebra.
     """
     pres = H.pres
     bound = min(H.cert_bound, n_max, candidate.max_degree)
@@ -319,24 +327,10 @@ def verify_presentation_iso(
         if pw and not H.is_zero_class(pw):
             kind_failures.append(f"{g.name}^{k} survives in homology")
 
-    cand_table = alg.monomial_table(candidate)
-    hom_bds = {bd for bd, reps in H.representatives.items() if reps}
-    all_bds = sorted(
-        bd for bd in (set(cand_table) | hom_bds) if sum(bd) <= bound
-    )
-
-    surj_failures = []
-    for bd in all_bds:
-        want = H.dim(bd)
-        vecs = [H.homology_coords(img) for img in map(f, cand_table.get(bd, [])) if img]
-        got = rank(FpMatrix(pres.p, np.array(vecs))) if want and vecs else 0
-        if got < want:
-            surj_failures.append((bd, got, want))
-
-    # relations must evaluate to boundaries
+    # relations must evaluate to boundaries; each one's lex-least term leads
     relation_failures = []
     skipped = []
-    live_relations = []
+    leads = []
     for i, rel in enumerate(extra_relations):
         if not rel:
             continue
@@ -344,7 +338,7 @@ def verify_presentation_iso(
         if sum(rbd) > bound:
             skipped.append((i, rbd))
             continue
-        live_relations.append((rbd, list(rel.items())))
+        leads.append(min(rel.coeffs))
         val = ZERO
         for mono, c in rel.items():
             val = alg.add(pres, val, alg.scale(pres, c, f(mono)))
@@ -353,39 +347,20 @@ def verify_presentation_iso(
                 (i, rbd, f"image {alg.element_str(pres, val)} survives")
             )
 
-    del f  # drop the image cache before the ideal ranks
-
-    def ideal_blocks(bd, index):
-        """Rows cofactor * relation in bidegree bd, one block per relation."""
-        for rbd, terms in live_relations:
-            cofactors = cand_table.get((bd[0] - rbd[0], bd[1] - rbd[1]))
-            if not cofactors:
-                continue
-            block = np.zeros((len(cofactors), len(index)), dtype=np.int64)
-            for row, mono in enumerate(cofactors):
-                for term, c in terms:
-                    sign, prod = alg.multiply_monomials(candidate, mono, term)
-                    if sign:
-                        block[row, index[prod]] += sign * c
-            yield block
-
-    # quotient dimensions: free dimension minus the rank of the ideal rows
+    # the standard monomials must map to a basis of the homology
+    standard = alg.standard_monomials(candidate, leads, bound)
+    hom_bds = {bd for bd, reps in H.representatives.items() if reps}
+    surj_failures = []
     dim_mismatches = []
-    for bd in all_bds:
-        basis = cand_table.get(bd, [])
-        index = {m: i for i, m in enumerate(basis)}
-        quotient = len(basis)
-        if basis:
-            quotient -= stacked_rank(candidate.p, len(basis), ideal_blocks(bd, index))
-        if quotient != H.dim(bd):
-            dim_mismatches.append((bd, quotient, H.dim(bd)))
+    for bd in sorted(bd for bd in set(standard) | hom_bds if sum(bd) <= bound):
+        basis = standard.get(bd, [])
+        want = H.dim(bd)
+        vecs = [H.homology_coords(img) for img in map(f, basis) if img]
+        got = rank(FpMatrix(pres.p, np.array(vecs))) if want and vecs else 0
+        if got < want:
+            surj_failures.append((bd, got, want))
+        if len(basis) != want:
+            dim_mismatches.append((bd, len(basis), want))
 
-    return IsoReport(
-        bound,
-        gen_failures,
-        kind_failures,
-        relation_failures,
-        surj_failures,
-        dim_mismatches,
-        skipped,
-    )
+    return IsoReport(bound, gen_failures, kind_failures, relation_failures,
+                     surj_failures, dim_mismatches, skipped)

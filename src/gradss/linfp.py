@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -161,27 +160,6 @@ def homology_dims(p: int, dims: dict, mats: dict) -> dict:
         if h:
             out[i] = h
     return out
-
-
-def stacked_rank(p: int, width: int, blocks) -> int:
-    """Rank of the rows of all `blocks` (integer arrays `width` wide) stacked.
-
-    Blocks are gathered until they hold about 2**15 entries (and at least
-    `width` rows), then row reduced together with the echelon rows found so
-    far, so memory stays bounded however many rows come in.
-    """
-    echelon = np.zeros((0, width), dtype=np.int64)
-    pending, rows = [], 0
-    batch = max(width, 2**15 // max(width, 1))
-    for block in chain(blocks, [None]):
-        if block is not None:
-            pending.append(block)
-            rows += len(block)
-        if pending and (block is None or rows >= batch):
-            a = np.concatenate([echelon, *pending]) % p
-            echelon = a[: len(_rref_inplace(a, p))]
-            pending, rows = [], 0
-    return len(echelon)
 
 
 def kernel_basis(m: FpMatrix) -> list[np.ndarray]:

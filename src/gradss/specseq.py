@@ -409,6 +409,13 @@ class RelationSpec:
     rhs: tuple = ()
 
 
+@lru_cache(maxsize=4096)
+def _relation_entry(label: str, kind: str, details: str) -> dict:
+    """One shared, read-only JSON entry per relation justification, which
+    reports of nearby boxes repeat: a caller keeping many keeps one copy."""
+    return {"label": label, "kind": kind, "details": details}
+
+
 @dataclass
 class AbutmentReport:
     """Lifts, relation justifications and leftovers at E-infinity."""
@@ -446,10 +453,7 @@ class AbutmentReport:
                 }
                 for name, (f, w, u, obs) in sorted(self.generator_lifts.items())
             },
-            "relations": [
-                {"label": lbl, "kind": kind, "details": det}
-                for lbl, kind, det in self.relations
-            ],
+            "relations": [_relation_entry(*rel) for rel in self.relations],
             "unresolved": list(self.unresolved),
             "beyond_truncation": list(self.beyond_truncation),
             "ok": self.ok,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import algebra as alg
 from .algebra import Presentation, ext, monomial_element, poly, trunc
@@ -150,7 +151,10 @@ class PipelineReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
+@lru_cache(maxsize=128)
 def presentation_dict(pres: Presentation) -> dict:
+    """The JSON form of pres, built once and shared (read-only) by every
+    report of the same box: a caller keeping many keeps one copy."""
     return {
         "p": pres.p,
         "max_degree": pres.max_degree,

@@ -4,13 +4,16 @@ These recompute Tor and Hochschild homology from dense unnormalized bar
 complexes by raw rank counting, so the library's resolution-based and
 normalized-complex answers can be checked against a second route.  The
 exact-couple loop is also kept here in its unmemoized form, which rebuilds
-every cycle space and subquotient at every (r, n, d).
+every cycle space and subquotient at every (r, n, d).  quotient_dims ranks
+the whole relation ideal of a candidate presentation, where
+dga.verify_presentation_iso counts standard monomials.
 """
 
 import itertools
 
 import numpy as np
 
+from gradss import algebra as alg
 from gradss import filtered
 from gradss.filtered import SSRun
 from gradss.linfp import FpMatrix, Subquotient, kernel_basis, matmul, rank
@@ -183,3 +186,36 @@ def naive_exact_couple_run(fc, r_max=None):
         diffs.append((r, dmat))
     einf = pages[stable - 1][1]
     return SSRun(fc.p, pages, diffs, dict(einf), stable)
+
+
+def quotient_dims(candidate, relations, bidegrees, memo=None):
+    """Yield (bd, dim of candidate / (relations) in bd) for each bd, lazily.
+
+    In bd the ideal is spanned by the rows cofactor * relation, over every
+    nonzero relation and every candidate monomial of the complementary
+    bidegree; the quotient dimension is the monomial count minus the rank of
+    those rows, one plain dense rank per bidegree.  A caller that ranks many
+    relation sets sharing most relations can pass one `memo` dict to all
+    calls, keyed by (relation terms, bd), so each row block is built once.
+    """
+    table = alg.monomial_table(candidate)
+    rels = [(alg.bidegree_of(candidate, r), tuple(r.items())) for r in relations if r]
+    memo = {} if memo is None else memo
+    for bd in bidegrees:
+        basis = table.get(bd, [])
+        index = {m: i for i, m in enumerate(basis)}
+        blocks = [np.zeros((0, len(basis)), dtype=np.int64)]
+        for rbd, terms in rels:
+            cofactors = table.get((bd[0] - rbd[0], bd[1] - rbd[1]))
+            if not cofactors:
+                continue
+            if (terms, bd) not in memo:
+                rows = np.zeros((len(cofactors), len(basis)), dtype=np.int64)
+                for row, cofactor in enumerate(cofactors):
+                    for term, c in terms:
+                        sign, prod = alg.multiply_monomials(candidate, cofactor, term)
+                        if sign:
+                            rows[row, index[prod]] += sign * c
+                memo[terms, bd] = rows
+            blocks.append(memo[terms, bd])
+        yield bd, len(basis) - rank(FpMatrix(candidate.p, np.concatenate(blocks)))

@@ -266,3 +266,25 @@ def test_monomial_map_is_left_to_right_product(data):
             for _ in range(e):
                 want = multiply(pres, want, images[g.name])
         assert f(mono) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_standard_monomials_are_the_lead_free_monomials(data):
+    # the order-ideal walk against filtering the whole table by divisibility
+    pres = data.draw(random_presentations(max_gens=4))
+    table = alg.monomial_table(pres)
+    monos = sorted(m for ms in table.values() for m in ms)
+    leads = data.draw(st.lists(st.sampled_from(monos), max_size=4))
+    bound = data.draw(st.integers(0, pres.max_degree))
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    want = {}
+    for bd, ms in sorted(table.items()):
+        if sum(bd) <= bound:
+            kept = [m for m in ms if not any(divides(lead, m) for lead in leads)]
+            if kept:
+                want[bd] = kept
+    assert alg.standard_monomials(pres, leads, bound) == want

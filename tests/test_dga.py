@@ -7,6 +7,7 @@ from gradss import dga
 from gradss.algebra import Presentation, element, ext, monomial_element, poly, trunc
 from gradss.thhku import omega_candidate, omega_relations, omega_reps
 from helpers import intro_dga
+from oracles import quotient_dims
 from gradss.dga import (
     DifferentialError,
     check_d_squared,
@@ -275,3 +276,81 @@ def test_verify_iso_missing_generator_fails_surjectivity():
     l1 = full.gen("l1").bidegree
     assert (l1, 0, 1) in report.surjectivity_failures
     assert not (report.generator_failures or report.relation_failures)
+
+
+def omega_setup(p, N):
+    pres, d = intro_dga(p, N)
+    H = homology(pres, d, N)
+    cand = omega_candidate(p, N)
+    return H, cand, omega_relations(cand, p), omega_reps(pres, p)
+
+
+def iso_bidegrees(H, cand):
+    """The bidegrees verify_presentation_iso checks, in its order."""
+    bds = set(alg.monomial_table(cand)) | {bd for bd in H.representatives if H.dim(bd)}
+    return sorted(bd for bd in bds if sum(bd) <= H.cert_bound)
+
+
+def reference_first_mismatch(H, cand, rels, memo):
+    """First (bd, quotient dim, dim H) where the ranked ideal disagrees with H."""
+    for bd, dim in quotient_dims(cand, rels, iso_bidegrees(H, cand), memo):
+        if dim != H.dim(bd):
+            return (bd, dim, H.dim(bd))
+    return None
+
+
+@pytest.mark.parametrize("p, N", [(5, 60), (7, 120)])
+def test_single_relation_drops_agree_with_ranked_ideal(p, N):
+    # Past the first mismatch the lists may differ: without a relation the
+    # set need not be a Groebner basis, and |S| then over-counts.
+    H, cand, rels, reps = omega_setup(p, N)
+    memo = {}
+    full = reference_first_mismatch(H, cand, rels, memo)
+    assert full is None
+    for k, rel in enumerate(rels):
+        rest = rels[:k] + rels[k + 1 :]
+        report = verify_presentation_iso(H, cand, reps, rest, N)
+        if sum(alg.bidegree_of(cand, rel)) > H.cert_bound:
+            want = full  # a skipped relation leaves the ideal in the box alone
+        else:
+            want = reference_first_mismatch(H, cand, rest, memo)
+        assert report.ok == (want is None), k
+        assert report.dimension_mismatches[:1] == ([want] if want else []), k
+        assert not report.surjectivity_failures, k
+
+
+@pytest.mark.parametrize("p, N", [(5, 60), (7, 120)])
+def test_standard_counts_equal_ranked_quotient_dims(p, N):
+    H, cand, rels, reps = omega_setup(p, N)
+    assert verify_presentation_iso(H, cand, reps, rels, N).ok
+    live = [r for r in rels if sum(alg.bidegree_of(cand, r)) <= H.cert_bound]
+    standard = alg.standard_monomials(cand, [min(r.coeffs) for r in live], H.cert_bound)
+    ranked = quotient_dims(cand, rels, iso_bidegrees(H, cand))
+    assert {bd: dim for bd, dim in ranked if dim} == {
+        bd: len(monos) for bd, monos in standard.items()
+    }
+
+
+def test_verify_iso_never_enumerates_the_candidate(monkeypatch):
+    H, cand, rels, reps = omega_setup(5, 60)
+    seen = []
+    table = alg.monomial_table
+
+    def recorded(pres):
+        seen.append(pres)
+        return table(pres)
+
+    monkeypatch.setattr(alg, "monomial_table", recorded)
+    assert verify_presentation_iso(H, cand, reps, rels, 60).ok
+    assert seen and cand not in seen
+
+
+def test_verify_iso_refuses_a_surviving_kind_bound_power():
+    # u truncated one step early: u^{p-2} is a nonzero class in H
+    p, N = 5, 60
+    H, full, rels, reps = omega_setup(p, N)
+    short_u = trunc("u", p - 2, (0, 2), weight=1)
+    cand = Presentation(p, (short_u,) + full.generators[1:], N)
+    report = verify_presentation_iso(H, cand, reps, [], N)
+    assert report.kind_failures == [f"u^{p - 2} survives in homology"]
+    assert not report.ok

@@ -17,7 +17,6 @@ from gradss.linfp import (
     rank,
     rref,
     solve,
-    stacked_rank,
     subquotient_basis,
 )
 
@@ -241,17 +240,6 @@ def test_modulus_past_bound_refused(p):
 def test_edge_prime_accepted_by_presentation_and_parser():
     assert Presentation(MAX_PRIME, (), 10).p == MAX_PRIME
     assert parse(f"prime {MAX_PRIME}\nmaxdeg 10\n").presentation.p == MAX_PRIME
-
-
-@pytest.mark.parametrize("width, rows, true_rank", [(3, 40000, 2), (200, 1500, 37), (40, 30, 9)])
-def test_stacked_rank_matches_rank(width, rows, true_rank):
-    # enough rows that several batches are reduced against the running echelon
-    p = 7
-    rng = np.random.default_rng(width)
-    a = rng.integers(0, p, (rows, true_rank)) @ rng.integers(0, p, (true_rank, width)) % p
-    cuts = np.sort(rng.integers(0, rows, 25))
-    blocks = np.split(a - p * rng.integers(0, 2, a.shape), cuts)
-    assert stacked_rank(p, width, iter(blocks)) == rank(FpMatrix(p, a)) == true_rank
 
 
 def test_homology_dims_small_complex():

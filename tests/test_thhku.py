@@ -1,3 +1,6 @@
+import gc
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -180,6 +183,56 @@ def test_reproduce_report_bytes_match_golden():
     reproduce_thh_ku(5, 103).to_json() written to GOLDEN_REPORT.
     """
     assert reproduce_thh_ku(5, 103).to_json().encode() == GOLDEN_REPORT.read_bytes()
+
+
+def test_reproduce_report_bytes_match_golden_p7():
+    """The p = 7 box that first holds every relation, pinned the same way."""
+    golden = GOLDEN_REPORT.with_name("reproduce_thh_ku_p7_N176.json")
+    assert reproduce_thh_ku(7, 176).to_json().encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("p, N", [(11, 448), (13, 632)])
+def test_reproduce_certifies_large_primes(p, N):
+    # the smallest boxes that hold every relation at p = 11 and 13
+    report = reproduce_thh_ku(p, N)
+    assert report.ok
+    step3 = report.steps[-1]
+    certs = {c["kind"]: c for c in step3.certificates}
+    assert certs["presentation-iso"]["skipped_relations"] == 0
+    abutment = certs["abutment"]
+    assert abutment["unresolved"] == [] and abutment["beyond_truncation"] == []
+    totals = {}
+    for key, dim in abutment["einf_dims"].items():
+        n, m = map(int, key.split(","))
+        totals[n + m] = totals.get(n + m, 0) + dim
+    for d in range(step3.cert_bound + 1):
+        assert totals.get(d, 0) == full_basis_count(p, d), d
+
+
+def held_bytes(roots) -> int:
+    """sys.getsizeof summed over the objects reachable from roots, each once.
+
+    Types, modules and functions are not followed.  An object graph walk
+    rather than tracemalloc, which slows the pipeline about sevenfold.
+    """
+    seen, stack, total = set(), list(roots), 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return total
+
+
+def test_held_reports_share_their_repeated_parts():
+    # Reports of nearby boxes repeat presentations and relation entries; a
+    # caller holding many of them keeps one copy of each (41 KB per report
+    # when every report carried its own).
+    boxes = range(100, 108)
+    held = [reproduce_thh_ku(5, boxes[i % len(boxes)]) for i in range(40)]
+    assert held_bytes(held) / len(held) < 25 * 1024
 
 
 GOLDEN_OMEGA = Path(__file__).parent / "data" / "omega_relations_p5_p7_p11.txt"
