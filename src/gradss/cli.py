@@ -20,7 +20,7 @@ from .dga import DifferentialError, extend_derivation, homology
 from .dsl import ParseError, ParsedFile, parse
 from .filtered import compare_with_total_homology, exact_couple_run, random_filtered_complex
 from .homalg import BaseRing, ResourceLimit, hochschild_homology, koszul_tor
-from .linfp import check_prime
+from .linfp import SubquotientError, check_prime
 from .specseq import PageError, init_page, turn_page
 from .thhku import PipelineError, reproduce_thh_ku
 
@@ -272,7 +272,7 @@ def run_command(argv) -> int:
             )
             print(json.dumps(payload, sort_keys=True, indent=2), file=sys.stderr)
         return 1
-    except (PageError, DifferentialError, ResourceLimit) as err:
+    except (PageError, DifferentialError, ResourceLimit, SubquotientError) as err:
         print(f"certificate failure: {err}", file=sys.stderr)
         return 1
     except (ParseError, OSError, ValueError, alg.BeyondTruncation) as err:

@@ -13,18 +13,32 @@ that sign choice.
 Pages of a finite complex stabilize once r exceeds the top filtration level,
 which gives E-infinity and the strong-convergence comparison against the
 homology of the total complex.
+
+E^r(n, m) is zero unless n is a filtration level of degree n + m, so the
+oracle visits only those cells, and it certifies every cycle space it builds
+(in the kernel, independent, of the kernel's dimension) instead of relying on
+the containment checks of the cells it skips.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra as alg
 from .dga import Derivation, d_monomial
-from .linfp import FpMatrix, Subquotient, homology_dims, kernel_basis, matmul
+from .linfp import (
+    FpMatrix,
+    Subquotient,
+    SubquotientError,
+    homology_dims,
+    kernel_basis,
+    matmul,
+    rank,
+    rref,
+)
 
 
 @dataclass
@@ -129,6 +143,44 @@ class SSRun:
         return sum(v for (n, m), v in self.einf.items() if n + m == d)
 
 
+def _certify_cycle_space(fc: FilteredComplex, key, basis, pivots: dict):
+    """Raise SubquotientError unless `basis` is a basis of the cycle space
+    with memo key (d, fn, cut), the kernel of bmat(d)[cut:, :fn].
+
+    Three checks: there are fn - rank of the slice vectors; every vector
+    lies in F_fn C_d and is mapped to 0 by the slice (one matmul); and the
+    vectors are independent: their last nonzero entries lie in distinct
+    columns, as in kernel_basis output (one free column each), or else a
+    rank says so.
+    The slice rank is the number of pivots left of fn in the rref of
+    bmat(d)[cut:, :], which `pivots` holds once per (d, cut): leftmost-column
+    pivoting makes every column-prefix rank exact.
+    """
+    d, fn, cut = key
+    mat = fc.bmat(d)[cut:, :]
+    if fn and (d, cut) not in pivots:
+        pivots[(d, cut)] = rref(FpMatrix(fc.p, mat))[1] if mat.any() else []
+    kernel_dim = fn - bisect_left(pivots.get((d, cut), []), fn)
+    if len(basis) != kernel_dim:
+        raise SubquotientError(
+            f"cycle space {key}: {len(basis)} vectors, kernel dimension {kernel_dim}"
+        )
+    if not basis:
+        return
+    a = np.array(basis, dtype=np.int64) % fc.p
+    if a.shape != (len(basis), fc.dims[d]) or a[:, fn:].any():
+        raise SubquotientError(f"cycle space {key}: a vector outside F_n C_d")
+    if matmul(mat[:, :fn], a[:, :fn].T, fc.p).any():
+        raise SubquotientError(f"cycle space {key}: a vector is not a cycle")
+    # nonzero vectors whose last nonzero entries lie in distinct columns are
+    # independent (an echelon form read from the right)
+    nonzero = a != 0
+    last = nonzero[:, ::-1].argmax(axis=1)
+    if not nonzero.any(axis=1).all() or len(set(last.tolist())) < len(basis):
+        if rank(FpMatrix(fc.p, a)) != len(basis):
+            raise SubquotientError(f"cycle space {key}: dependent vectors")
+
+
 def exact_couple_run(fc: FilteredComplex, r_max: int | None = None) -> SSRun:
     """Pages E^1, E^2, ... of the filtered complex, up to stabilization.
 
@@ -140,25 +192,41 @@ def exact_couple_run(fc: FilteredComplex, r_max: int | None = None) -> SSRun:
     Z^r(n, d) is the kernel of the slice bmat(d)[dim F_{n-r} C_{d-1}:,
     :dim F_n C_d], and that slice is fixed by the key
     (d, dim F_n C_d, dim F_{n-r} C_{d-1}), so a memo on the key is exact.
-    Most (r, n, d) share a key, since F_s stops growing past the top level
-    and F_{n-r} is 0 once r > n.  Within one call each cycle space and each
-    boundary image d Z is built once per key, and each Subquotient once per
-    triple of its input keys: identical inputs give an identical object, so
-    every distinct SubquotientError check still runs, once.
+    The stage dimensions are read from one prefix-count list per degree.
+    Where F_n C_d = F_{n-1} C_d, Z^r(n, d) and Z^{r-1}(n-1, d) share a key
+    and E^r(n, m) = 0, so for each (r, d) only the filtration levels n of
+    degree d are visited: the E^1 support.
+
+    Each cycle space is certified once, when it is first built: its vectors
+    lie in the kernel, are independent, and number the kernel dimension,
+    or SubquotientError is raised.  Each boundary image d Z is built once
+    per key, and each Subquotient once per triple of its input keys, and
+    every Subquotient keeps its own check; a differential image outside its
+    target page also raises SubquotientError.
     """
     top = fc.top_level
     stable = top + 1
     if r_max is None:
         r_max = stable
     r_max = max(r_max, stable)
+    stages = {d: [fc.filtration_dim(s, d) for s in range(top + 1)] for d in fc.degrees}
+    support = {d: sorted(set(fc.levels.get(d, []))) for d in fc.degrees}
     spaces = {}   # key -> basis of Z
     images = {}   # key of Z in degree d + 1 -> d Z in C_d
     subs = {}     # (key of Z^r(n, d), of Z^{r-1}(n-1, d), of Z^{r-1}(n+r-1, d+1))
+    pivots = {}   # (d, cut) -> pivot columns of the rref of bmat(d)[cut:, :]
 
-    def cycles(n, r, d):
-        key = (d, fc.filtration_dim(n, d), fc.filtration_dim(n - r, d - 1))
+    def stage(s, d):
+        """dim F_s C_d."""
+        if s < 0 or d not in stages:
+            return 0
+        return stages[d][min(s, top)]
+
+    def cycles(n, r, d, key):
         if key not in spaces:
-            spaces[key] = _cycle_space(fc, n, r, d)
+            basis = _cycle_space(fc, n, r, d)
+            _certify_cycle_space(fc, key, basis, pivots)
+            spaces[key] = basis
         return key
 
     pages = []
@@ -167,12 +235,17 @@ def exact_couple_run(fc: FilteredComplex, r_max: int | None = None) -> SSRun:
         dims = {}
         cells = {}
         for d in fc.degrees:
-            for n in range(0, top + 1):
+            for n in support[d]:
                 m = d - n
-                z = cycles(n, r, d)
+                fn, cut = stage(n, d), stage(n - r, d - 1)
+                z = cycles(n, r, d, (d, fn, cut))
                 if not spaces[z]:
                     continue
-                key = (z, cycles(n - 1, r - 1, d), cycles(n + r - 1, r - 1, d + 1))
+                key = (
+                    z,
+                    cycles(n - 1, r - 1, d, (d, stage(n - 1, d), cut)),
+                    cycles(n + r - 1, r - 1, d + 1, (d + 1, stage(n + r - 1, d + 1), fn)),
+                )
                 if key not in subs:
                     src = key[2]
                     if src not in images:
@@ -195,7 +268,7 @@ def exact_couple_run(fc: FilteredComplex, r_max: int | None = None) -> SSRun:
             for v in sub.reps:
                 x = target.coords(matmul(fc.bmat(d), v, fc.p))
                 if x is None:
-                    raise AssertionError("differential image outside the page")
+                    raise SubquotientError("differential image outside the page")
                 cols.append(((-1) ** d * x) % fc.p)
             dmat[(n, m)] = np.stack(cols, axis=1)
         pages.append((r, dims))

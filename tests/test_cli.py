@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradss import algebra as alg
-from gradss import cli
+from gradss import cli, filtered
 from gradss.cli import chart_rows, run_command
 from gradss.dsl import ParsedFile, ParseError, parse, print_file
+from gradss.linfp import Subquotient
 
 
 def data_text(name):
@@ -167,6 +168,24 @@ def test_oracle_command(capsys):
     assert run_command(["oracle", "filtered", "--seed", "5", "--cases", "3"]) == 0
     out = capsys.readouterr().out
     assert out.endswith("3/3 converged\n")
+
+
+def _drop_last_cycle(monkeypatch):
+    original = filtered._cycle_space
+    monkeypatch.setattr(filtered, "_cycle_space", lambda *cell: original(*cell)[:-1])
+
+
+def _lose_coordinates(monkeypatch):
+    monkeypatch.setattr(Subquotient, "coords", lambda self, v: None)
+
+
+@pytest.mark.parametrize("damage", [_drop_last_cycle, _lose_coordinates])
+def test_oracle_certificate_failure_exits_one(damage, monkeypatch, capsys):
+    # a damaged cycle space, or a d_r image outside its target page
+    damage(monkeypatch)
+    assert run_command(["oracle", "filtered", "--seed", "5", "--cases", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("certificate failure: ") and err.count("\n") == 1
 
 
 def test_homology_command(capsys):

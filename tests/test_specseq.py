@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 from gradss import algebra as alg
 from gradss.algebra import Presentation, element, ext, monomial_element, poly, trunc
 from gradss import filtered
-from gradss.dga import homology
+from gradss.dga import extend_derivation, homology
 from gradss.filtered import (
     FilteredComplex,
     compare_with_total_homology,
     exact_couple_run,
     random_filtered_complex,
+    realize_filtered_dga,
 )
 from gradss.linfp import SubquotientError
 from gradss.specseq import (
@@ -360,6 +361,40 @@ def test_engine_pages_match_exact_couple_on_filtered_dga(shape):
     assert all(ok for (_, _, ok) in comparison.values()), comparison
 
 
+def _bounded(dims, bound):
+    return {bd: v for bd, v in dims.items() if v and sum(bd) <= bound}
+
+
+@pytest.mark.parametrize("p, N", [(5, 103), (7, 176)])
+def test_flagship_pages_match_exact_couple(p, N):
+    # step 3: the absolute run with d(m1) = u^{p-2} su on page 2p - 3
+    pres = absolute_e2(p, N)
+    must_die = monomial_element(pres, {"u": p - 2, "su": 1})
+    r0 = 2 * p - 3
+    fc = realize_filtered_dga(pres, extend_derivation(pres, {"m1": must_die}, r0), N)
+    run = exact_couple_run(fc)
+    spec = DifferentialSpec(r0, monomial_element(pres, {"m1": 1}), must_die)
+    page = init_page(pres)
+    while True:
+        engine = _bounded(page.dims_by_bidegree(), page.cert_bound)
+        assert engine == _bounded(run.page_dims(page.r), page.cert_bound), page.r
+        if page.r == 2 * p - 2:
+            break
+        page = turn_page(page, [spec] if page.r == r0 else [])
+    assert engine == _bounded(run.einf, page.cert_bound)
+    comparison = compare_with_total_homology(fc, run)
+    assert all(ok for (_, _, ok) in comparison.values()), comparison
+
+    # step 2: the relative run, whose E2 collapses (zero derivation)
+    pres = relative_e2(p, N)
+    fc = realize_filtered_dga(pres, extend_derivation(pres, {}, 2), N)
+    run = exact_couple_run(fc, r_max=2)
+    page = init_page(pres)
+    assert _bounded(page.dims_by_bidegree(), page.cert_bound) == _bounded(
+        run.page_dims(2), page.cert_bound
+    )
+
+
 # ------------------------------------- memoized oracle vs the unmemoized loop
 
 def assert_same_run(got, want):
@@ -413,6 +448,87 @@ def test_exact_couple_keeps_subquotient_check(run, monkeypatch):
     monkeypatch.setattr(filtered, "_cycle_space", damaged)
     with pytest.raises(SubquotientError):
         run(fc)
+
+
+@pytest.mark.parametrize("run", [exact_couple_run, naive_exact_couple_run])
+def test_exact_couple_certifies_a_space_used_only_at_empty_cells(run, monkeypatch):
+    # negative control: C_0 = <a0, a1> at levels 0, 1; C_1 = <b1, b2> at
+    # level 0 with db = 0; C_2 = <c> at level 0 with dc = b2.  Z^1(1, 1) has
+    # key (1, 2, 1) and n = 1 is not a level of degree 1, so E^1(1, 0) = 0:
+    # without its certificate the dropped b2 is seen only at that empty cell.
+    fc = FilteredComplex(
+        5,
+        {0: 2, 1: 2, 2: 1},
+        {1: np.zeros((2, 2)), 2: np.array([[0], [1]])},
+        {0: [0, 1], 1: [0, 0], 2: [0]},
+    )
+    assert run(fc).einf == {(0, 0): 1, (1, -1): 1, (0, 1): 1}
+    original = filtered._cycle_space
+
+    def damaged(fc, n, r, d):
+        z = original(fc, n, r, d)
+        return z[:-1] if _cycle_key(fc, n, r, d) == (1, 2, 1) else z
+
+    monkeypatch.setattr(filtered, "_cycle_space", damaged)
+    with pytest.raises(SubquotientError):
+        run(fc)
+
+
+def _unit(dim, i):
+    v = np.zeros(dim, dtype=np.int64)
+    v[i] = 1
+    return v
+
+
+# each damage keeps the vector count or drops one vector; None: not applicable
+SPACE_DAMAGES = {
+    "drop": lambda fc, key, z: z[:-1],
+    "zero": lambda fc, key, z: z[:-1] + [0 * z[-1]],
+    "copy": lambda fc, key, z: z[:-1] + [z[0]] if len(z) > 1 else None,
+    "outside F_n": lambda fc, key, z: (
+        z[:-1] + [z[-1] + _unit(len(z[-1]), key[1])] if key[1] < len(z[-1]) else None
+    ),
+    "not a cycle": lambda fc, key, z: next(
+        (
+            z[:-1] + [_unit(len(z[-1]), j)]
+            for j in range(key[1])
+            if np.any(fc.bmat(key[0])[key[2]:, j])
+        ),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(SPACE_DAMAGES))
+def test_exact_couple_refuses_every_damaged_cycle_space(damage, monkeypatch):
+    # seeded sweep: one damaged nonempty cycle space at a time must raise
+    original = filtered._cycle_space
+    hit = 0
+    for seed in range(12):
+        fc = random_filtered_complex(random.Random(seed), p=(2, 3, 5, 7)[seed % 4])
+        built = {}
+
+        def recorded(fc, n, r, d):
+            z = original(fc, n, r, d)
+            if z:
+                built[_cycle_key(fc, n, r, d)] = z
+            return z
+
+        monkeypatch.setattr(filtered, "_cycle_space", recorded)
+        exact_couple_run(fc)
+        for key, z in built.items():
+            bad = SPACE_DAMAGES[damage](fc, key, z)
+            if bad is None:
+                continue
+            hit += 1
+
+            def damaged(fc, n, r, d, key=key, bad=bad):
+                return bad if _cycle_key(fc, n, r, d) == key else original(fc, n, r, d)
+
+            monkeypatch.setattr(filtered, "_cycle_space", damaged)
+            with pytest.raises(SubquotientError):
+                exact_couple_run(fc)
+    assert hit >= 20
 
 
 def test_exact_couple_builds_each_cycle_space_once(monkeypatch):
