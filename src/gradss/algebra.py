@@ -110,11 +110,20 @@ class Presentation:
     degrees: tuple = field(init=False, repr=False, compare=False)
     odd: tuple = field(init=False, repr=False, compare=False)
     caps: tuple = field(init=False, repr=False, compare=False)
+    # plain-value identity, hashed once: monomial_table's cache hashes and
+    # compares the presentation on every lookup
+    _key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_prime(self.p, 5)
         object.__setattr__(self, "generators", tuple(self.generators))
         gens = self.generators
+        key = (self.p, self.max_degree, tuple(
+            (g.name, g.kind, g.bidegree, g.weight, g.height) for g in gens
+        ))
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "degrees", tuple(g.total_degree for g in gens))
         object.__setattr__(self, "odd", tuple(g.odd for g in gens))
         object.__setattr__(
@@ -125,6 +134,14 @@ class Presentation:
             raise ValueError("generator names must be unique")
         if self.max_degree < 0:
             raise ValueError("max_degree must be non-negative")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key == other._key
+
+    def __hash__(self):
+        return self._hash
 
     def index(self, name: str) -> int:
         for i, g in enumerate(self.generators):

@@ -7,8 +7,11 @@ total degree always drops by one and homology at total degree d is certified
 once every monomial of degree d + 1 is enumerated: the certified bound is
 N - 1.
 
-Each bidegree's homology is a linfp.Subquotient of kernel modulo image, which
-also gives the coordinates of a class in the homology basis.
+d is applied through one matrix per bidegree, d_matrix: its columns are the
+Leibniz expansions of the bidegree's monomials, built once per derivation, and
+d^2 = 0, homology and every element-level image read it.  Each bidegree's
+homology is a linfp.Subquotient of kernel modulo image, which also gives the
+coordinates of a class in the homology basis.
 
 verify_presentation_iso certifies candidate/(relations) = homology degree by
 degree: relations must become boundaries, and the standard monomials (divisible
@@ -20,13 +23,13 @@ somewhere and is refused with a dimension mismatch, never accepted wrongly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import algebra as alg
 from .algebra import Element, Presentation, ZERO
-from .linfp import FpMatrix, Subquotient, kernel_basis, rank
+from .linfp import FpMatrix, Subquotient, kernel_basis, matmul, rank
 
 
 class DifferentialError(ValueError):
@@ -40,10 +43,11 @@ class Derivation:
     base: Presentation
     page: int
     images: dict  # generator name -> Element (missing means zero)
+    # bidegree -> matrix of d out of it, filled by d_matrix
+    matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def shift(self):
-        return (-self.page, self.page - 1)
+    def target(self, bd):
+        return (bd[0] - self.page, bd[1] + self.page - 1)
 
 
 def extend_derivation(pres: Presentation, gen_images: dict, page: int) -> Derivation:
@@ -94,25 +98,49 @@ def d_monomial(d: Derivation, mono) -> Element:
     return out
 
 
+def d_matrix(d: Derivation, bd) -> np.ndarray:
+    """The matrix of d from bd to d.target(bd) in the monomial bases.
+
+    Column j holds the coordinates of d_monomial on the j-th monomial of bd.
+    Built once per bidegree and kept on the derivation; with no monomials in
+    the target it has no rows and nothing is expanded.
+    """
+    mat = d.matrices.get(bd)
+    if mat is None:
+        table = alg.monomial_table(d.base)
+        basis = table.get(bd, [])
+        target = table.get(d.target(bd), [])
+        mat = np.zeros((len(target), len(basis)), dtype=np.int64)
+        if target:
+            index = {m: i for i, m in enumerate(target)}
+            for j, mono in enumerate(basis):
+                for m, c in d_monomial(d, mono).items():
+                    mat[index[m], j] = c
+        d.matrices[bd] = mat
+    return mat
+
+
 def d_element(d: Derivation, el: Element) -> Element:
+    if not el:
+        return ZERO
     pres = d.base
-    out = ZERO
-    for mono, c in el.items():
-        out = alg.add(pres, out, alg.scale(pres, c, d_monomial(d, mono)))
-    return out
+    bd = alg.bidegree_of(pres, el)
+    v = matmul(d_matrix(d, bd), coords(pres, bd, el), pres.p)
+    return element_from_coords(pres, d.target(bd), v) if v.any() else ZERO
 
 
 def check_d_squared(d: Derivation, n_max: int) -> list:
     """All (monomial, d(d(monomial))) pairs that fail d^2 = 0 up to degree n_max."""
     pres = d.base
     violations = []
-    for (n, m), monos in sorted(alg.monomial_table(pres).items()):
-        if n + m > n_max:
+    for bd, monos in sorted(alg.monomial_table(pres).items()):
+        if sum(bd) > n_max:
             continue
-        for mono in monos:
-            v = d_element(d, d_monomial(d, mono))
-            if v:
-                violations.append((mono, v))
+        target = d.target(bd)
+        dd = matmul(d_matrix(d, target), d_matrix(d, bd), pres.p)
+        for j in np.flatnonzero(dd.any(axis=0)):
+            img = element_from_coords(pres, d.target(target), dd[:, j])
+            violations.append((monos[j], img))
     return violations
 
 
@@ -194,7 +222,6 @@ def homology(pres: Presentation, d: Derivation, n_max: int) -> HomologyResult:
             f"d^2 != 0 on {alg.monomial_str(pres, mono)}: {alg.element_str(pres, img)}"
         )
     table = alg.monomial_table(pres)
-    shift = d.shift
     reps: dict = {}
     subs: dict = {}
     for bd in sorted(table):
@@ -202,22 +229,17 @@ def homology(pres: Presentation, d: Derivation, n_max: int) -> HomologyResult:
         if n + m > n_max:
             continue
         basis = table[bd]
-        # kernel of d restricted to this bidegree
-        target = (n + shift[0], m + shift[1])
-        if target in table:
-            cols = [coords(pres, target, d_monomial(d, mono)) for mono in basis]
-            mat = FpMatrix(pres.p, np.stack(cols, axis=1))
-            cycles = kernel_basis(mat)
+        mat = d_matrix(d, bd)
+        if len(mat):
+            cycles = kernel_basis(FpMatrix(pres.p, mat))
         else:
-            cycles = [v for v in np.eye(len(basis), dtype=np.int64)]
-        # boundaries arriving from one shift up
-        source = (n - shift[0], m - shift[1])
+            cycles = list(np.eye(len(basis), dtype=np.int64))
+        # boundaries: the nonzero columns of d out of one shift up
+        source = (n + d.page, m - d.page + 1)
         bvecs = []
-        if source in table and sum(source) <= pres.max_degree:
-            for mono in table[source]:
-                v = coords(pres, bd, d_monomial(d, mono))
-                if np.any(v):
-                    bvecs.append(v)
+        if source in table:
+            incoming = d_matrix(d, source)
+            bvecs = [incoming[:, j] for j in np.flatnonzero(incoming.any(axis=0))]
         subs[bd] = Subquotient(pres.p, len(basis), cycles, bvecs)
         reps[bd] = [element_from_coords(pres, bd, v) for v in subs[bd].reps]
     return HomologyResult(pres, d, n_max, n_max - 1, reps, subs)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra as alg
-from .dga import Derivation, d_monomial
+from .dga import Derivation, d_matrix
 from .linfp import (
     FpMatrix,
     Subquotient,
@@ -294,30 +294,33 @@ def realize_filtered_dga(pres, derivation: Derivation, n_max: int) -> FilteredCo
 
     Basis of C_d: monomials of total degree d ordered by (column, exponents);
     the derivation strictly drops the column, so the filtration is preserved.
+    The boundary of C_d is assembled from the d_matrix block of each of its
+    bidegrees.
     """
     table = alg.monomial_table(pres)
-    basis = {}
-    for (n, m), monos in sorted(table.items()):
-        if n + m > n_max:
-            continue
-        basis.setdefault(n + m, []).extend((n, mono) for mono in monos)
-    for d in basis:
-        basis[d].sort()
-    dims = {d: len(b) for d, b in basis.items()}
-    levels = {d: [n for n, _ in b] for d, b in basis.items()}
-    index = {
-        d: {mono: i for i, (_, mono) in enumerate(b)} for d, b in basis.items()
-    }
+    basis = {}  # d -> bidegrees of total degree d, by column
+    for bd in sorted(table):
+        if sum(bd) <= n_max:
+            basis.setdefault(sum(bd), []).append(bd)
+    offsets = {}  # bidegree -> its first index in C_d
+    dims = {}
+    levels = {}
+    for d, bds in basis.items():
+        levels[d] = []
+        for bd in bds:
+            offsets[bd] = len(levels[d])
+            levels[d] += [bd[0]] * len(table[bd])
+        dims[d] = len(levels[d])
     boundary = {}
-    for d, b in basis.items():
+    for d, bds in basis.items():
         if d - 1 not in basis:
             continue
-        mat = np.zeros((dims[d - 1], dims[d]), dtype=np.int64)
-        for j, (_, mono) in enumerate(b):
-            img = d_monomial(derivation, mono)
-            for mm, c in img.items():
-                mat[index[d - 1][mm], j] = c
-        boundary[d] = mat
+        mat = boundary[d] = np.zeros((dims[d - 1], dims[d]), dtype=np.int64)
+        for bd in bds:
+            block = d_matrix(derivation, bd)
+            if len(block):
+                row, col = offsets[derivation.target(bd)], offsets[bd]
+                mat[row : row + block.shape[0], col : col + block.shape[1]] = block
     return FilteredComplex(pres.p, dims, boundary, levels)
 
 

@@ -243,7 +243,7 @@ class RowSpan:
         return len(self.rows)
 
 
-def _stack(vectors, dim: int) -> np.ndarray:
+def stack_rows(vectors, dim: int) -> np.ndarray:
     """The vectors as the rows of a fresh len(vectors) x dim int64 array."""
     return np.array(vectors, dtype=np.int64).reshape(len(vectors), dim)
 
@@ -253,7 +253,7 @@ def _independent(p: int, dim: int, vectors) -> list[int]:
 
     These are the pivot columns of the matrix with the vectors as columns.
     """
-    return _rref_inplace(np.ascontiguousarray(_stack(vectors, dim).T), p)
+    return _rref_inplace(np.ascontiguousarray(stack_rows(vectors, dim).T), p)
 
 
 class Subquotient:
@@ -286,7 +286,7 @@ class Subquotient:
     def reduce(self, v: np.ndarray) -> np.ndarray:
         """The normal form of v modulo the boundaries: zero at their pivots."""
         if self._boundary_echelon is None:
-            rows = _stack(self.boundaries, self.dim)
+            rows = stack_rows(self.boundaries, self.dim)
             self._boundary_echelon = (_rref_inplace(rows, self.p), rows)
         pivots, rows = self._boundary_echelon
         v = np.mod(np.asarray(v, dtype=np.int64), self.p)
@@ -301,7 +301,7 @@ class Subquotient:
             # [basis | I] row reduced: echelon rows T @ basis, and T itself.
             # The basis rows are independent, so every pivot lies in the
             # first dim columns.
-            basis = _stack(self.reps + self.boundaries, self.dim)
+            basis = stack_rows(self.reps + self.boundaries, self.dim)
             a = np.concatenate([basis, np.eye(len(basis), dtype=np.int64)], axis=1)
             self._solver = (_rref_inplace(a, self.p), a)
         pivots, a = self._solver

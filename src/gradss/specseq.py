@@ -14,15 +14,23 @@ term; arbitrary class-level specifications are rejected.  Page turning loses
 one total degree of certification: boundaries into degree d come from degree
 d + 1.
 
+A page turn applies d through its matrix per bidegree (dga.d_matrix): each
+cell's classes are mapped by one product, and those images serve the
+soundness checks, the kernel and the target cell's new boundaries; a cell
+that d neither leaves nor enters carries over as it is.
+
 Collapse certification is conservative.  A class is certified permanent only
 with explicit evidence (all outgoing targets empty, or the whole column to
 the left of the page index), and classes within reach of the truncation
-boundary are reported as uncertified rather than assumed to survive.
+boundary are reported as uncertified rather than assumed to survive.  Collapse
+and abutment find the occupied cells of a total degree in a per-page column
+index, Page.columns, instead of scanning every column.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -30,8 +38,8 @@ import numpy as np
 
 from . import algebra as alg
 from .algebra import Element, Presentation, ZERO
-from .dga import coords, d_element, element_from_coords, extend_derivation
-from .linfp import FpMatrix, Subquotient, kernel_basis, matmul
+from .dga import coords, d_element, d_matrix, element_from_coords, extend_derivation
+from .linfp import FpMatrix, Subquotient, kernel_basis, matmul, stack_rows
 
 
 class PageError(ValueError):
@@ -72,6 +80,7 @@ class Page:
     cert_bound: int
     cells: dict = field(default_factory=dict)
     _subquotients: dict = field(default_factory=dict, repr=False)
+    _columns: dict | None = field(default=None, repr=False, compare=False)
 
     def cell(self, bd) -> Cell:
         return self.cells.get(bd, Cell([], []))
@@ -83,7 +92,15 @@ class Page:
         return {bd: len(c.reps) for bd, c in sorted(self.cells.items()) if c.reps}
 
     def dim_total(self, d: int) -> int:
-        return sum(len(c.reps) for (n, m), c in self.cells.items() if n + m == d)
+        return sum(len(self.cells[n, d - n].reps) for n in self.columns(d))
+
+    def columns(self, d: int) -> list:
+        """Sorted columns n of the nonzero cells (n, d - n), indexed once per page."""
+        if self._columns is None:
+            self._columns = {}
+            for n, m in sorted(bd for bd, c in self.cells.items() if c.reps):
+                self._columns.setdefault(n + m, []).append(n)
+        return self._columns.get(d, [])
 
     def classes(self):
         for bd in sorted(self.cells):
@@ -166,60 +183,64 @@ def turn_page(page: Page, specs: list) -> Page:
             raise PageError(f"two differentials on generator {name}")
         images[name] = spec.image
     d = extend_derivation(pres, images, r)
+    p = pres.p
 
-    def d_of(el: Element) -> Element:
-        return d_element(d, el)
-
-    # soundness: d maps boundaries to boundaries and squares to zero
+    # soundness: d maps boundaries to boundaries and squares to zero; the
+    # images of each cell's classes and their class coordinates are kept
+    rep_images = {}  # bd -> rows d(rep), in the monomial coordinates of the target
+    kernels = {}     # bd -> surviving combinations of the reps, where d is nonzero
     for bd in sorted(page.cells):
-        cell = page.cells[bd]
-        for b in cell.boundaries:
-            img = d_of(b)
-            if img and page.reduce(img):
+        mat = d_matrix(d, bd)
+        if not mat.any():
+            continue
+        sub = page.subquotient(bd)
+        target = d.target(bd)
+        for v in matmul(stack_rows(sub.boundaries, sub.dim), mat.T, p):
+            if v.any() and page.subquotient(target).reduce(v).any():
                 raise PageError(
                     f"differential does not preserve boundaries at {bd}"
                 )
-        for rep in cell.reps:
-            img = d_of(rep)
-            if img:
-                try:
-                    page.class_coords(img)
-                except PageError:
-                    raise PageError(
-                        f"differential image of a class at {bd} leaves the page"
-                    )
-            dd = d_of(img) if img else ZERO
-            if dd and page.reduce(dd):
+        reps = stack_rows(sub.reps, sub.dim)
+        img = rep_images[bd] = matmul(reps, mat.T, p)
+        if not img.any():
+            continue
+        tsub = page.subquotient(target)
+        target2 = d.target(target)
+        cols = []
+        for v, dd in zip(img, matmul(img, d_matrix(d, target).T, p)):
+            x = tsub.coords(v)
+            if x is None:
+                raise PageError(
+                    f"differential image of a class at {bd} leaves the page"
+                )
+            cols.append(x)
+            dd = page.subquotient(target2).reduce(dd) if dd.any() else dd
+            if dd.any():
                 raise PageError(
                     f"d^2 != 0 on class at {bd}: "
-                    f"{alg.element_str(pres, page.reduce(dd))}"
+                    f"{alg.element_str(pres, element_from_coords(pres, target2, dd))}"
                 )
+        # kernel of the induced differential on surviving classes
+        kernel = kernel_basis(FpMatrix(p, np.stack(cols, axis=1)))
+        kernels[bd] = matmul(stack_rows(kernel, len(cols)), reps, p)
 
-    shift = (-r, r - 1)
-    new_cells = {}
-    new_subquotients = {}
+    # a cell that d neither leaves nor enters carries over unchanged
+    new_cells = dict(page.cells)
+    new_subquotients = dict(page._subquotients)
     for bd in sorted(page.cells):
         n, m = bd
-        cell = page.cells[bd]
+        # new boundaries: the old ones plus images from one shift up; the
+        # old boundaries stay cycles too
+        incoming = [v for v in rep_images.get((n + r, m - r + 1), ()) if v.any()]
+        if bd not in kernels and not incoming:
+            continue
         sub = page.subquotient(bd)
-        reps = np.array(sub.reps, dtype=np.int64).reshape(len(sub.reps), sub.dim)
-        # kernel of the induced differential on surviving classes
-        target = (n + shift[0], m + shift[1])
-        if cell.reps and target in page.cells:
-            tsub = page.subquotient(target)
-            cols = [tsub.coords(coords(pres, target, d_of(rep))) for rep in cell.reps]
-            kernel = kernel_basis(FpMatrix(pres.p, np.stack(cols, axis=1)))
-            kernel = np.array(kernel, dtype=np.int64).reshape(len(kernel), len(cols))
-            reps = matmul(kernel, reps, pres.p)
-        # new boundaries: the old ones plus images from one shift up
-        source = (n - shift[0], m - shift[1])
-        new_bnd = list(sub.boundaries)
-        if source in page.cells:
-            for rep in page.cells[source].reps:
-                img = d_of(rep)
-                if img:
-                    new_bnd.append(coords(pres, bd, img))
-        new = new_subquotients[bd] = Subquotient(pres.p, sub.dim, reps, new_bnd)
+        new = new_subquotients[bd] = Subquotient(
+            p,
+            sub.dim,
+            [*kernels.get(bd, sub.reps), *sub.boundaries],
+            list(sub.boundaries) + incoming,
+        )
         new_cells[bd] = Cell(
             [element_from_coords(pres, bd, v) for v in new.reps],
             [element_from_coords(pres, bd, v) for v in new.boundaries],
@@ -235,6 +256,16 @@ def _shared(*item) -> tuple:
     per-cell reason tuples; callers that keep many reports keep one copy.
     """
     return item
+
+
+@lru_cache(maxsize=64)
+def _json_table(items: tuple) -> dict:
+    """One shared, read-only {"n,m": value} JSON table per content.
+
+    Reports of one box repeat their collapse and E-infinity tables; callers
+    that keep many reports keep one copy.
+    """
+    return {sys.intern(f"{n},{m}"): v for (n, m), v in items}
 
 
 @dataclass
@@ -253,9 +284,7 @@ class CollapseCertificate:
     def to_json_dict(self) -> dict:
         return {
             "from_page": self.from_page,
-            "certified": {
-                sys.intern(f"{n},{m}"): reasons for (n, m), reasons in sorted(self.certified.items())
-            },
+            "certified": _json_table(tuple(sorted(self.certified.items()))),
             "uncertified": [list(x) for x in self.uncertified],
             "refusals": [list(x) for x in self.refusals],
             "full": self.full,
@@ -276,29 +305,24 @@ def certify_collapse(page: Page) -> CollapseCertificate:
     survival_bound = page.cert_bound - 1
     for bd in sorted(page.cells):
         n, m = bd
-        cell = page.cells[bd]
-        if not cell.reps:
+        classes = range(len(page.cells[bd].reps))
+        if not classes:
             continue
-        reasons = []
-        for i in range(len(cell.reps)):
-            if n + m > survival_bound:
-                uncertified.append((n, m, i, "beyond-truncation"))
-                continue
-            if n < page.r:
-                reasons.append(_shared(i, "column-bound"))
-                continue
-            blocked = None
-            for r in range(page.r, n + 1):
-                target = (n - r, m + r - 1)
-                if page.dim(target):
-                    blocked = (r, target)
-                    break
-            if blocked is None:
-                reasons.append(_shared(i, "target-vanishes"))
-            else:
-                refusals.append((n, m, i, blocked[0], blocked[1]))
-        if reasons:
-            certified[bd] = _shared(*reasons)
+        if n + m > survival_bound:
+            uncertified.extend((n, m, i, "beyond-truncation") for i in classes)
+            continue
+        if n < page.r:
+            certified[bd] = _shared(*(_shared(i, "column-bound") for i in classes))
+            continue
+        # the first target (n - r, m + r - 1), r >= page.r, that holds classes:
+        # the largest occupied column <= n - page.r of total degree n + m - 1
+        below = page.columns(n + m - 1)
+        k = bisect_right(below, n - page.r)
+        if not k:
+            certified[bd] = _shared(*(_shared(i, "target-vanishes") for i in classes))
+            continue
+        c = below[k - 1]
+        refusals.extend((n, m, i, n - c, (c, n + m - 1 - c)) for i in classes)
     return CollapseCertificate(page.r, certified, uncertified, refusals)
 
 
@@ -443,7 +467,7 @@ class AbutmentReport:
     def to_json_dict(self) -> dict:
         return {
             "free_commutative": self.free_commutative,
-            "einf_dims": {sys.intern(f"{n},{m}"): v for (n, m), v in sorted(self.einf_dims.items())},
+            "einf_dims": _json_table(tuple(sorted(self.einf_dims.items()))),
             "generator_lifts": {
                 name: {
                     "filtration": f,
@@ -458,6 +482,12 @@ class AbutmentReport:
             "beyond_truncation": list(self.beyond_truncation),
             "ok": self.ok,
         }
+
+
+def _lower_columns(page: Page, d: int, n: int) -> list:
+    """The occupied columns of total degree d strictly left of column n."""
+    cols = page.columns(d)
+    return cols[: bisect_left(cols, n)]
 
 
 def assemble_abutment(
@@ -497,9 +527,9 @@ def assemble_abutment(
                 f"lift of {g.name} has weight {lift_w}, declared {w}"
             )
         obstructions = []
-        for n2 in range(n):
+        for n2 in _lower_columns(einf, n + m, n):
             other = (n2, n + m - n2)
-            for rep in einf.cell(other).reps:
+            for rep in einf.cells[other].reps:
                 wr = alg.weight_of_element(pres, rep)
                 if wr is None or wr == w:
                     obstructions.append(
@@ -561,9 +591,9 @@ def assemble_abutment(
             continue
         # classes of the same total degree in strictly lower filtration
         obstructions = []
-        for n2 in range(filt):
+        for n2 in _lower_columns(einf, deg, filt):
             other = (n2, deg - n2)
-            for rep in einf.cell(other).reps:
+            for rep in einf.cells[other].reps:
                 obstructions.append((other, rep))
         if not obstructions:
             resolved.append((rel.label, "strict-lift", "no lower-filtration classes"))

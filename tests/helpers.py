@@ -5,7 +5,8 @@ The E2 presentations themselves are gradss.thhku.relative_e2 and absolute_e2.
 
 from hypothesis import strategies as st
 
-from gradss.algebra import Presentation, ext, monomial_element, poly, trunc
+from gradss import algebra as alg
+from gradss.algebra import Presentation, element, ext, monomial_element, poly, trunc
 from gradss.dga import extend_derivation
 from gradss.filtered import realize_filtered_dga
 from gradss.specseq import DifferentialSpec
@@ -78,3 +79,46 @@ def filtered_dga(pres, specs):
     spec = specs[0]
     deriv = extend_derivation(pres, {spec.source_generator(pres): spec.image}, spec.page)
     return realize_filtered_dga(pres, deriv, pres.max_degree)
+
+
+@st.composite
+def random_derivations(draw, max_gens=4):
+    """A small random presentation with a random page-r derivation on it.
+
+    Some generators sit one shift above a product of earlier ones, so their
+    image has monomials to land on; each image is a random combination of the
+    target's monomials, so d^2 = 0 often fails.  N covers every generator.
+    """
+    p = draw(st.sampled_from([5, 7]))
+    r = draw(st.integers(1, 3))
+    gens = []
+    for i in range(draw(st.integers(1, max_gens))):
+        picks = draw(st.lists(st.sampled_from(gens), unique=True, max_size=2)) if gens else []
+        n = sum(g.bidegree[0] for g in picks) + r
+        m = sum(g.bidegree[1] for g in picks) - r + 1
+        if not picks or m < 0 or n + m > 12:
+            n = draw(st.integers(0, 4))
+            m = draw(st.integers(0 if n else 1, 4))
+        if (n + m) % 2:
+            gens.append(ext(f"g{i}", (n, m)))
+        elif draw(st.booleans()):
+            gens.append(poly(f"g{i}", (n, m)))
+        else:
+            gens.append(trunc(f"g{i}", draw(st.integers(2, 4)), (n, m)))
+    top = max(g.total_degree for g in gens)
+    pres = Presentation(p, tuple(gens), draw(st.integers(max(top, 8), 16)))
+    return extend_derivation(pres, draw(random_images(pres, r)), r)
+
+
+@st.composite
+def random_images(draw, pres, r):
+    """Generator images for a page-r derivation: random combinations of the
+    monomials of each target bidegree."""
+    table = alg.monomial_table(pres)
+    images = {}
+    for g in pres.generators:
+        target = table.get((g.bidegree[0] - r, g.bidegree[1] + r - 1), [])
+        coeffs = draw(st.lists(st.integers(0, pres.p - 1), min_size=len(target),
+                               max_size=len(target)))
+        images[g.name] = element(pres, dict(zip(target, coeffs)))
+    return images

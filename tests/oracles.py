@@ -6,7 +6,12 @@ normalized-complex answers can be checked against a second route.  The
 exact-couple loop is also kept here in its unmemoized form, which rebuilds
 every cycle space and subquotient at every (r, n, d).  quotient_dims ranks
 the whole relation ideal of a candidate presentation, where
-dga.verify_presentation_iso counts standard monomials.
+dga.verify_presentation_iso counts standard monomials.  d^2 = 0 is also
+checked one monomial at a time by Leibniz expansion, where
+dga.check_d_squared multiplies two matrices per bidegree; a page is turned by
+applying d to one element at a time, where specseq.turn_page maps each cell
+by one matrix product; and collapse is certified by scanning every target of
+every class, where specseq.certify_collapse reads one column index per page.
 """
 
 import itertools
@@ -14,8 +19,9 @@ import itertools
 import numpy as np
 
 from gradss import algebra as alg
-from gradss import filtered
+from gradss import dga, filtered
 from gradss.filtered import SSRun
+from gradss.specseq import Cell, CollapseCertificate, Page, PageError
 from gradss.linfp import FpMatrix, Subquotient, kernel_basis, matmul, rank
 
 
@@ -219,3 +225,125 @@ def quotient_dims(candidate, relations, bidegrees, memo=None):
                 memo[terms, bd] = rows
             blocks.append(memo[terms, bd])
         yield bd, len(basis) - rank(FpMatrix(candidate.p, np.concatenate(blocks)))
+
+
+def reference_check_d_squared(d, n_max):
+    """dga.check_d_squared on elements: every monomial is expanded by
+    dga.d_monomial, then every term of its image, and the results summed."""
+    pres = d.base
+    violations = []
+    for (n, m), monos in sorted(alg.monomial_table(pres).items()):
+        if n + m > n_max:
+            continue
+        for mono in monos:
+            v = alg.ZERO
+            for term, c in dga.d_monomial(d, mono).items():
+                v = alg.add(pres, v, alg.scale(pres, c, dga.d_monomial(d, term)))
+            if v:
+                violations.append((mono, v))
+    return violations
+
+
+def _leibniz(d, el):
+    """d on an element, summed from dga.d_monomial on its monomials."""
+    out = alg.ZERO
+    for mono, c in el.items():
+        out = alg.add(d.base, out, alg.scale(d.base, c, dga.d_monomial(d, mono)))
+    return out
+
+
+def reference_turn_page(page, specs):
+    """specseq.turn_page with d applied to one element at a time: every
+    boundary and class checked on its own, the kernel columns and the new
+    boundaries each expanded again."""
+    pres = page.pres
+    live = [s for s in specs if s.image]
+    for spec in live:
+        if spec.page != page.r:
+            raise PageError(f"spec for page {spec.page} applied on page {page.r}")
+    if not live:
+        return Page(pres, page.r + 1, page.cert_bound, page.cells, page._subquotients)
+    r = page.r
+    images = {}
+    for spec in live:
+        name = spec.source_generator(pres)
+        if not page.is_surviving(spec.source):
+            raise PageError(f"differential source {name} is not alive on page {r}")
+        if name in images:
+            raise PageError(f"two differentials on generator {name}")
+        images[name] = spec.image
+    d = dga.extend_derivation(pres, images, r)
+    for bd in sorted(page.cells):
+        cell = page.cells[bd]
+        for b in cell.boundaries:
+            img = _leibniz(d, b)
+            if img and page.reduce(img):
+                raise PageError(f"differential does not preserve boundaries at {bd}")
+        for rep in cell.reps:
+            img = _leibniz(d, rep)
+            if img:
+                try:
+                    page.class_coords(img)
+                except PageError:
+                    raise PageError(f"differential image of a class at {bd} leaves the page")
+            dd = _leibniz(d, img)
+            if dd and page.reduce(dd):
+                raise PageError(
+                    f"d^2 != 0 on class at {bd}: {alg.element_str(pres, page.reduce(dd))}"
+                )
+    cells = {}
+    for bd in sorted(page.cells):
+        n, m = bd
+        cell = page.cells[bd]
+        sub = page.subquotient(bd)
+        reps = list(sub.reps)
+        target = (n - r, m + r - 1)
+        if cell.reps and target in page.cells:
+            tsub = page.subquotient(target)
+            cols = [tsub.coords(dga.coords(pres, target, _leibniz(d, x))) for x in cell.reps]
+            kernel = kernel_basis(FpMatrix(pres.p, np.stack(cols, axis=1)))
+            reps = [matmul(k, np.array(sub.reps), pres.p) for k in kernel]
+        bnd = list(sub.boundaries)
+        for x in page.cell((n + r, m - r + 1)).reps:
+            img = _leibniz(d, x)
+            if img:
+                bnd.append(dga.coords(pres, bd, img))
+        new = Subquotient(pres.p, sub.dim, reps + list(sub.boundaries), bnd)
+        cells[bd] = Cell(
+            [dga.element_from_coords(pres, bd, v) for v in new.reps],
+            [dga.element_from_coords(pres, bd, v) for v in new.boundaries],
+        )
+    return Page(pres, r + 1, page.cert_bound - 1, cells)
+
+
+def reference_certify_collapse(page):
+    """specseq.certify_collapse one class at a time: each class scans every
+    r from page.r to its column for the first target holding classes."""
+    certified = {}
+    uncertified = []
+    refusals = []
+    survival_bound = page.cert_bound - 1
+    for bd in sorted(page.cells):
+        n, m = bd
+        cell = page.cells[bd]
+        reasons = []
+        for i in range(len(cell.reps)):
+            if n + m > survival_bound:
+                uncertified.append((n, m, i, "beyond-truncation"))
+                continue
+            if n < page.r:
+                reasons.append((i, "column-bound"))
+                continue
+            blocked = None
+            for r in range(page.r, n + 1):
+                target = (n - r, m + r - 1)
+                if page.dim(target):
+                    blocked = (r, target)
+                    break
+            if blocked is None:
+                reasons.append((i, "target-vanishes"))
+            else:
+                refusals.append((n, m, i, blocked[0], blocked[1]))
+        if reasons:
+            certified[bd] = tuple(reasons)
+    return CollapseCertificate(page.r, certified, uncertified, refusals)

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gradss import algebra as alg
 from gradss import dga
 from gradss.algebra import Presentation, element, ext, monomial_element, poly, trunc
 from gradss.thhku import omega_candidate, omega_relations, omega_reps
-from helpers import intro_dga
-from oracles import quotient_dims
+from helpers import intro_dga, random_derivations
+from oracles import quotient_dims, reference_check_d_squared
 from gradss.dga import (
     DifferentialError,
     check_d_squared,
+    coords,
     d_element,
+    d_matrix,
     d_monomial,
     extend_derivation,
     homology,
@@ -79,6 +81,47 @@ def test_d_squared_violation_detected():
     assert bad
     monos = {alg.monomial_str(pres, m) for m, _ in bad}
     assert "a" in monos
+
+
+def abce_derivation():
+    """d(a) = b c, d(b) = e on page 3: d(d(a)) = e c != 0."""
+    pres = Presentation(
+        5,
+        (poly("a", (9, 1)), poly("b", (6, 0)), ext("c", (0, 3)), ext("e", (3, 2))),
+        24,
+    )
+    images = {
+        "a": monomial_element(pres, {"b": 1, "c": 1}),
+        "b": monomial_element(pres, {"e": 1}),
+    }
+    return extend_derivation(pres, images, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_derivations())
+@example(abce_derivation())
+@example(intro_dga(5, 40)[1])
+def test_d_squared_matches_element_level_reference(d):
+    for bound in (d.base.max_degree, d.base.max_degree - 2):
+        assert check_d_squared(d, bound) == reference_check_d_squared(d, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_derivations())
+@example(abce_derivation())
+def test_d_matrix_columns_are_leibniz_expansions(d):
+    pres = d.base
+    table = alg.monomial_table(pres)
+    for bd, monos in table.items():
+        mat = d_matrix(d, bd)
+        target = d.target(bd)
+        assert mat.shape == (len(table.get(target, [])), len(monos))
+        for j, mono in enumerate(monos):
+            img = d_monomial(d, mono)
+            if mat.shape[0]:
+                assert np.array_equal(mat[:, j], coords(pres, target, img))
+            else:
+                assert not img
 
 
 def test_homology_degree_ten_vanishes():

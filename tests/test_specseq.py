@@ -17,6 +17,7 @@ from gradss.filtered import (
 )
 from gradss.linfp import SubquotientError
 from gradss.specseq import (
+    Cell,
     DifferentialSpec,
     PageError,
     RelationSpec,
@@ -38,8 +39,10 @@ from helpers import (
     filtered_dga,
     intro_dga,
     random_dga_instance,
+    random_derivations,
+    random_images,
 )
-from oracles import naive_exact_couple_run
+from oracles import naive_exact_couple_run, reference_certify_collapse, reference_turn_page
 
 
 def run_brunku2(p=5, N=60):
@@ -154,6 +157,96 @@ def test_certify_collapse_after_turn():
     cert = certify_collapse(after)
     assert after.r == 2 * p - 2
     assert cert.full
+
+
+def turned(turn, page, specs):
+    """The cells of the turned page as element strings, or the refusal."""
+    try:
+        nxt = turn(page, specs)
+    except PageError as err:
+        return str(err)
+    pres = page.pres
+    return nxt.r, nxt.cert_bound, [
+        (bd, [alg.element_str(pres, x) for x in c.reps],
+         [alg.element_str(pres, x) for x in c.boundaries])
+        for bd, c in sorted(nxt.cells.items())
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_derivations(), st.integers(1, 2), st.data())
+def test_turn_page_matches_element_level_reference(d, later, data):
+    # d's turn, then a random later one on the page it leaves, with every
+    # surviving generator's image as a spec: the same page or the same refusal
+    pres = d.base
+    page = init_page(pres)
+    while page.r < d.page:
+        page = turn_page(page, [])
+    images = d.images if page.r == d.page else data.draw(random_images(pres, page.r))
+    for _ in range(2):
+        specs = [
+            DifferentialSpec(page.r, monomial_element(pres, {name: 1}), img)
+            for name, img in images.items()
+            if page.is_surviving(monomial_element(pres, {name: 1}))
+        ]
+        want = turned(reference_turn_page, page, specs)
+        assert turned(turn_page, page, specs) == want
+        if isinstance(want, str):
+            break
+        page = turn_page(page, specs)
+        for _ in range(later - 1):
+            page = turn_page(page, [])
+        images = data.draw(random_images(pres, page.r))
+
+
+def test_second_live_turn_keeps_the_old_boundaries_as_cycles():
+    # d_3(a) = x kills x and x^2; on page 4, d_4(b) = x^2 lands on a boundary,
+    # so it is zero and page 5 equals page 4, but the cells of x^2 and of b
+    # are rebuilt with their old boundaries
+    pres = Presentation(
+        5, (poly("x", (0, 2)), ext("y", (0, 1)), ext("a", (3, 0)), ext("b", (4, 1))), 8
+    )
+    page = init_page(pres)
+    while page.r < 3:
+        page = turn_page(page, [])
+    page = turn_page(page, [
+        DifferentialSpec(3, monomial_element(pres, {"a": 1}), monomial_element(pres, {"x": 1}))
+    ])
+    spec = DifferentialSpec(
+        4, monomial_element(pres, {"b": 1}), monomial_element(pres, {"x": 2})
+    )
+    assert page.cell((0, 4)).boundaries and not page.cell((0, 4)).reps
+    nxt = turn_page(page, [spec])
+    assert nxt.dims_by_bidegree() == page.dims_by_bidegree()
+    assert turned(turn_page, page, [spec]) == turned(reference_turn_page, page, [spec])
+
+
+def collapse_lists(cert):
+    return cert.from_page, list(cert.certified.items()), cert.uncertified, cert.refusals
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_derivations(), st.integers(0, 2))
+def test_certify_collapse_matches_per_class_scan(d, extra_turns):
+    # E2, zero turns up to d's page, d's own turn when it is sound, then more
+    pres = d.base
+    pages = [init_page(pres)]
+    while pages[-1].r < d.page:
+        pages.append(turn_page(pages[-1], []))
+    if pages[-1].r == d.page and d.images:
+        specs = [
+            DifferentialSpec(d.page, monomial_element(pres, {name: 1}), img)
+            for name, img in d.images.items()
+        ]
+        try:
+            pages.append(turn_page(pages[-1], specs))
+        except PageError:
+            pass
+    for _ in range(extra_turns):
+        pages.append(turn_page(pages[-1], []))
+    for page in pages:
+        got = collapse_lists(certify_collapse(page))
+        assert got == collapse_lists(reference_certify_collapse(page))
 
 
 def test_certify_zero_differentials_uses_permanent_fact():
@@ -565,6 +658,36 @@ def test_turn_page_rejects_d_squared_violation():
     ]
     with pytest.raises(PageError, match="d\\^2"):
         turn_page(page, specs)
+
+
+def test_turn_page_rejects_a_boundary_whose_image_survives():
+    # d_2(x) = y sends the boundary x z to y z, a class no boundary kills
+    pres = Presentation(5, (poly("x", (2, 0)), ext("y", (0, 1)), ext("z", (1, 0))), 6)
+    page = init_page(pres)
+    xz = monomial_element(pres, {"x": 1, "z": 1})
+    page.cells[(3, 0)] = Cell([], [xz])
+    spec = DifferentialSpec(
+        2, monomial_element(pres, {"x": 1}), monomial_element(pres, {"y": 1})
+    )
+    refusal = r"^differential does not preserve boundaries at \(3, 0\)$"
+    with pytest.raises(PageError, match=refusal):
+        turn_page(page, [spec])
+
+
+def test_turn_page_rejects_an_image_that_is_no_class():
+    # x dies on page 2 (d_2 x = y), so d_3(t) = x lands outside page 3
+    pres = Presentation(5, (poly("x", (2, 2)), ext("y", (0, 3)), ext("t", (5, 0))), 12)
+    d2 = DifferentialSpec(
+        2, monomial_element(pres, {"x": 1}), monomial_element(pres, {"y": 1})
+    )
+    page = turn_page(init_page(pres), [d2])
+    assert page.dim((2, 2)) == 0
+    d3 = DifferentialSpec(
+        3, monomial_element(pres, {"t": 1}), monomial_element(pres, {"x": 1})
+    )
+    refusal = r"^differential image of a class at \(5, 0\) leaves the page$"
+    with pytest.raises(PageError, match=refusal):
+        turn_page(page, [d3])
 
 
 def test_abutment_without_weight_fact_leaves_relation_unresolved():

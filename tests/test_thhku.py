@@ -1,12 +1,13 @@
 import gc
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from gradss import algebra as alg
-from gradss import thhku
+from gradss import dga, specseq, thhku
 from gradss.algebra import monomial_element
 from gradss.dga import homology
 from gradss.thhku import (
@@ -171,6 +172,43 @@ def test_reproduce_runs_step2_once(monkeypatch):
     monkeypatch.setattr(thhku, "step2_v0", counted)
     assert reproduce_thh_ku(5, 60).ok
     assert calls == [(5, 60)]
+
+
+def test_step3_expands_each_monomial_once_and_reads_each_cell_once(monkeypatch):
+    # d is expanded once per (derivation, monomial); collapse reads no cell twice
+    expanded = Counter()
+    derivations = []  # held, so that no two derivations share an id
+
+    def counted_expansion(d, mono, _d_monomial=dga.d_monomial):
+        derivations.append(d)
+        expanded[id(d), mono] += 1
+        return _d_monomial(d, mono)
+
+    reads = Counter()
+    collapsing = []
+
+    def counted_read(name, method):
+        def read(page, bd):
+            if collapsing:
+                reads[name, id(page), bd] += 1
+            return method(page, bd)
+        return read
+
+    def counted_collapse(page, _certify=thhku.certify_collapse):
+        collapsing.append(page)
+        try:
+            return _certify(page)
+        finally:
+            collapsing.pop()
+
+    monkeypatch.setattr(dga, "d_monomial", counted_expansion)
+    monkeypatch.setattr(specseq.Page, "dim", counted_read("dim", specseq.Page.dim))
+    monkeypatch.setattr(specseq.Page, "cell", counted_read("cell", specseq.Page.cell))
+    monkeypatch.setattr(thhku, "certify_collapse", counted_collapse)
+    _, report = step3_v1(5, 103)
+    assert report.certificates[-1]["ok"]
+    assert expanded and max(expanded.values()) == 1
+    assert max(reads.values(), default=1) == 1
 
 
 GOLDEN_REPORT = Path(__file__).parent / "data" / "reproduce_thh_ku_p5_N103.json"
