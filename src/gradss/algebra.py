@@ -5,7 +5,9 @@ truncated, with a first-quadrant bidegree (n, m) and a weight residue mod p-1.
 Monomials are exponent tuples in generator order; elements are homogeneous
 F_p-combinations of monomials.  Enumeration is bounded by the presentation's
 max total degree N, and any product that would land past N raises
-BeyondTruncation rather than being dropped silently.
+BeyondTruncation rather than being dropped silently.  Each monomial's bidegree
+and its position in the basis of its bidegree are computed once and kept on
+the presentation.
 
 Conventions: column n is the filtration degree, row m the coefficient degree.
 Koszul signs use the total degree n + m.  p is an odd prime >= 5, so exterior
@@ -114,6 +116,10 @@ class Presentation:
     # compares the presentation on every lookup
     _key: tuple = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
+    # per-monomial facts, filled on first use and gone with the presentation:
+    # monomial -> bidegree, and bidegree -> {monomial: position in its basis}
+    _bidegrees: dict = field(init=False, repr=False, compare=False)
+    _positions: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_prime(self.p, 5)
@@ -124,6 +130,8 @@ class Presentation:
         ))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_bidegrees", {})
+        object.__setattr__(self, "_positions", {})
         object.__setattr__(self, "degrees", tuple(g.total_degree for g in gens))
         object.__setattr__(self, "odd", tuple(g.odd for g in gens))
         object.__setattr__(
@@ -218,15 +226,20 @@ def monomial_element(pres: Presentation, exponents: dict, coeff: int = 1) -> Ele
 
 
 def bidegree(pres: Presentation, mono: Monomial) -> Bidegree:
-    n = m = 0
-    for e, g in zip(mono, pres.generators):
-        n += e * g.bidegree[0]
-        m += e * g.bidegree[1]
-    return (n, m)
+    """The bidegree of a monomial, computed once per presentation."""
+    bd = pres._bidegrees.get(mono)
+    if bd is None:
+        n = m = 0
+        for e, g in zip(mono, pres.generators):
+            n += e * g.bidegree[0]
+            m += e * g.bidegree[1]
+        bd = pres._bidegrees[mono] = (n, m)
+    return bd
 
 
 def total_degree(pres: Presentation, mono: Monomial) -> int:
-    return sum(e * d for e, d in zip(mono, pres.degrees))
+    n, m = bidegree(pres, mono)
+    return n + m
 
 
 def bidegree_of(pres: Presentation, el: Element) -> Bidegree | None:
@@ -413,11 +426,23 @@ def standard_monomials(pres: Presentation, leads, bound: int) -> dict:
 
 
 def basis_in_bidegree(pres: Presentation, bd: Bidegree) -> list:
-    """Admissible monomials of the given bidegree, in the fixed order."""
+    """Admissible monomials of the given bidegree, in the fixed order.
+
+    The list is the monomial table's own; callers must not mutate it.
+    """
     n, m = bd
     if n + m > pres.max_degree:
         raise BeyondTruncation(n + m, pres.max_degree)
-    return list(monomial_table(pres).get((n, m), []))
+    return monomial_table(pres).get((n, m), [])
+
+
+def basis_positions(pres: Presentation, bd: Bidegree) -> dict:
+    """{monomial: its position in basis_in_bidegree(pres, bd)}, built once."""
+    index = pres._positions.get(bd)
+    if index is None:
+        basis = basis_in_bidegree(pres, bd)
+        index = pres._positions[bd] = {m: i for i, m in enumerate(basis)}
+    return index
 
 
 def dimension_series(pres: Presentation, n_max: int) -> list[int]:

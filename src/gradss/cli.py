@@ -194,6 +194,8 @@ def _parse_base(text: str, p: int) -> BaseRing:
 
 
 def _cmd_tor(args) -> int:
+    if args.max_internal < 0:
+        raise ValueError(f"--max {args.max_internal}: need a degree >= 0")
     base = _parse_base(args.base, args.prime)
     table = koszul_tor(base, args.left, args.right, args.max_internal)
     for (n, m), v in table.nonzero():
@@ -202,6 +204,9 @@ def _cmd_tor(args) -> int:
 
 
 def _cmd_hh(args) -> int:
+    for flag, value in (("--smax", args.smax), ("--tmax", args.tmax)):
+        if value < 0:
+            raise ValueError(f"{flag} {value}: need a degree >= 0")
     with open(args.file) as fh:
         parsed = parse(fh.read())
     dims = hochschild_homology(parsed.presentation, args.smax, args.tmax)

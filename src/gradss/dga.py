@@ -11,7 +11,9 @@ d is applied through one matrix per bidegree, d_matrix: its columns are the
 Leibniz expansions of the bidegree's monomials, built once per derivation, and
 d^2 = 0, homology and every element-level image read it.  Each bidegree's
 homology is a linfp.Subquotient of kernel modulo image, which also gives the
-coordinates of a class in the homology basis.
+coordinates of a class in the homology basis.  Row reduction runs only where d
+acts: a bidegree that d neither leaves nor enters is its own homology, the
+whole-space Subquotient with its monomials as representatives.
 
 verify_presentation_iso certifies candidate/(relations) = homology degree by
 degree: relations must become boundaries, and the standard monomials (divisible
@@ -136,8 +138,11 @@ def check_d_squared(d: Derivation, n_max: int) -> list:
     for bd, monos in sorted(alg.monomial_table(pres).items()):
         if sum(bd) > n_max:
             continue
+        mat = d_matrix(d, bd)
+        if not mat.any():
+            continue  # d is zero out of bd, so is d^2
         target = d.target(bd)
-        dd = matmul(d_matrix(d, target), d_matrix(d, bd), pres.p)
+        dd = matmul(d_matrix(d, target), mat, pres.p)
         for j in np.flatnonzero(dd.any(axis=0)):
             img = element_from_coords(pres, d.target(target), dd[:, j])
             violations.append((monos[j], img))
@@ -146,17 +151,21 @@ def check_d_squared(d: Derivation, n_max: int) -> list:
 
 def coords(pres: Presentation, bd, el: Element) -> np.ndarray:
     """Coordinate vector of el in the monomial basis of bidegree bd."""
-    basis = alg.basis_in_bidegree(pres, bd)
-    index = {m: i for i, m in enumerate(basis)}
-    v = np.zeros(len(basis), dtype=np.int64)
+    index = alg.basis_positions(pres, bd)
+    v = np.zeros(len(index), dtype=np.int64)
     for mono, c in el.items():
         v[index[mono]] = c % pres.p
     return v
 
 
 def element_from_coords(pres: Presentation, bd, v) -> Element:
+    """The element with coordinates v (reduced mod p) in the basis of bd.
+
+    The basis of one bidegree is homogeneous, so no check is needed.
+    """
     basis = alg.basis_in_bidegree(pres, bd)
-    return alg.element(pres, {m: int(c) for m, c in zip(basis, v)})
+    v = np.mod(v, pres.p)
+    return Element({basis[i]: int(v[i]) for i in np.flatnonzero(v)})
 
 
 @dataclass
@@ -210,8 +219,10 @@ class HomologyResult:
 def homology(pres: Presentation, d: Derivation, n_max: int) -> HomologyResult:
     """Per-bidegree homology via kernel/image subquotients.
 
-    Requires d^2 = 0 on the enumerated monomials; violations propagate as
-    DifferentialError.
+    A bidegree that d neither leaves nor enters is untouched: its homology is
+    the whole space, with its monomials as representatives, and it needs no
+    row reduction.  Requires d^2 = 0 on the enumerated monomials; violations
+    propagate as DifferentialError.
     """
     if n_max > pres.max_degree:
         raise alg.BeyondTruncation(n_max, pres.max_degree)
@@ -230,16 +241,20 @@ def homology(pres: Presentation, d: Derivation, n_max: int) -> HomologyResult:
             continue
         basis = table[bd]
         mat = d_matrix(d, bd)
-        if len(mat):
-            cycles = kernel_basis(FpMatrix(pres.p, mat))
-        else:
-            cycles = list(np.eye(len(basis), dtype=np.int64))
         # boundaries: the nonzero columns of d out of one shift up
         source = (n + d.page, m - d.page + 1)
         bvecs = []
         if source in table:
             incoming = d_matrix(d, source)
             bvecs = [incoming[:, j] for j in np.flatnonzero(incoming.any(axis=0))]
+        if not mat.any() and not bvecs:
+            subs[bd] = Subquotient.whole(pres.p, len(basis))
+            reps[bd] = [Element({mono: 1}) for mono in basis]
+            continue
+        if mat.any():
+            cycles = kernel_basis(FpMatrix(pres.p, mat))
+        else:
+            cycles = list(np.eye(len(basis), dtype=np.int64))
         subs[bd] = Subquotient(pres.p, len(basis), cycles, bvecs)
         reps[bd] = [element_from_coords(pres, bd, v) for v in subs[bd].reps]
     return HomologyResult(pres, d, n_max, n_max - 1, reps, subs)

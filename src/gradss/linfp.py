@@ -267,7 +267,9 @@ class Subquotient:
     (the signature of an inconsistent differential).
 
     The echelon forms behind reduce, contains and coords are built on first
-    use.
+    use.  The whole space with no boundaries, span(e_1..e_dim) / 0, is
+    Subquotient.whole: its reps are the unit vectors and its echelon data is
+    known in advance, so it needs no row reduction.
     """
 
     def __init__(self, p: int, dim: int, cycles, boundaries):
@@ -282,6 +284,23 @@ class Subquotient:
         self.reps = [cycles[i - len(bnd)] for i in picks if i >= len(bnd)]
         self._boundary_echelon = None
         self._solver = None
+
+    @classmethod
+    def whole(cls, p: int, dim: int) -> "Subquotient":
+        """span(e_1..e_dim) / 0, the same as Subquotient(p, dim, eye, []).
+
+        Its boundary echelon is empty, and [reps | I] = [I | I] is already
+        reduced with pivots 0..dim-1.
+        """
+        sub = cls.__new__(cls)
+        sub.p = p
+        sub.dim = dim
+        eye = np.eye(dim, dtype=np.int64)
+        sub.reps = list(eye)
+        sub.boundaries = []
+        sub._boundary_echelon = ([], np.zeros((0, dim), dtype=np.int64))
+        sub._solver = (list(range(dim)), np.concatenate([eye, eye], axis=1))
+        return sub
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
         """The normal form of v modulo the boundaries: zero at their pivots."""

@@ -17,7 +17,9 @@ d + 1.
 A page turn applies d through its matrix per bidegree (dga.d_matrix): each
 cell's classes are mapped by one product, and those images serve the
 soundness checks, the kernel and the target cell's new boundaries; a cell
-that d neither leaves nor enters carries over as it is.
+that d neither leaves nor enters carries over as it is.  An E2 cell is the
+whole space of its bidegree (linfp.Subquotient.whole) and needs no row
+reduction.
 
 Collapse certification is conservative.  A class is certified permanent only
 with explicit evidence (all outgoing targets empty, or the whole column to
@@ -108,13 +110,23 @@ class Page:
                 yield bd, i, rep
 
     def subquotient(self, bd) -> Subquotient:
-        """The cell at bd in the monomial coordinates of bd: reps modulo boundaries."""
+        """The cell at bd in the monomial coordinates of bd: reps modulo boundaries.
+
+        An E2 cell, its basis monomials in order and no boundaries, is the
+        whole space and needs no row reduction.
+        """
         if bd not in self._subquotients:
             cell = self.cell(bd)
-            dim = len(alg.basis_in_bidegree(self.pres, bd))
-            bnd = [coords(self.pres, bd, b) for b in cell.boundaries]
-            cycles = [coords(self.pres, bd, x) for x in cell.reps] + bnd
-            self._subquotients[bd] = Subquotient(self.pres.p, dim, cycles, bnd)
+            basis = alg.basis_in_bidegree(self.pres, bd)
+            if not cell.boundaries and len(cell.reps) == len(basis) and all(
+                rep.coeffs == {mono: 1} for rep, mono in zip(cell.reps, basis)
+            ):
+                sub = Subquotient.whole(self.pres.p, len(basis))
+            else:
+                bnd = [coords(self.pres, bd, b) for b in cell.boundaries]
+                cycles = [coords(self.pres, bd, x) for x in cell.reps] + bnd
+                sub = Subquotient(self.pres.p, len(basis), cycles, bnd)
+            self._subquotients[bd] = sub
         return self._subquotients[bd]
 
     def reduce(self, el: Element) -> Element:

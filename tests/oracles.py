@@ -6,7 +6,9 @@ normalized-complex answers can be checked against a second route.  The
 exact-couple loop is also kept here in its unmemoized form, which rebuilds
 every cycle space and subquotient at every (r, n, d).  quotient_dims ranks
 the whole relation ideal of a candidate presentation, where
-dga.verify_presentation_iso counts standard monomials.  d^2 = 0 is also
+dga.verify_presentation_iso counts standard monomials.  DGA homology is
+also computed with a kernel and a two-rref Subquotient in every bidegree,
+where dga.homology row-reduces only where d acts.  d^2 = 0 is also
 checked one monomial at a time by Leibniz expansion, where
 dga.check_d_squared multiplies two matrices per bidegree; a page is turned by
 applying d to one element at a time, where specseq.turn_page maps each cell
@@ -242,6 +244,40 @@ def reference_check_d_squared(d, n_max):
             if v:
                 violations.append((mono, v))
     return violations
+
+
+def reference_homology(pres, d, n_max):
+    """dga.homology with a kernel and a checked Subquotient in every bidegree,
+    d^2 = 0 checked by reference_check_d_squared and every representative
+    built by the homogeneity-checking algebra.element."""
+    if n_max > pres.max_degree:
+        raise alg.BeyondTruncation(n_max, pres.max_degree)
+    bad = reference_check_d_squared(d, n_max)
+    if bad:
+        mono, img = bad[0]
+        raise dga.DifferentialError(
+            f"d^2 != 0 on {alg.monomial_str(pres, mono)}: {alg.element_str(pres, img)}"
+        )
+    table = alg.monomial_table(pres)
+    reps, subs = {}, {}
+    for (n, m), basis in sorted(table.items()):
+        if n + m > n_max:
+            continue
+        mat = dga.d_matrix(d, (n, m))
+        if len(mat):
+            cycles = kernel_basis(FpMatrix(pres.p, mat))
+        else:
+            cycles = list(np.eye(len(basis), dtype=np.int64))
+        source = (n + d.page, m - d.page + 1)
+        bvecs = []
+        if source in table:
+            incoming = dga.d_matrix(d, source)
+            bvecs = [incoming[:, j] for j in np.flatnonzero(incoming.any(axis=0))]
+        sub = subs[n, m] = Subquotient(pres.p, len(basis), cycles, bvecs)
+        reps[n, m] = [
+            alg.element(pres, {mono: int(c) for mono, c in zip(basis, v)}) for v in sub.reps
+        ]
+    return dga.HomologyResult(pres, d, n_max, n_max - 1, reps, subs)
 
 
 def _leibniz(d, el):

@@ -305,6 +305,9 @@ def test_parser_fuzz_only_raises_parse_errors(text):
         ["tor", "--base", "fpu", "--left", "fp", "--right", "fpu", "--max", "6", "--prime", "4"],
         ["tor", "--base", "fpu", "--left", "fp", "--right", "fpu", "--max", "6", "--prime", "2147483659"],
         ["tor", "--base", "fpu-trunc:3", "--left", "fp", "--right", "fpu", "--max", "6", "--prime", "4"],
+        ["tor", "--base", "fpu", "--left", "fp", "--right", "fp", "--max", "-3"],
+        ["hh", "{data}/brunku2_p5.ss", "--smax", "-1", "--tmax", "4"],
+        ["hh", "{data}/brunku2_p5.ss", "--smax", "1", "--tmax", "-5"],
     ],
 )
 def test_usage_errors_exit_with_one_line(argv, tmp_path, capsys):

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import re
+
 from gradss import algebra as alg
-from gradss import dga
+from gradss import dga, linfp
 from gradss.algebra import Presentation, element, ext, monomial_element, poly, trunc
 from gradss.thhku import omega_candidate, omega_relations, omega_reps
 from helpers import intro_dga, random_derivations
-from oracles import quotient_dims, reference_check_d_squared
+from oracles import quotient_dims, reference_check_d_squared, reference_homology
 from gradss.dga import (
     DifferentialError,
     check_d_squared,
@@ -168,6 +170,88 @@ def test_homology_propagates_d_squared_violation():
     )
     with pytest.raises(DifferentialError):
         homology(pres, d, 24)
+
+
+def _rows(vectors):
+    return [v.tolist() for v in vectors]
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_derivations(), st.data())
+def test_homology_matches_the_every_bidegree_reference(d, data):
+    pres = d.base
+    n_max = data.draw(st.integers(0, pres.max_degree))
+    try:
+        want = reference_homology(pres, d, n_max)
+    except DifferentialError as err:
+        with pytest.raises(DifferentialError, match=f"^{re.escape(str(err))}$"):
+            homology(pres, d, n_max)
+        return
+    got = homology(pres, d, n_max)
+    assert got.representatives == want.representatives
+    assert got.subquotients.keys() == want.subquotients.keys()
+    coeffs = st.integers(-pres.p, 2 * pres.p)
+    for bd, sub in want.subquotients.items():
+        mine = got.subquotients[bd]
+        assert _rows(mine.reps) == _rows(sub.reps)
+        assert _rows(mine.boundaries) == _rows(sub.boundaries)
+        # a random cycle: reps and boundaries combined, then an arbitrary vector
+        gens = sub.reps + sub.boundaries
+        cs = data.draw(st.lists(coeffs, min_size=len(gens), max_size=len(gens)))
+        cycle = sum((c * v for c, v in zip(cs, gens)), np.zeros(sub.dim, dtype=np.int64))
+        arbitrary = np.array(
+            data.draw(st.lists(coeffs, min_size=sub.dim, max_size=sub.dim)), dtype=np.int64
+        )
+        for v in (cycle, arbitrary):
+            el = dga.element_from_coords(pres, bd, v)
+            try:
+                expected = want.homology_coords(el).tolist()
+            except ValueError:
+                with pytest.raises(ValueError):
+                    got.homology_coords(el)
+            else:
+                assert got.homology_coords(el).tolist() == expected
+
+
+def test_homology_refusal_message_matches_the_reference():
+    d = abce_derivation()
+    with pytest.raises(DifferentialError) as want:
+        reference_homology(d.base, d, 24)
+    with pytest.raises(DifferentialError, match=f"^{re.escape(str(want.value))}$"):
+        homology(d.base, d, 24)
+
+
+def test_row_reduction_only_where_d_acts(monkeypatch):
+    # the flagship step-3 DGA at (5, 103): d enters or leaves 32 of 159 bidegrees
+    p, N = 5, 103
+    pres, d = intro_dga(p, N)
+    table = alg.monomial_table(pres)
+
+    def acts(bd):
+        source = (bd[0] + d.page, bd[1] - d.page + 1)
+        return d_matrix(d, bd).any() or (source in table and d_matrix(d, source).any())
+
+    touched = sum(1 for bd in table if sum(bd) <= N and acts(bd))
+    assert touched == 32
+    shapes = []
+    rref = linfp._rref_inplace
+
+    def counted(a, modulus):
+        shapes.append(a.shape)
+        return rref(a, modulus)
+
+    monkeypatch.setattr(linfp, "_rref_inplace", counted)
+    H = homology(pres, d, N)
+    # a kernel and a two-rref Subquotient at most, where d acts
+    assert len(shapes) <= 3 * touched
+    shapes.clear()
+    cand = omega_candidate(p, N)
+    iso = verify_presentation_iso(H, cand, omega_reps(pres, p), omega_relations(cand, p), N)
+    assert iso.ok
+    # one square rank per nonzero homology bidegree, and one coordinate
+    # solver per bidegree where d acts
+    ranked = sum(1 for bd, reps in H.representatives.items() if reps and sum(bd) <= iso.bound)
+    assert len(shapes) <= ranked + touched
 
 
 def test_verify_iso_target_candidate_passes():

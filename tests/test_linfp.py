@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradss import linfp
 from gradss.algebra import Presentation
 from gradss.dsl import ParseError, parse
 from gradss.linfp import (
@@ -113,6 +114,34 @@ def test_subquotient_dimension_count():
     reps = subquotient_basis(3, [e(0), e(1)], [(e(0) + e(1)) % 5], 5)
     assert len(reps) == 1
     assert reps[0].tolist() == [1, 0, 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 5, 7, MAX_PRIME]), st.integers(0, 6), st.data())
+def test_whole_subquotient_matches_the_general_one(p, dim, data):
+    whole = Subquotient.whole(p, dim)
+    general = Subquotient(p, dim, np.eye(dim, dtype=np.int64), [])
+    assert [r.tolist() for r in whole.reps] == [r.tolist() for r in general.reps]
+    assert whole.boundaries == general.boundaries == []
+    entries = st.integers(-3 * p, 3 * p)  # residues and entries outside [0, p)
+    vectors = st.lists(entries, min_size=dim, max_size=dim)
+    for v in data.draw(st.lists(vectors, min_size=1, max_size=4)):
+        v = np.array(v, dtype=np.int64)
+        assert whole.reduce(v).tolist() == general.reduce(v).tolist()
+        assert whole.coords(v).tolist() == general.coords(v).tolist()
+        assert whole.contains(v) and general.contains(v)
+
+
+def test_whole_subquotient_needs_no_row_reduction(monkeypatch):
+    def refused(a, p):
+        raise AssertionError("row reduction on the whole space")
+
+    monkeypatch.setattr(linfp, "_rref_inplace", refused)
+    whole = Subquotient.whole(MAX_PRIME, 3)
+    v = np.array([MAX_PRIME + 2, -1, 4 * MAX_PRIME], dtype=np.int64)
+    assert whole.reduce(v).tolist() == [2, MAX_PRIME - 1, 0]
+    assert whole.coords(v).tolist() == [2, MAX_PRIME - 1, 0]
+    assert whole.contains(v)
 
 
 def test_subquotient_rejects_boundary_outside_cycles():

@@ -674,6 +674,20 @@ def test_turn_page_rejects_a_boundary_whose_image_survives():
         turn_page(page, [spec])
 
 
+def test_page_subquotient_is_the_whole_space_only_for_an_e2_cell():
+    # bidegree (1, 0) holds b, a in lex order: E2 takes coordinates in them without
+    # row reduction; a cell with other reps or a boundary is reduced from them
+    pres = Presentation(5, (ext("a", (1, 0)), ext("b", (1, 0))), 2)
+    a, b = (monomial_element(pres, {g: 1}) for g in "ab")
+    assert init_page(pres).class_coords(a).tolist() == [0, 1]
+    page = init_page(pres)
+    page.cells[(1, 0)] = Cell([alg.add(pres, a, b), b], [])
+    assert page.class_coords(a).tolist() == [1, 4]
+    page = init_page(pres)
+    page.cells[(1, 0)] = Cell([b, a], [b])
+    assert not page.reduce(b)
+
+
 def test_turn_page_rejects_an_image_that_is_no_class():
     # x dies on page 2 (d_2 x = y), so d_3(t) = x lands outside page 3
     pres = Presentation(5, (poly("x", (2, 2)), ext("y", (0, 3)), ext("t", (5, 0))), 12)
