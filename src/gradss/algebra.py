@@ -7,7 +7,8 @@ F_p-combinations of monomials.  Enumeration is bounded by the presentation's
 max total degree N, and any product that would land past N raises
 BeyondTruncation rather than being dropped silently.  Each monomial's bidegree
 and its position in the basis of its bidegree are computed once and kept on
-the presentation.
+the presentation, and so is each algebra map out of it (monomial_map) and
+each derivation on it (dga.extend_derivation).
 
 Conventions: column n is the filtration degree, row m the coefficient degree.
 Koszul signs use the total degree n + m.  p is an odd prime >= 5, so exterior
@@ -120,6 +121,9 @@ class Presentation:
     # monomial -> bidegree, and bidegree -> {monomial: position in its basis}
     _bidegrees: dict = field(init=False, repr=False, compare=False)
     _positions: dict = field(init=False, repr=False, compare=False)
+    # objects built on the presentation, keyed by what built them: monomial
+    # maps out of it and derivations on it, also gone with the presentation
+    _built: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_prime(self.p, 5)
@@ -132,6 +136,7 @@ class Presentation:
         object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_bidegrees", {})
         object.__setattr__(self, "_positions", {})
+        object.__setattr__(self, "_built", {})
         object.__setattr__(self, "degrees", tuple(g.total_degree for g in gens))
         object.__setattr__(self, "odd", tuple(g.odd for g in gens))
         object.__setattr__(
@@ -337,9 +342,14 @@ def monomial_map(source: Presentation, target: Presentation, images: dict):
 
     Returns a memoized f with f(1) = 1 and f(m) = f(m / g) * images[g] for g
     the last generator dividing m: the factors are multiplied left to right
-    in generator order, one multiply per new monomial.
+    in generator order, one multiply per new monomial.  Equal target and
+    generator images give the same f, kept on the source presentation, so
+    every caller shares its cache.
     """
-    gen_images = [images[g.name] for g in source.generators]
+    gen_images = tuple(images[g.name] for g in source.generators)
+    key = ("monomial_map", target, gen_images)
+    if key in source._built:
+        return source._built[key]
     cache = {source.unit_monomial: element(target, {target.unit_monomial: 1})}
 
     def f(mono: Monomial) -> Element:
@@ -354,6 +364,7 @@ def monomial_map(source: Presentation, target: Presentation, images: dict):
             cache[mono] = out
         return out
 
+    source._built[key] = f
     return f
 
 

@@ -144,6 +144,18 @@ def chart_svg(parsed: ParsedFile) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _check_destination(label: str, path: str | None):
+    """Refuse, before any computing, an output path that cannot be a file.
+
+    A refused run writes nothing; an existing file is only replaced once its
+    new content is complete.
+    """
+    if path and os.path.isdir(path):
+        raise IsADirectoryError(f"{label} path {path} is a directory")
+    if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise FileNotFoundError(f"{label} path {path}: no such directory")
+
+
 def _write(text: str, path: str | None):
     if path:
         with open(path, "w") as fh:
@@ -153,6 +165,8 @@ def _write(text: str, path: str | None):
 
 
 def _cmd_run(args) -> int:
+    _check_destination("chart", args.out)
+    _check_destination("svg", args.svg)
     with open(args.file) as fh:
         parsed = parse(fh.read())
     rows = chart_rows(parsed)
@@ -236,12 +250,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     check_prime(args.prime, 5)
-    # refuse a report path that cannot be a file before computing; an
-    # existing report is only replaced once the new one is complete
-    if args.report and os.path.isdir(args.report):
-        raise IsADirectoryError(f"report path {args.report} is a directory")
-    if args.report and not os.path.isdir(os.path.dirname(os.path.abspath(args.report))):
-        raise FileNotFoundError(f"report path {args.report}: no such directory")
+    _check_destination("report", args.report)
     report = reproduce_thh_ku(args.prime, args.max_degree)
     _write(report.to_json(), args.report)
     return 0

@@ -9,7 +9,9 @@ N - 1.
 
 d is applied through one matrix per bidegree, d_matrix: its columns are the
 Leibniz expansions of the bidegree's monomials, built once per derivation, and
-d^2 = 0, homology and every element-level image read it.  Each bidegree's
+d^2 = 0, homology and every element-level image read it.  extend_derivation
+returns one Derivation per (presentation, page, images), so a page turn and a
+homology of the same differential share those matrices.  Each bidegree's
 homology is a linfp.Subquotient of kernel modulo image, which also gives the
 coordinates of a class in the homology basis.  Row reduction runs only where d
 acts: a bidegree that d neither leaves nor enters is its own homology, the
@@ -56,7 +58,9 @@ def extend_derivation(pres: Presentation, gen_images: dict, page: int) -> Deriva
     """Validate generator images and package them as a derivation.
 
     Every image must be homogeneous of bidegree = generator bidegree plus
-    (-page, page - 1); zero images may simply be omitted.
+    (-page, page - 1); zero images may simply be omitted.  Every call is
+    validated; equal page and images then give the same Derivation, kept on
+    the presentation, so its d_matrix blocks are built once for all callers.
     """
     if page < 1:
         raise DifferentialError(f"page {page} must be >= 1")
@@ -73,7 +77,10 @@ def extend_derivation(pres: Presentation, gen_images: dict, page: int) -> Deriva
                 f"d({name}) has bidegree {bd}, expected {want}"
             )
         images[name] = img
-    return Derivation(pres, page, images)
+    key = ("derivation", page, frozenset(images.items()))
+    if key not in pres._built:
+        pres._built[key] = Derivation(pres, page, images)
+    return pres._built[key]
 
 
 def d_monomial(d: Derivation, mono) -> Element:
@@ -221,12 +228,13 @@ def homology(pres: Presentation, d: Derivation, n_max: int) -> HomologyResult:
 
     A bidegree that d neither leaves nor enters is untouched: its homology is
     the whole space, with its monomials as representatives, and it needs no
-    row reduction.  Requires d^2 = 0 on the enumerated monomials; violations
-    propagate as DifferentialError.
+    row reduction.  Requires d^2 = 0 on the enumerated monomials through
+    degree n_max + 1, where the boundaries into degree n_max come from;
+    violations propagate as DifferentialError.
     """
     if n_max > pres.max_degree:
         raise alg.BeyondTruncation(n_max, pres.max_degree)
-    bad = check_d_squared(d, n_max)
+    bad = check_d_squared(d, n_max + 1)
     if bad:
         mono, img = bad[0]
         raise DifferentialError(

@@ -143,7 +143,7 @@ def rref(m: FpMatrix) -> tuple[FpMatrix, list[int]]:
 
 
 def rank(m: FpMatrix) -> int:
-    return len(rref(m)[1])
+    return len(_rref_inplace(m.entries.copy(), m.p))
 
 
 def homology_dims(p: int, dims: dict, mats: dict) -> dict:
@@ -268,8 +268,9 @@ class Subquotient:
 
     The echelon forms behind reduce, contains and coords are built on first
     use.  The whole space with no boundaries, span(e_1..e_dim) / 0, is
-    Subquotient.whole: its reps are the unit vectors and its echelon data is
-    known in advance, so it needs no row reduction.
+    Subquotient.whole: its reps are the unit vectors, and every vector is its
+    own normal form and its own coordinates, so it needs no echelon form and
+    no arithmetic beyond reducing mod p.
     """
 
     def __init__(self, p: int, dim: int, cycles, boundaries):
@@ -282,33 +283,37 @@ class Subquotient:
         picks = _independent(p, dim, bnd + cycles)
         self.boundaries = [bnd[i] for i in picks if i < len(bnd)]
         self.reps = [cycles[i - len(bnd)] for i in picks if i >= len(bnd)]
+        self._whole = False
         self._boundary_echelon = None
         self._solver = None
 
     @classmethod
     def whole(cls, p: int, dim: int) -> "Subquotient":
-        """span(e_1..e_dim) / 0, the same as Subquotient(p, dim, eye, []).
-
-        Its boundary echelon is empty, and [reps | I] = [I | I] is already
-        reduced with pivots 0..dim-1.
-        """
+        """span(e_1..e_dim) / 0, the same as Subquotient(p, dim, eye, [])."""
         sub = cls.__new__(cls)
         sub.p = p
         sub.dim = dim
-        eye = np.eye(dim, dtype=np.int64)
-        sub.reps = list(eye)
+        sub.reps = list(np.eye(dim, dtype=np.int64))
         sub.boundaries = []
-        sub._boundary_echelon = ([], np.zeros((0, dim), dtype=np.int64))
-        sub._solver = (list(range(dim)), np.concatenate([eye, eye], axis=1))
+        sub._whole = True
         return sub
+
+    def _residues(self, v) -> np.ndarray:
+        """v mod p as a fresh array; raises ValueError unless its shape is (dim,)."""
+        v = np.mod(np.asarray(v, dtype=np.int64), self.p)
+        if v.shape != (self.dim,):
+            raise ValueError(f"vector of shape {v.shape}, expected ({self.dim},)")
+        return v
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
         """The normal form of v modulo the boundaries: zero at their pivots."""
+        v = self._residues(v)
+        if self._whole:
+            return v
         if self._boundary_echelon is None:
             rows = stack_rows(self.boundaries, self.dim)
             self._boundary_echelon = (_rref_inplace(rows, self.p), rows)
         pivots, rows = self._boundary_echelon
-        v = np.mod(np.asarray(v, dtype=np.int64), self.p)
         return (v - matmul(v[pivots], rows, self.p)) % self.p
 
     def coords(self, v: np.ndarray) -> np.ndarray | None:
@@ -316,6 +321,9 @@ class Subquotient:
 
         None when v is not in span(reps + boundaries).
         """
+        v = self._residues(v)
+        if self._whole:
+            return v
         if self._solver is None:
             # [basis | I] row reduced: echelon rows T @ basis, and T itself.
             # The basis rows are independent, so every pivot lies in the
@@ -324,7 +332,6 @@ class Subquotient:
             a = np.concatenate([basis, np.eye(len(basis), dtype=np.int64)], axis=1)
             self._solver = (_rref_inplace(a, self.p), a)
         pivots, a = self._solver
-        v = np.mod(np.asarray(v, dtype=np.int64), self.p)
         y = v[pivots]
         if np.any((v - matmul(y, a[:, : self.dim], self.p)) % self.p):
             return None

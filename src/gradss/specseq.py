@@ -165,7 +165,7 @@ def init_page(pres: Presentation, n_max: int | None = None) -> Page:
     for bd, monos in alg.monomial_table(pres).items():
         if sum(bd) > bound:
             continue
-        cells[bd] = Cell([alg.element(pres, {m: 1}) for m in monos], [])
+        cells[bd] = Cell([Element({m: 1}) for m in monos], [])
     return Page(pres, 2, bound, cells)
 
 
@@ -338,6 +338,13 @@ def certify_collapse(page: Page) -> CollapseCertificate:
     return CollapseCertificate(page.r, certified, uncertified, refusals)
 
 
+@lru_cache(maxsize=64)
+def _zero_page_entry(page: int, reasons: tuple, ok: bool) -> dict:
+    """One shared, read-only zero-differential page entry per content, which
+    reports of nearby boxes repeat: a caller keeping many keeps one copy."""
+    return {"page": page, "reasons": dict(reasons), "ok": ok}
+
+
 @dataclass
 class ZeroDifferentialCertificate:
     """Evidence that d_r vanishes on a single page, generator by generator."""
@@ -349,6 +356,9 @@ class ZeroDifferentialCertificate:
     @property
     def ok(self) -> bool:
         return not self.obstructions
+
+    def to_json_dict(self) -> dict:
+        return _zero_page_entry(self.page, tuple(self.reasons.items()), self.ok)
 
 
 def _permanent_classes(page: Page, bd, permanent) -> Subquotient:
@@ -452,6 +462,24 @@ def _relation_entry(label: str, kind: str, details: str) -> dict:
     return {"label": label, "kind": kind, "details": details}
 
 
+@lru_cache(maxsize=64)
+def _lifts_table(items: tuple) -> dict:
+    """One shared, read-only generator_lifts JSON table per content.
+
+    Reports of one box repeat their generator lifts; callers that keep many
+    reports keep one copy.
+    """
+    return {
+        name: {
+            "filtration": f,
+            "weight": w,
+            "unique_equal_weight_representative": u,
+            "obstructions": list(obs),
+        }
+        for name, (f, w, u, obs) in items
+    }
+
+
 @dataclass
 class AbutmentReport:
     """Lifts, relation justifications and leftovers at E-infinity."""
@@ -480,15 +508,10 @@ class AbutmentReport:
         return {
             "free_commutative": self.free_commutative,
             "einf_dims": _json_table(tuple(sorted(self.einf_dims.items()))),
-            "generator_lifts": {
-                name: {
-                    "filtration": f,
-                    "weight": w,
-                    "unique_equal_weight_representative": u,
-                    "obstructions": obs,
-                }
+            "generator_lifts": _lifts_table(tuple(
+                (name, (f, w, u, tuple(obs)))
                 for name, (f, w, u, obs) in sorted(self.generator_lifts.items())
-            },
+            )),
             "relations": [_relation_entry(*rel) for rel in self.relations],
             "unresolved": list(self.unresolved),
             "beyond_truncation": list(self.beyond_truncation),

@@ -431,14 +431,19 @@ def _totals(dims: dict) -> dict:
     return out
 
 
-def step3_v1(p: int, N: int = 100):
-    """The absolute run: forced differential, collapse, identification, lifts."""
-    _require_prime(p)
+def _require_step3_box(p: int, N: int):
+    """Refuse a box too small for the largest abutment generator, mu2."""
     if N < 2 * p * p + 2:
         raise ValueError(
             f"max degree {N} too small for p = {p}: the abutment generators "
             f"reach total degree {2 * p * p}, need at least {2 * p * p + 2}"
         )
+
+
+def step3_v1(p: int, N: int = 100):
+    """The absolute run: forced differential, collapse, identification, lifts."""
+    _require_prime(p)
+    _require_step3_box(p, N)
     pres = absolute_e2(p, N)
     facts = [
         "v1-ku",
@@ -475,9 +480,7 @@ def step3_v1(p: int, N: int = 100):
     zero_pages = []
     while page.r < r_forced:
         zc = certify_zero_differentials(page, permanent=[u])
-        zero_pages.append(
-            {"page": page.r, "reasons": zc.reasons, "ok": zc.ok}
-        )
+        zero_pages.append(zc.to_json_dict())
         if not zc.ok:
             report.certificates.append(
                 {"kind": "zero-differentials", "pages": zero_pages, "ok": False}
@@ -548,8 +551,12 @@ def step3_v1(p: int, N: int = 100):
 
 
 def reproduce_thh_ku(p: int, N: int = 100) -> PipelineReport:
-    """Run all three steps and collect their reports."""
+    """Run all three steps and collect their reports.
+
+    Step 3 needs the largest box, so its bound is checked before step 1.
+    """
     _require_prime(p)
+    _require_step3_box(p, N)
     pipeline = PipelineReport(p, N)
     _, r1 = step1_tor(p)
     pipeline.steps.append(r1)

@@ -248,11 +248,12 @@ def reference_check_d_squared(d, n_max):
 
 def reference_homology(pres, d, n_max):
     """dga.homology with a kernel and a checked Subquotient in every bidegree,
-    d^2 = 0 checked by reference_check_d_squared and every representative
-    built by the homogeneity-checking algebra.element."""
+    d^2 = 0 checked by reference_check_d_squared through degree n_max + 1 (the
+    sources of the boundaries) and every representative built by the
+    homogeneity-checking algebra.element."""
     if n_max > pres.max_degree:
         raise alg.BeyondTruncation(n_max, pres.max_degree)
-    bad = reference_check_d_squared(d, n_max)
+    bad = reference_check_d_squared(d, n_max + 1)
     if bad:
         mono, img = bad[0]
         raise dga.DifferentialError(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradss import algebra as alg
-from gradss import cli, filtered
+from gradss import cli, filtered, thhku
 from gradss.cli import chart_rows, run_command
 from gradss.dsl import ParsedFile, ParseError, parse, print_file
 from gradss.linfp import Subquotient
@@ -228,6 +228,46 @@ def test_reproduce_refuses_unwritable_report_before_computing(target, tmp_path, 
     assert run_command(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("N", [10, 11, 12, 51])
+def test_reproduce_names_the_step3_bound_before_computing(N, monkeypatch, capsys):
+    # the box must hold mu2 in degree 2p^2 = 50: every smaller box is refused
+    # with the one bound that suffices, before step 1 runs
+    def not_called(*args):
+        raise AssertionError("step 1 ran before the box was checked")
+
+    monkeypatch.setattr(thhku, "step1_tor", not_called)
+    argv = ["reproduce", "thh-ku", "--prime", "5", "--max-degree", str(N)]
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: max degree {N} too small for p = 5: the abutment generators "
+        "reach total degree 50, need at least 52\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--svg", "{tmp}/missing/chart.svg"],
+        ["--svg", "{tmp}/out"],
+        ["--out", "{tmp}/out/chart.tsv", "--svg", "{tmp}/out"],
+        ["--out", "{tmp}/out/chart.tsv", "--svg", "{tmp}/missing/chart.svg"],
+        ["--out", "{tmp}/out"],
+        ["--out", "{tmp}/missing/chart.tsv", "--svg", "{tmp}/out/chart.svg"],
+    ],
+)
+def test_run_refuses_unwritable_destinations_before_computing(flags, tmp_path, monkeypatch, capsys):
+    def not_called(*args):
+        raise AssertionError("the chart was computed before its destinations were checked")
+
+    monkeypatch.setattr(cli, "chart_rows", not_called)
+    (tmp_path / "out").mkdir()
+    src = str(files("gradss") / "data" / "brunku2_p5.ss")
+    assert run_command(["run", src] + [f.format(tmp=tmp_path) for f in flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_failed_reproduce_keeps_existing_report(tmp_path, capsys):

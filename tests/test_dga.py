@@ -48,6 +48,63 @@ def test_wrong_bidegree_image_rejected():
         extend_derivation(pres, {"m1": monomial_element(pres, {"u": 1})}, 7)
 
 
+def test_equal_images_share_one_derivation_and_one_map():
+    # equal (page, images) on one presentation: one Derivation, so its
+    # d-matrices are built once; equal (target, images): one monomial map
+    p, N = 5, 60
+    pres, d = intro_dga(p, N)
+    again = extend_derivation(pres, {"m1": monomial_element(pres, {"u": p - 2, "su": 1})}, d.page)
+    assert again is d
+    cand = omega_candidate(p, N)
+    f = alg.monomial_map(cand, pres, omega_reps(pres, p))
+    assert alg.monomial_map(cand, pres, omega_reps(pres, p)) is f
+    assert extend_derivation(pres, {}, d.page) is not d
+    assert alg.monomial_map(cand, pres, omega_reps(pres, p) | {"u": alg.ZERO}) is not f
+
+
+def test_equal_but_distinct_presentation_builds_its_own_derivation_and_map():
+    p, N = 5, 60
+    (pres, d), (twin, d_twin) = intro_dga(p, N), intro_dga(p, N)
+    assert twin == pres and twin is not pres
+    assert d_twin is not d and d_twin.base is twin
+    for bd in alg.monomial_table(pres):
+        assert np.array_equal(d_matrix(d_twin, bd), d_matrix(d, bd))
+    cand = omega_candidate(p, N)
+    f = alg.monomial_map(cand, pres, omega_reps(pres, p))
+    g = alg.monomial_map(omega_candidate(p, N), pres, omega_reps(pres, p))
+    assert g is not f
+    assert all(g(m) == f(m) for ms in alg.monomial_table(cand).values() for m in ms[:3])
+
+
+def test_wrong_shift_raises_after_a_memo_hit():
+    # the same generator on the same page, or the same image on another page
+    pres, d = intro_dga()
+    img = d.images["m1"]
+    assert extend_derivation(pres, {"m1": img}, d.page) is d
+    with pytest.raises(DifferentialError):
+        extend_derivation(pres, {"m1": monomial_element(pres, {"u": 1})}, d.page)
+    with pytest.raises(DifferentialError):
+        extend_derivation(pres, {"m1": img}, d.page + 1)
+    with pytest.raises(DifferentialError):
+        extend_derivation(pres, {"m1": img, "l1": monomial_element(pres, {"u": 1})}, d.page)
+    assert extend_derivation(pres, {"m1": img}, d.page) is d
+
+
+def test_homology_refuses_d_squared_nonzero_one_degree_above():
+    # d^2(g3) = g0 g2 != 0 in degree 11: the boundary d(g3) = g1 g2 into
+    # degree 10 is no cycle, so homology through degree 10 is refused too
+    pres = Presentation(
+        5, (poly("g0", (0, 4)), ext("g1", (1, 4)), ext("g2", (2, 3)), ext("g3", (4, 7))), 11
+    )
+    d = extend_derivation(pres, {
+        "g1": monomial_element(pres, {"g0": 1}),
+        "g3": monomial_element(pres, {"g1": 1, "g2": 1}),
+    }, 1)
+    for n_max in (10, 11):
+        with pytest.raises(DifferentialError, match=r"^d\^2 != 0 on g3: g0 g2$"):
+            homology(pres, d, n_max)
+
+
 def test_d_squared_shipped_dga_clean():
     pres, d = intro_dga(5, 60)
     assert check_d_squared(d, 60) == []

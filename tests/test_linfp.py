@@ -119,6 +119,7 @@ def test_subquotient_dimension_count():
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([2, 5, 7, MAX_PRIME]), st.integers(0, 6), st.data())
 def test_whole_subquotient_matches_the_general_one(p, dim, data):
+    # the same answers, and the same refusal of a vector of the wrong length
     whole = Subquotient.whole(p, dim)
     general = Subquotient(p, dim, np.eye(dim, dtype=np.int64), [])
     assert [r.tolist() for r in whole.reps] == [r.tolist() for r in general.reps]
@@ -130,6 +131,11 @@ def test_whole_subquotient_matches_the_general_one(p, dim, data):
         assert whole.reduce(v).tolist() == general.reduce(v).tolist()
         assert whole.coords(v).tolist() == general.coords(v).tolist()
         assert whole.contains(v) and general.contains(v)
+    wrong = np.ones(data.draw(st.integers(0, 8).filter(lambda n: n != dim)), dtype=np.int64)
+    for sub in (whole, general):
+        for method in (sub.reduce, sub.coords):
+            with pytest.raises(ValueError):
+                method(wrong)
 
 
 def test_whole_subquotient_needs_no_row_reduction(monkeypatch):

@@ -211,6 +211,25 @@ def test_step3_expands_each_monomial_once_and_reads_each_cell_once(monkeypatch):
     assert max(reads.values(), default=1) == 1
 
 
+def test_reproduce_builds_each_derivation_and_lift_once(monkeypatch):
+    # the page turn and the DGA homology share one derivation, and the
+    # presentation certificate and the abutment share one lift map; sharing
+    # neither, the run expands d 38 times and multiplies 337 times
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(dga, "d_monomial", counted("d_monomial", dga.d_monomial))
+    monkeypatch.setattr(alg, "multiply", counted("multiply", alg.multiply))
+    assert reproduce_thh_ku(5, 103).ok
+    assert calls["d_monomial"] <= 19
+    assert calls["multiply"] <= 217
+
+
 GOLDEN_REPORT = Path(__file__).parent / "data" / "reproduce_thh_ku_p5_N103.json"
 
 
