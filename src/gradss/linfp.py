@@ -19,7 +19,7 @@ bound wherever a modulus enters: here, in presentations and in the parser.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -268,9 +268,9 @@ class Subquotient:
 
     The echelon forms behind reduce, contains and coords are built on first
     use.  The whole space with no boundaries, span(e_1..e_dim) / 0, is
-    Subquotient.whole: its reps are the unit vectors, and every vector is its
-    own normal form and its own coordinates, so it needs no echelon form and
-    no arithmetic beyond reducing mod p.
+    Subquotient.whole: its reps are the unit vectors, built on first read,
+    and every vector is its own normal form and its own coordinates, so it
+    needs no echelon form and no arithmetic beyond reducing mod p.
     """
 
     def __init__(self, p: int, dim: int, cycles, boundaries):
@@ -293,10 +293,14 @@ class Subquotient:
         sub = cls.__new__(cls)
         sub.p = p
         sub.dim = dim
-        sub.reps = list(np.eye(dim, dtype=np.int64))
         sub.boundaries = []
         sub._whole = True
         return sub
+
+    @cached_property
+    def reps(self) -> list:
+        """The unit vectors of a whole subquotient; __init__ assigns the others."""
+        return list(np.eye(self.dim, dtype=np.int64))
 
     def _residues(self, v) -> np.ndarray:
         """v mod p as a fresh array; raises ValueError unless its shape is (dim,)."""

@@ -31,10 +31,8 @@ index, Page.columns, instead of scanning every column.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -260,26 +258,6 @@ def turn_page(page: Page, specs: list) -> Page:
     return Page(pres, r + 1, page.cert_bound - 1, new_cells, new_subquotients)
 
 
-@lru_cache(maxsize=None)
-def _shared(*item) -> tuple:
-    """One copy of a small certificate tuple.
-
-    Every collapse certificate repeats the same (index, reason) pairs and
-    per-cell reason tuples; callers that keep many reports keep one copy.
-    """
-    return item
-
-
-@lru_cache(maxsize=64)
-def _json_table(items: tuple) -> dict:
-    """One shared, read-only {"n,m": value} JSON table per content.
-
-    Reports of one box repeat their collapse and E-infinity tables; callers
-    that keep many reports keep one copy.
-    """
-    return {sys.intern(f"{n},{m}"): v for (n, m), v in items}
-
-
 @dataclass
 class CollapseCertificate:
     """Evidence that no differential moves on or after the given page."""
@@ -296,7 +274,7 @@ class CollapseCertificate:
     def to_json_dict(self) -> dict:
         return {
             "from_page": self.from_page,
-            "certified": _json_table(tuple(sorted(self.certified.items()))),
+            "certified": {f"{n},{m}": v for (n, m), v in sorted(self.certified.items())},
             "uncertified": [list(x) for x in self.uncertified],
             "refusals": [list(x) for x in self.refusals],
             "full": self.full,
@@ -324,25 +302,18 @@ def certify_collapse(page: Page) -> CollapseCertificate:
             uncertified.extend((n, m, i, "beyond-truncation") for i in classes)
             continue
         if n < page.r:
-            certified[bd] = _shared(*(_shared(i, "column-bound") for i in classes))
+            certified[bd] = tuple((i, "column-bound") for i in classes)
             continue
         # the first target (n - r, m + r - 1), r >= page.r, that holds classes:
         # the largest occupied column <= n - page.r of total degree n + m - 1
         below = page.columns(n + m - 1)
         k = bisect_right(below, n - page.r)
         if not k:
-            certified[bd] = _shared(*(_shared(i, "target-vanishes") for i in classes))
+            certified[bd] = tuple((i, "target-vanishes") for i in classes)
             continue
         c = below[k - 1]
         refusals.extend((n, m, i, n - c, (c, n + m - 1 - c)) for i in classes)
     return CollapseCertificate(page.r, certified, uncertified, refusals)
-
-
-@lru_cache(maxsize=64)
-def _zero_page_entry(page: int, reasons: tuple, ok: bool) -> dict:
-    """One shared, read-only zero-differential page entry per content, which
-    reports of nearby boxes repeat: a caller keeping many keeps one copy."""
-    return {"page": page, "reasons": dict(reasons), "ok": ok}
 
 
 @dataclass
@@ -358,7 +329,7 @@ class ZeroDifferentialCertificate:
         return not self.obstructions
 
     def to_json_dict(self) -> dict:
-        return _zero_page_entry(self.page, tuple(self.reasons.items()), self.ok)
+        return {"page": self.page, "reasons": dict(self.reasons), "ok": self.ok}
 
 
 def _permanent_classes(page: Page, bd, permanent) -> Subquotient:
@@ -455,31 +426,6 @@ class RelationSpec:
     rhs: tuple = ()
 
 
-@lru_cache(maxsize=4096)
-def _relation_entry(label: str, kind: str, details: str) -> dict:
-    """One shared, read-only JSON entry per relation justification, which
-    reports of nearby boxes repeat: a caller keeping many keeps one copy."""
-    return {"label": label, "kind": kind, "details": details}
-
-
-@lru_cache(maxsize=64)
-def _lifts_table(items: tuple) -> dict:
-    """One shared, read-only generator_lifts JSON table per content.
-
-    Reports of one box repeat their generator lifts; callers that keep many
-    reports keep one copy.
-    """
-    return {
-        name: {
-            "filtration": f,
-            "weight": w,
-            "unique_equal_weight_representative": u,
-            "obstructions": list(obs),
-        }
-        for name, (f, w, u, obs) in items
-    }
-
-
 @dataclass
 class AbutmentReport:
     """Lifts, relation justifications and leftovers at E-infinity."""
@@ -507,12 +453,20 @@ class AbutmentReport:
     def to_json_dict(self) -> dict:
         return {
             "free_commutative": self.free_commutative,
-            "einf_dims": _json_table(tuple(sorted(self.einf_dims.items()))),
-            "generator_lifts": _lifts_table(tuple(
-                (name, (f, w, u, tuple(obs)))
+            "einf_dims": {f"{n},{m}": v for (n, m), v in sorted(self.einf_dims.items())},
+            "generator_lifts": {
+                name: {
+                    "filtration": f,
+                    "weight": w,
+                    "unique_equal_weight_representative": u,
+                    "obstructions": list(obs),
+                }
                 for name, (f, w, u, obs) in sorted(self.generator_lifts.items())
-            )),
-            "relations": [_relation_entry(*rel) for rel in self.relations],
+            },
+            "relations": [
+                {"label": label, "kind": kind, "details": details}
+                for label, kind, details in self.relations
+            ],
             "unresolved": list(self.unresolved),
             "beyond_truncation": list(self.beyond_truncation),
             "ok": self.ok,

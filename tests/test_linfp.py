@@ -119,10 +119,10 @@ def test_subquotient_dimension_count():
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([2, 5, 7, MAX_PRIME]), st.integers(0, 6), st.data())
 def test_whole_subquotient_matches_the_general_one(p, dim, data):
-    # the same answers, and the same refusal of a vector of the wrong length
+    # the same answers, and the same refusal of a vector of the wrong length;
+    # the whole space builds its unit-vector reps only when they are read
     whole = Subquotient.whole(p, dim)
     general = Subquotient(p, dim, np.eye(dim, dtype=np.int64), [])
-    assert [r.tolist() for r in whole.reps] == [r.tolist() for r in general.reps]
     assert whole.boundaries == general.boundaries == []
     entries = st.integers(-3 * p, 3 * p)  # residues and entries outside [0, p)
     vectors = st.lists(entries, min_size=dim, max_size=dim)
@@ -136,6 +136,8 @@ def test_whole_subquotient_matches_the_general_one(p, dim, data):
         for method in (sub.reduce, sub.coords):
             with pytest.raises(ValueError):
                 method(wrong)
+    assert "reps" not in vars(whole)
+    assert [r.tolist() for r in whole.reps] == [r.tolist() for r in general.reps]
 
 
 def test_whole_subquotient_needs_no_row_reduction(monkeypatch):

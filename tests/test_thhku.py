@@ -1,6 +1,7 @@
 import gc
 import sys
 import types
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -284,12 +285,35 @@ def held_bytes(roots) -> int:
 
 
 def test_held_reports_share_their_repeated_parts():
-    # Reports of nearby boxes repeat presentations and relation entries; a
-    # caller holding many of them keeps one copy of each (41 KB per report
-    # when every report carried its own).
+    # Reports of one box repeat their results and certificates; a caller
+    # holding many keeps one copy of each (58 KB per report when every
+    # report carried its own), and a further report of a box already held
+    # costs little more than its own step objects (about 0.8 KB).
     boxes = range(100, 108)
-    held = [reproduce_thh_ku(5, boxes[i % len(boxes)]) for i in range(40)]
-    assert held_bytes(held) / len(held) < 25 * 1024
+    held = [reproduce_thh_ku(5, boxes[i % len(boxes)]) for i in range(80)]
+    first = held_bytes(held[:40])
+    assert first / 40 < 25 * 1024
+    assert (held_bytes(held) - first) / 40 < 2 * 1024
+
+
+def test_equal_reports_share_every_result_and_certificate():
+    # the held-report sharing above rests on this: equal finished steps are
+    # one object each, and sharing changes no byte of the report
+    first, second = reproduce_thh_ku(5, 103), reproduce_thh_ku(5, 103)
+    assert first.to_json() == second.to_json()
+    for a, b in zip(first.steps, second.steps, strict=True):
+        assert a.result is b.result
+        assert len(a.certificates) == len(b.certificates)
+        assert all(x is y for x, y in zip(a.certificates, b.certificates))
+
+
+def test_step3_result_is_freed_with_its_report():
+    # no cache keyed by the candidate presentation outlives the caller's
+    # reference, nor the lift map kept on it; no other test builds the box
+    # N = 98, so this candidate is the first of its box any cache could keep
+    ref = weakref.ref(step3_v1(5, 98)[0])
+    gc.collect()
+    assert ref() is None
 
 
 GOLDEN_OMEGA = Path(__file__).parent / "data" / "omega_relations_p5_p7_p11.txt"
