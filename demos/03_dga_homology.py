@@ -39,7 +39,6 @@ for deg in range(0, 26):
 
 print()
 print("representatives in degree 12:")
-for bd, reps in sorted(H.representatives.items()):
-    if sum(bd) == 12:
-        for rep in reps:
-            print(f"  {bd}: {alg.element_str(pres, rep)}")
+for n in H.columns(12):
+    for rep in H.reps((n, 12 - n)):
+        print(f"  {(n, 12 - n)}: {alg.element_str(pres, rep)}")

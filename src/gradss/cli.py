@@ -21,7 +21,7 @@ from .dsl import ParseError, ParsedFile, parse
 from .filtered import compare_with_total_homology, exact_couple_run, random_filtered_complex
 from .homalg import BaseRing, ResourceLimit, hochschild_homology, koszul_tor
 from .linfp import SubquotientError, check_prime
-from .specseq import PageError, init_page, turn_page
+from .specseq import PageError, init_page, spec_images, turn_page
 from .thhku import PipelineError, reproduce_thh_ku
 
 
@@ -87,11 +87,8 @@ def chart_rows(parsed: ParsedFile) -> list:
     rows = []
     while True:
         if page.r in emit:
-            for bd in sorted(page.cells):
-                for i, rep in enumerate(page.cells[bd].reps, start=1):
-                    rows.append(
-                        (page.r, bd[0], bd[1], i, alg.element_str(pres, rep))
-                    )
+            for (n, m), i, rep in page.classes():
+                rows.append((page.r, n, m, i + 1, alg.element_str(pres, rep)))
         if page.r >= emit[-1]:
             break
         page = turn_page(page, by_page.get(page.r, []))
@@ -106,10 +103,9 @@ def chart_tsv(rows: list) -> str:
 def chart_svg(parsed: ParsedFile) -> str:
     """Static dot-chart of the front page with the declared differentials."""
     pres = parsed.presentation
-    page = init_page(pres)
-    cells = [(bd, len(c.reps)) for bd, c in sorted(page.cells.items()) if c.reps]
-    n_max = max((bd[0] for bd, _ in cells), default=0)
-    m_max = max((bd[1] for bd, _ in cells), default=0)
+    cells = init_page(pres).dims_by_bidegree()
+    n_max = max((n for n, _ in cells), default=0)
+    m_max = max((m for _, m in cells), default=0)
     unit = 24
     pad = 30
     width = pad * 2 + unit * (n_max + 1)
@@ -134,7 +130,7 @@ def chart_svg(parsed: ParsedFile) -> str:
             f'<line x1="{x(src[0])}" y1="{y(src[1])}" x2="{x(dst[0])}" '
             f'y2="{y(dst[1])}" stroke="red" stroke-width="1"/>'
         )
-    for (n, m), count in cells:
+    for (n, m), count in cells.items():
         parts.append(f'<circle cx="{x(n)}" cy="{y(m)}" r="3" fill="black"/>')
         if count > 1:
             parts.append(
@@ -185,14 +181,11 @@ def _cmd_homology(args) -> int:
         print("homology needs all differentials on one page", file=sys.stderr)
         return 2
     page = pages.pop() if pages else 2
-    images = {
-        spec.source_generator(pres): spec.image for spec in parsed.differentials
-    }
+    images = spec_images(pres, parsed.differentials)
     H = homology(pres, extend_derivation(pres, images, page), pres.max_degree)
     out = [f"# certified through total degree {H.cert_bound}\n"]
-    for bd in sorted(H.representatives):
-        for i, rep in enumerate(H.representatives[bd], start=1):
-            out.append(f"{bd[0]}\t{bd[1]}\t{i}\t{alg.element_str(pres, rep)}\n")
+    for (n, m), i, rep in H.classes():
+        out.append(f"{n}\t{m}\t{i + 1}\t{alg.element_str(pres, rep)}\n")
     sys.stdout.write("".join(out))
     return 0
 
@@ -279,11 +272,7 @@ def run_command(argv) -> int:
     except PipelineError as err:
         print(f"certificate failure: {err}", file=sys.stderr)
         if err.report is not None:
-            payload = (
-                err.report.to_json_dict()
-                if hasattr(err.report, "to_json_dict")
-                else err.report
-            )
+            payload = err.report.to_json_dict()
             print(json.dumps(payload, sort_keys=True, indent=2), file=sys.stderr)
         return 1
     except (PageError, DifferentialError, ResourceLimit, SubquotientError) as err:

@@ -17,6 +17,11 @@ coordinates of a class in the homology basis.  Row reduction runs only where d
 acts: a bidegree that d neither leaves nor enters is its own homology, the
 whole-space Subquotient with its monomials as representatives.
 
+Classes, shared by HomologyResult and specseq.Page, stores classes one way,
+one Subquotient per bidegree; representatives as elements are built from it
+on first read, and class counts per bidegree and per total degree (through a
+column index) read it directly.
+
 verify_presentation_iso certifies candidate/(relations) = homology degree by
 degree: relations must become boundaries, and the standard monomials (divisible
 by no relation's lex-least term), which span the quotient, must map to a basis
@@ -28,6 +33,7 @@ somewhere and is refused with a dimension mismatch, never accepted wrongly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -175,33 +181,83 @@ def element_from_coords(pres: Presentation, bd, v) -> Element:
     return Element({basis[i]: int(v[i]) for i in np.flatnonzero(v)})
 
 
+class Classes:
+    """Classes of a bigraded presentation, stored one way: `subquotients[bd]`,
+    a linfp.Subquotient in the monomial coordinates of bd.
+
+    Used by specseq.Page and HomologyResult, dataclasses with the fields
+    `pres` and `subquotients`.  Elements are built from a subquotient on the
+    first read of its reps: a whole cell's reps are its basis monomials, any
+    other cell's go through element_from_coords.
+    """
+
+    @cached_property
+    def _reps(self) -> dict:
+        return {}
+
+    @cached_property
+    def _table(self) -> dict:
+        # looked up once: a cache hit on a presentation equal to, but not the
+        # same object as, the cached key costs an __eq__
+        return alg.monomial_table(self.pres)
+
+    @cached_property
+    def _columns(self) -> dict:
+        columns = {}
+        for n, m in sorted(bd for bd, sub in self.subquotients.items() if len(sub)):
+            columns.setdefault(n + m, []).append(n)
+        return columns
+
+    def reps(self, bd) -> list:
+        """The classes at bd as elements, [] where none are stored."""
+        reps = self._reps.get(bd)
+        if reps is None:
+            sub = self.subquotients.get(bd)
+            if sub is None:
+                reps = []
+            elif sub.is_whole:
+                reps = [Element({mono: 1}) for mono in self._table[bd]]
+            else:
+                reps = [element_from_coords(self.pres, bd, v) for v in sub.reps]
+            self._reps[bd] = reps
+        return reps
+
+    def classes(self):
+        """(bd, index, rep) for every class, in bidegree order."""
+        for bd in sorted(self.subquotients):
+            for i, rep in enumerate(self.reps(bd)):
+                yield bd, i, rep
+
+    def dim(self, bd) -> int:
+        sub = self.subquotients.get(bd)
+        return 0 if sub is None else len(sub)
+
+    def dims_by_bidegree(self) -> dict:
+        return {bd: len(sub) for bd, sub in sorted(self.subquotients.items()) if len(sub)}
+
+    def dim_total(self, d: int) -> int:
+        return sum(len(self.subquotients[n, d - n]) for n in self.columns(d))
+
+    def columns(self, d: int) -> list:
+        """Sorted columns n of the nonzero cells (n, d - n), indexed once."""
+        return self._columns.get(d, [])
+
+
 @dataclass
-class HomologyResult:
+class HomologyResult(Classes):
     """Degreewise homology of (presentation, derivation).
 
     subquotients[bd] is the kernel of d modulo its image in the monomial
-    coordinates of bd, and representatives[bd] are its reps as elements,
-    actual cycles.  Results are certified up to total degree cert_bound
-    = N - 1, since boundaries out of degree N + 1 are invisible.
+    coordinates of bd; its reps, read as elements, are actual cycles.
+    Results are certified up to total degree cert_bound = N - 1, since
+    boundaries out of degree N + 1 are invisible.
     """
 
     pres: Presentation
     derivation: Derivation
     max_degree: int
     cert_bound: int
-    representatives: dict
     subquotients: dict
-
-    def dim(self, bd) -> int:
-        return len(self.representatives.get(bd, []))
-
-    def dims_by_bidegree(self) -> dict:
-        return {bd: len(reps) for bd, reps in sorted(self.representatives.items()) if reps}
-
-    def dim_total(self, d: int) -> int:
-        return sum(
-            len(reps) for (n, m), reps in self.representatives.items() if n + m == d
-        )
 
     def homology_coords(self, el: Element) -> np.ndarray:
         """Coordinates of a cycle in the homology basis of its bidegree.
@@ -241,13 +297,12 @@ def homology(pres: Presentation, d: Derivation, n_max: int) -> HomologyResult:
             f"d^2 != 0 on {alg.monomial_str(pres, mono)}: {alg.element_str(pres, img)}"
         )
     table = alg.monomial_table(pres)
-    reps: dict = {}
     subs: dict = {}
     for bd in sorted(table):
         n, m = bd
         if n + m > n_max:
             continue
-        basis = table[bd]
+        dim = len(table[bd])
         mat = d_matrix(d, bd)
         # boundaries: the nonzero columns of d out of one shift up
         source = (n + d.page, m - d.page + 1)
@@ -255,17 +310,14 @@ def homology(pres: Presentation, d: Derivation, n_max: int) -> HomologyResult:
         if source in table:
             incoming = d_matrix(d, source)
             bvecs = [incoming[:, j] for j in np.flatnonzero(incoming.any(axis=0))]
-        if not mat.any() and not bvecs:
-            subs[bd] = Subquotient.whole(pres.p, len(basis))
-            reps[bd] = [Element({mono: 1}) for mono in basis]
-            continue
         if mat.any():
-            cycles = kernel_basis(FpMatrix(pres.p, mat))
+            sub = Subquotient(pres.p, dim, kernel_basis(FpMatrix(pres.p, mat)), bvecs)
+        elif bvecs:
+            sub = Subquotient(pres.p, dim, np.eye(dim, dtype=np.int64), bvecs)
         else:
-            cycles = list(np.eye(len(basis), dtype=np.int64))
-        subs[bd] = Subquotient(pres.p, len(basis), cycles, bvecs)
-        reps[bd] = [element_from_coords(pres, bd, v) for v in subs[bd].reps]
-    return HomologyResult(pres, d, n_max, n_max - 1, reps, subs)
+            sub = Subquotient.whole(pres.p, dim)
+        subs[bd] = sub
+    return HomologyResult(pres, d, n_max, n_max - 1, subs)
 
 
 @dataclass
@@ -394,7 +446,7 @@ def verify_presentation_iso(
 
     # the standard monomials must map to a basis of the homology
     standard = alg.standard_monomials(candidate, leads, bound)
-    hom_bds = {bd for bd, reps in H.representatives.items() if reps}
+    hom_bds = set(H.dims_by_bidegree())
     surj_failures = []
     dim_mismatches = []
     for bd in sorted(bd for bd in set(standard) | hom_bds if sum(bd) <= bound):

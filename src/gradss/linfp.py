@@ -268,9 +268,10 @@ class Subquotient:
 
     The echelon forms behind reduce, contains and coords are built on first
     use.  The whole space with no boundaries, span(e_1..e_dim) / 0, is
-    Subquotient.whole: its reps are the unit vectors, built on first read,
-    and every vector is its own normal form and its own coordinates, so it
-    needs no echelon form and no arithmetic beyond reducing mod p.
+    Subquotient.whole, and `is_whole` says so: its reps are the unit vectors,
+    built on first read (len counts them without building them), and every
+    vector is its own normal form and its own coordinates, so it needs no
+    echelon form and no arithmetic beyond reducing mod p.
     """
 
     def __init__(self, p: int, dim: int, cycles, boundaries):
@@ -283,7 +284,7 @@ class Subquotient:
         picks = _independent(p, dim, bnd + cycles)
         self.boundaries = [bnd[i] for i in picks if i < len(bnd)]
         self.reps = [cycles[i - len(bnd)] for i in picks if i >= len(bnd)]
-        self._whole = False
+        self.is_whole = False
         self._boundary_echelon = None
         self._solver = None
 
@@ -294,8 +295,12 @@ class Subquotient:
         sub.p = p
         sub.dim = dim
         sub.boundaries = []
-        sub._whole = True
+        sub.is_whole = True
         return sub
+
+    def __len__(self) -> int:
+        """The number of reps, the dimension of the subquotient."""
+        return self.dim if self.is_whole else len(self.reps)
 
     @cached_property
     def reps(self) -> list:
@@ -312,7 +317,7 @@ class Subquotient:
     def reduce(self, v: np.ndarray) -> np.ndarray:
         """The normal form of v modulo the boundaries: zero at their pivots."""
         v = self._residues(v)
-        if self._whole:
+        if self.is_whole:
             return v
         if self._boundary_echelon is None:
             rows = stack_rows(self.boundaries, self.dim)
@@ -326,7 +331,7 @@ class Subquotient:
         None when v is not in span(reps + boundaries).
         """
         v = self._residues(v)
-        if self._whole:
+        if self.is_whole:
             return v
         if self._solver is None:
             # [basis | I] row reduced: echelon rows T @ basis, and T itself.

@@ -1,12 +1,12 @@
 """Multiplicative first-quadrant spectral sequence engine over F_p.
 
-A page stores, per bidegree, surviving classes as elements of the fixed
-E2-monomial basis together with the boundary subspace accumulated by earlier
-differentials; as vectors, each cell is a linfp.Subquotient, which reduces
-elements modulo the boundaries and gives class coordinates.  Products of
-classes are computed by multiplying their representatives in the E2 algebra
-and reducing modulo those boundaries, so the multiplicative structure stays
-effective on every page.
+A page is one linfp.Subquotient per bidegree (dga.Classes): the surviving
+classes modulo the boundaries accumulated by earlier differentials, in the
+coordinates of the fixed E2-monomial basis.  It reduces elements modulo the
+boundaries and gives class coordinates; the classes as elements are built
+from it on first read.  Products of classes are computed by multiplying their
+representatives in the E2 algebra and reducing modulo those boundaries, so
+the multiplicative structure stays effective on every page.
 
 Differentials are only accepted on algebra generators of the E2 presentation
 and are extended by the Leibniz rule with the sign (-1)^{n+m} on the right
@@ -25,20 +25,20 @@ Collapse certification is conservative.  A class is certified permanent only
 with explicit evidence (all outgoing targets empty, or the whole column to
 the left of the page index), and classes within reach of the truncation
 boundary are reported as uncertified rather than assumed to survive.  Collapse
-and abutment find the occupied cells of a total degree in a per-page column
-index, Page.columns, instead of scanning every column.
+and abutment read class counts, and find the occupied cells of a total degree
+in a per-page column index, Page.columns, instead of scanning every column.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra as alg
 from .algebra import Element, Presentation, ZERO
-from .dga import coords, d_element, d_matrix, element_from_coords, extend_derivation
+from .dga import Classes, coords, d_element, d_matrix, element_from_coords, extend_derivation
 from .linfp import FpMatrix, Subquotient, kernel_basis, matmul, stack_rows
 
 
@@ -66,66 +66,21 @@ class DifferentialSpec:
 
 
 @dataclass
-class Cell:
-    reps: list       # surviving classes, as E2-monomial elements
-    boundaries: list  # accumulated boundary basis, same coordinates
-
-
-@dataclass
-class Page:
+class Page(Classes):
     """One page of the spectral sequence, an immutable snapshot by convention."""
 
     pres: Presentation
     r: int
     cert_bound: int
-    cells: dict = field(default_factory=dict)
-    _subquotients: dict = field(default_factory=dict, repr=False)
-    _columns: dict | None = field(default=None, repr=False, compare=False)
-
-    def cell(self, bd) -> Cell:
-        return self.cells.get(bd, Cell([], []))
-
-    def dim(self, bd) -> int:
-        return len(self.cell(bd).reps)
-
-    def dims_by_bidegree(self) -> dict:
-        return {bd: len(c.reps) for bd, c in sorted(self.cells.items()) if c.reps}
-
-    def dim_total(self, d: int) -> int:
-        return sum(len(self.cells[n, d - n].reps) for n in self.columns(d))
-
-    def columns(self, d: int) -> list:
-        """Sorted columns n of the nonzero cells (n, d - n), indexed once per page."""
-        if self._columns is None:
-            self._columns = {}
-            for n, m in sorted(bd for bd, c in self.cells.items() if c.reps):
-                self._columns.setdefault(n + m, []).append(n)
-        return self._columns.get(d, [])
-
-    def classes(self):
-        for bd in sorted(self.cells):
-            for i, rep in enumerate(self.cells[bd].reps):
-                yield bd, i, rep
+    subquotients: dict
 
     def subquotient(self, bd) -> Subquotient:
-        """The cell at bd in the monomial coordinates of bd: reps modulo boundaries.
-
-        An E2 cell, its basis monomials in order and no boundaries, is the
-        whole space and needs no row reduction.
-        """
-        if bd not in self._subquotients:
-            cell = self.cell(bd)
-            basis = alg.basis_in_bidegree(self.pres, bd)
-            if not cell.boundaries and len(cell.reps) == len(basis) and all(
-                rep.coeffs == {mono: 1} for rep, mono in zip(cell.reps, basis)
-            ):
-                sub = Subquotient.whole(self.pres.p, len(basis))
-            else:
-                bnd = [coords(self.pres, bd, b) for b in cell.boundaries]
-                cycles = [coords(self.pres, bd, x) for x in cell.reps] + bnd
-                sub = Subquotient(self.pres.p, len(basis), cycles, bnd)
-            self._subquotients[bd] = sub
-        return self._subquotients[bd]
+        """The cell at bd, its classes modulo its boundaries, in the monomial
+        coordinates of bd; zero where the page stores no cell."""
+        sub = self.subquotients.get(bd)
+        if sub is None:
+            sub = Subquotient(self.pres.p, len(alg.basis_in_bidegree(self.pres, bd)), [], [])
+        return sub
 
     def reduce(self, el: Element) -> Element:
         """Canonical representative of el modulo the accumulated boundaries."""
@@ -156,15 +111,31 @@ class Page:
             return False
 
 
+def spec_images(pres: Presentation, specs: list) -> dict:
+    """{source generator name: image} of the specs with a nonzero image.
+
+    Raises PageError when two of them name one generator.
+    """
+    images = {}
+    for spec in specs:
+        if not spec.image:
+            continue
+        name = spec.source_generator(pres)
+        if name in images:
+            raise PageError(f"two differentials on generator {name}")
+        images[name] = spec.image
+    return images
+
+
 def init_page(pres: Presentation, n_max: int | None = None) -> Page:
     """E2: every admissible monomial is its own class, no boundaries yet."""
     bound = pres.max_degree if n_max is None else min(n_max, pres.max_degree)
-    cells = {}
-    for bd, monos in alg.monomial_table(pres).items():
-        if sum(bd) > bound:
-            continue
-        cells[bd] = Cell([Element({m: 1}) for m in monos], [])
-    return Page(pres, 2, bound, cells)
+    subs = {
+        bd: Subquotient.whole(pres.p, len(monos))
+        for bd, monos in alg.monomial_table(pres).items()
+        if sum(bd) <= bound
+    }
+    return Page(pres, 2, bound, subs)
 
 
 def turn_page(page: Page, specs: list) -> Page:
@@ -181,25 +152,21 @@ def turn_page(page: Page, specs: list) -> Page:
         if spec.page != page.r:
             raise PageError(f"spec for page {spec.page} applied on page {page.r}")
     if not live:
-        return Page(pres, page.r + 1, page.cert_bound, page.cells, page._subquotients)
+        return Page(pres, page.r + 1, page.cert_bound, page.subquotients)
 
     r = page.r
-    images = {}
     for spec in live:
         name = spec.source_generator(pres)
         if not page.is_surviving(spec.source):
             raise PageError(f"differential source {name} is not alive on page {r}")
-        if name in images:
-            raise PageError(f"two differentials on generator {name}")
-        images[name] = spec.image
-    d = extend_derivation(pres, images, r)
+    d = extend_derivation(pres, spec_images(pres, live), r)
     p = pres.p
 
     # soundness: d maps boundaries to boundaries and squares to zero; the
     # images of each cell's classes and their class coordinates are kept
     rep_images = {}  # bd -> rows d(rep), in the monomial coordinates of the target
     kernels = {}     # bd -> surviving combinations of the reps, where d is nonzero
-    for bd in sorted(page.cells):
+    for bd in sorted(page.subquotients):
         mat = d_matrix(d, bd)
         if not mat.any():
             continue
@@ -235,9 +202,8 @@ def turn_page(page: Page, specs: list) -> Page:
         kernels[bd] = matmul(stack_rows(kernel, len(cols)), reps, p)
 
     # a cell that d neither leaves nor enters carries over unchanged
-    new_cells = dict(page.cells)
-    new_subquotients = dict(page._subquotients)
-    for bd in sorted(page.cells):
+    new_subquotients = dict(page.subquotients)
+    for bd in sorted(page.subquotients):
         n, m = bd
         # new boundaries: the old ones plus images from one shift up; the
         # old boundaries stay cycles too
@@ -245,17 +211,13 @@ def turn_page(page: Page, specs: list) -> Page:
         if bd not in kernels and not incoming:
             continue
         sub = page.subquotient(bd)
-        new = new_subquotients[bd] = Subquotient(
+        new_subquotients[bd] = Subquotient(
             p,
             sub.dim,
             [*kernels.get(bd, sub.reps), *sub.boundaries],
             list(sub.boundaries) + incoming,
         )
-        new_cells[bd] = Cell(
-            [element_from_coords(pres, bd, v) for v in new.reps],
-            [element_from_coords(pres, bd, v) for v in new.boundaries],
-        )
-    return Page(pres, r + 1, page.cert_bound - 1, new_cells, new_subquotients)
+    return Page(pres, r + 1, page.cert_bound - 1, new_subquotients)
 
 
 @dataclass
@@ -293,9 +255,9 @@ def certify_collapse(page: Page) -> CollapseCertificate:
     uncertified = []
     refusals = []
     survival_bound = page.cert_bound - 1
-    for bd in sorted(page.cells):
+    for bd, sub in sorted(page.subquotients.items()):
         n, m = bd
-        classes = range(len(page.cells[bd].reps))
+        classes = range(len(sub))
         if not classes:
             continue
         if n + m > survival_bound:
@@ -405,7 +367,7 @@ def infer_forced_differentials(
         source = (n + r, m - r + 1)
         if sum(source) > page.cert_bound:
             continue
-        for rep in page.cell(source).reps:
+        for rep in page.reps(source):
             if not is_permanent(rep):
                 candidates.append((r, rep))
     return candidates
@@ -518,7 +480,7 @@ def assemble_abutment(
         obstructions = []
         for n2 in _lower_columns(einf, n + m, n):
             other = (n2, n + m - n2)
-            for rep in einf.cells[other].reps:
+            for rep in einf.reps(other):
                 wr = alg.weight_of_element(pres, rep)
                 if wr is None or wr == w:
                     obstructions.append(
@@ -582,7 +544,7 @@ def assemble_abutment(
         obstructions = []
         for n2 in _lower_columns(einf, deg, filt):
             other = (n2, deg - n2)
-            for rep in einf.cells[other].reps:
+            for rep in einf.reps(other):
                 obstructions.append((other, rep))
         if not obstructions:
             resolved.append((rel.label, "strict-lift", "no lower-filtration classes"))
@@ -617,10 +579,7 @@ def check_leibniz(page: Page, specs: list) -> list:
     An empty list certifies the Leibniz rule for this page's differential.
     """
     pres = page.pres
-    images = {}
-    for spec in specs:
-        if spec.image:
-            images[spec.source_generator(pres)] = spec.image
+    images = spec_images(pres, specs)
     d = extend_derivation(pres, images, page.r) if images else None
 
     def dd(el: Element) -> Element:

@@ -421,14 +421,6 @@ def full_basis_count(p: int, d: int) -> int:
     return out
 
 
-def _totals(dims: dict) -> dict:
-    """{d: summed dims over the bidegrees (n, m) with n + m = d}."""
-    out = {}
-    for (n, m), v in dims.items():
-        out[n + m] = out.get(n + m, 0) + v
-    return out
-
-
 def _require_step3_box(p: int, N: int):
     """Refuse a box too small for the largest abutment generator, mu2."""
     if N < 2 * p * p + 2:
@@ -508,11 +500,7 @@ def step3_v1(p: int, N: int = 100):
     deriv = extend_derivation(pres, {"m1": must_die}, r_forced)
     H = homology(pres, deriv, N)
     bound = min(H.cert_bound, einf.cert_bound)
-    h_totals = _totals(H.dims_by_bidegree())
-    einf_totals = _totals(einf.dims_by_bidegree())
-    cross = all(
-        h_totals.get(d, 0) == einf_totals.get(d, 0) for d in range(bound + 1)
-    )
+    cross = all(H.dim_total(d) == einf.dim_total(d) for d in range(bound + 1))
     report.certificates.append(
         {"kind": "dga-cross-check", "bound": bound, "ok": cross}
     )

@@ -23,7 +23,7 @@ import numpy as np
 from gradss import algebra as alg
 from gradss import dga, filtered
 from gradss.filtered import SSRun
-from gradss.specseq import Cell, CollapseCertificate, Page, PageError
+from gradss.specseq import CollapseCertificate, Page, PageError
 from gradss.linfp import FpMatrix, Subquotient, kernel_basis, matmul, rank
 
 
@@ -249,8 +249,9 @@ def reference_check_d_squared(d, n_max):
 def reference_homology(pres, d, n_max):
     """dga.homology with a kernel and a checked Subquotient in every bidegree,
     d^2 = 0 checked by reference_check_d_squared through degree n_max + 1 (the
-    sources of the boundaries) and every representative built by the
-    homogeneity-checking algebra.element."""
+    sources of the boundaries) and every representative built up front by the
+    homogeneity-checking algebra.element.  Returns the HomologyResult and
+    those representatives, {bd: list of elements}."""
     if n_max > pres.max_degree:
         raise alg.BeyondTruncation(n_max, pres.max_degree)
     bad = reference_check_d_squared(d, n_max + 1)
@@ -278,7 +279,7 @@ def reference_homology(pres, d, n_max):
         reps[n, m] = [
             alg.element(pres, {mono: int(c) for mono, c in zip(basis, v)}) for v in sub.reps
         ]
-    return dga.HomologyResult(pres, d, n_max, n_max - 1, reps, subs)
+    return dga.HomologyResult(pres, d, n_max, n_max - 1, subs), reps
 
 
 def _leibniz(d, el):
@@ -299,7 +300,7 @@ def reference_turn_page(page, specs):
         if spec.page != page.r:
             raise PageError(f"spec for page {spec.page} applied on page {page.r}")
     if not live:
-        return Page(pres, page.r + 1, page.cert_bound, page.cells, page._subquotients)
+        return Page(pres, page.r + 1, page.cert_bound, page.subquotients)
     r = page.r
     images = {}
     for spec in live:
@@ -310,13 +311,12 @@ def reference_turn_page(page, specs):
             raise PageError(f"two differentials on generator {name}")
         images[name] = spec.image
     d = dga.extend_derivation(pres, images, r)
-    for bd in sorted(page.cells):
-        cell = page.cells[bd]
-        for b in cell.boundaries:
-            img = _leibniz(d, b)
+    for bd in sorted(page.subquotients):
+        for v in page.subquotient(bd).boundaries:
+            img = _leibniz(d, dga.element_from_coords(pres, bd, v))
             if img and page.reduce(img):
                 raise PageError(f"differential does not preserve boundaries at {bd}")
-        for rep in cell.reps:
+        for rep in page.reps(bd):
             img = _leibniz(d, rep)
             if img:
                 try:
@@ -328,29 +328,24 @@ def reference_turn_page(page, specs):
                 raise PageError(
                     f"d^2 != 0 on class at {bd}: {alg.element_str(pres, page.reduce(dd))}"
                 )
-    cells = {}
-    for bd in sorted(page.cells):
+    subs = {}
+    for bd in sorted(page.subquotients):
         n, m = bd
-        cell = page.cells[bd]
         sub = page.subquotient(bd)
         reps = list(sub.reps)
         target = (n - r, m + r - 1)
-        if cell.reps and target in page.cells:
+        if page.reps(bd) and target in page.subquotients:
             tsub = page.subquotient(target)
-            cols = [tsub.coords(dga.coords(pres, target, _leibniz(d, x))) for x in cell.reps]
+            cols = [tsub.coords(dga.coords(pres, target, _leibniz(d, x))) for x in page.reps(bd)]
             kernel = kernel_basis(FpMatrix(pres.p, np.stack(cols, axis=1)))
             reps = [matmul(k, np.array(sub.reps), pres.p) for k in kernel]
         bnd = list(sub.boundaries)
-        for x in page.cell((n + r, m - r + 1)).reps:
+        for x in page.reps((n + r, m - r + 1)):
             img = _leibniz(d, x)
             if img:
                 bnd.append(dga.coords(pres, bd, img))
-        new = Subquotient(pres.p, sub.dim, reps + list(sub.boundaries), bnd)
-        cells[bd] = Cell(
-            [dga.element_from_coords(pres, bd, v) for v in new.reps],
-            [dga.element_from_coords(pres, bd, v) for v in new.boundaries],
-        )
-    return Page(pres, r + 1, page.cert_bound - 1, cells)
+        subs[bd] = Subquotient(pres.p, sub.dim, reps + list(sub.boundaries), bnd)
+    return Page(pres, r + 1, page.cert_bound - 1, subs)
 
 
 def reference_certify_collapse(page):
@@ -360,11 +355,10 @@ def reference_certify_collapse(page):
     uncertified = []
     refusals = []
     survival_bound = page.cert_bound - 1
-    for bd in sorted(page.cells):
+    for bd in sorted(page.subquotients):
         n, m = bd
-        cell = page.cells[bd]
         reasons = []
-        for i in range(len(cell.reps)):
+        for i in range(page.dim(bd)):
             if n + m > survival_bound:
                 uncertified.append((n, m, i, "beyond-truncation"))
                 continue

@@ -386,8 +386,28 @@ def test_cli_fuzz_exit_codes(tmp_path_factory, smax, tmax, base, prime, top):
 
 @pytest.mark.parametrize("name", ["brunku1_p5", "brunku1_p7", "brunku2_p5", "brunku2_p7"])
 @pytest.mark.parametrize("command, suffix", [("run", "tsv"), ("homology", "txt")])
-def test_shipped_outputs_match_golden_bytes(command, suffix, name, capsys):
-    # pages and homology representatives are canonical: these bytes never change
-    golden = Path(__file__).parent / "data" / f"{command}_{name}.{suffix}"
-    assert run_command([command, str(files("gradss") / "data" / f"{name}.ss")]) == 0
-    assert capsys.readouterr().out.encode() == golden.read_bytes()
+def test_shipped_outputs_match_golden_bytes(command, suffix, name, capsys, tmp_path):
+    # pages, dot-charts and homology representatives are canonical: these
+    # bytes never change
+    golden = Path(__file__).parent / "data" / f"{command}_{name}"
+    argv = [command, str(files("gradss") / "data" / f"{name}.ss")]
+    svg = tmp_path / "chart.svg"
+    if command == "run":
+        argv += ["--svg", str(svg)]
+    assert run_command(argv) == 0
+    assert capsys.readouterr().out.encode() == golden.with_suffix(f".{suffix}").read_bytes()
+    if command == "run":
+        assert svg.read_bytes() == golden.with_suffix(".svg").read_bytes()
+
+
+def test_run_and_homology_refuse_two_differentials_on_one_generator(tmp_path, capsys):
+    src = tmp_path / "twice.ss"
+    src.write_text(
+        "prime 5\nmaxdeg 8\nalgebra A {\n gen x poly bideg 2 0\n"
+        " gen y ext bideg 0 1\n gen z ext bideg 0 1\n}\nd 2 x -> y\nd 2 x -> z\n"
+    )
+    for command in ("run", "homology"):
+        assert run_command([command, str(src)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "certificate failure: two differentials on generator x\n"
+        assert not captured.out

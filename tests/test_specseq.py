@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from gradss import algebra as alg
 from gradss.algebra import Presentation, element, ext, monomial_element, poly, trunc
-from gradss import filtered
-from gradss.dga import extend_derivation, homology
+from gradss import dga, filtered, linfp, specseq
+from gradss.dga import coords, element_from_coords, extend_derivation, homology
 from gradss.filtered import (
     FilteredComplex,
     compare_with_total_homology,
@@ -15,10 +15,10 @@ from gradss.filtered import (
     random_filtered_complex,
     realize_filtered_dga,
 )
-from gradss.linfp import SubquotientError
+from gradss.linfp import Subquotient, SubquotientError
 from gradss.specseq import (
-    Cell,
     DifferentialSpec,
+    Page,
     PageError,
     RelationSpec,
     assemble_abutment,
@@ -60,14 +60,13 @@ def run_brunku2(p=5, N=60):
 def test_init_page_brunku1_lambda_position():
     pres = relative_e2(5, 60)
     page = init_page(pres)
-    cell = page.cell((9, 0))
-    assert [alg.element_str(pres, r) for r in cell.reps] == ["l1"]
+    assert [alg.element_str(pres, r) for r in page.reps((9, 0))] == ["l1"]
 
 
 def test_init_page_brunku2_u_position():
     pres = absolute_e2(5, 60)
     page = init_page(pres)
-    assert [alg.element_str(pres, r) for r in page.cell((0, 2)).reps] == ["u"]
+    assert [alg.element_str(pres, r) for r in page.reps((0, 2))] == ["u"]
 
 
 def test_init_page_empty_presentation():
@@ -120,14 +119,36 @@ def test_turn_page_rejects_non_generator_source():
         turn_page(page, [bad])
 
 
+def test_pages_and_homology_build_no_element_until_a_rep_is_read(monkeypatch):
+    # brunku2 at p = 5: E2, its turns up to d_7(m1) = u^3 su, and the DGA
+    # homology of the same differential store subquotients only
+    built = []
+
+    def counted(fn):
+        def wrapped(*args):
+            built.append(fn.__name__)
+            return fn(*args)
+        return wrapped
+
+    for module in (dga, specseq):
+        monkeypatch.setattr(module, "element_from_coords", counted(module.element_from_coords))
+        monkeypatch.setattr(module, "Element", counted(module.Element))
+    pres, _, spec, after = run_brunku2(5, 60)
+    H = homology(pres, extend_derivation(pres, {"m1": spec.image}, spec.page), 60)
+    assert after.dims_by_bidegree() == H.dims_by_bidegree() and not built
+    for classes in (after, H):
+        assert [alg.element_str(pres, x) for x in classes.reps((0, 2))] == ["u"]
+    assert built == ["Element", "Element"]
+
+
 def test_turned_page_matches_direct_homology():
     p = 5
     pres, d = intro_dga(p, 60)
     H = homology(pres, d, 60)
     _, _, _, after = run_brunku2(p, 60)
-    for bd, reps in after.cells.items():
+    for bd in after.subquotients:
         if sum(bd) <= after.cert_bound:
-            assert len(reps.reps) == H.dim(bd), bd
+            assert after.dim(bd) == H.dim(bd), bd
 
 
 # ---------------------------------------------------------------- collapse
@@ -167,9 +188,9 @@ def turned(turn, page, specs):
         return str(err)
     pres = page.pres
     return nxt.r, nxt.cert_bound, [
-        (bd, [alg.element_str(pres, x) for x in c.reps],
-         [alg.element_str(pres, x) for x in c.boundaries])
-        for bd, c in sorted(nxt.cells.items())
+        (bd, [alg.element_str(pres, x) for x in nxt.reps(bd)],
+         [alg.element_str(pres, element_from_coords(pres, bd, v)) for v in sub.boundaries])
+        for bd, sub in sorted(nxt.subquotients.items())
     ]
 
 
@@ -215,7 +236,7 @@ def test_second_live_turn_keeps_the_old_boundaries_as_cycles():
     spec = DifferentialSpec(
         4, monomial_element(pres, {"b": 1}), monomial_element(pres, {"x": 2})
     )
-    assert page.cell((0, 4)).boundaries and not page.cell((0, 4)).reps
+    assert page.subquotient((0, 4)).boundaries and not page.reps((0, 4))
     nxt = turn_page(page, [spec])
     assert nxt.dims_by_bidegree() == page.dims_by_bidegree()
     assert turned(turn_page, page, [spec]) == turned(reference_turn_page, page, [spec])
@@ -664,8 +685,8 @@ def test_turn_page_rejects_a_boundary_whose_image_survives():
     # d_2(x) = y sends the boundary x z to y z, a class no boundary kills
     pres = Presentation(5, (poly("x", (2, 0)), ext("y", (0, 1)), ext("z", (1, 0))), 6)
     page = init_page(pres)
-    xz = monomial_element(pres, {"x": 1, "z": 1})
-    page.cells[(3, 0)] = Cell([], [xz])
+    xz = coords(pres, (3, 0), monomial_element(pres, {"x": 1, "z": 1}))
+    page.subquotients[(3, 0)] = Subquotient(5, len(xz), [xz], [xz])
     spec = DifferentialSpec(
         2, monomial_element(pres, {"x": 1}), monomial_element(pres, {"y": 1})
     )
@@ -674,18 +695,24 @@ def test_turn_page_rejects_a_boundary_whose_image_survives():
         turn_page(page, [spec])
 
 
-def test_page_subquotient_is_the_whole_space_only_for_an_e2_cell():
+def test_page_takes_coordinates_in_its_stored_subquotients(monkeypatch):
     # bidegree (1, 0) holds b, a in lex order: E2 takes coordinates in them without
-    # row reduction; a cell with other reps or a boundary is reduced from them
+    # row reduction; a page built from other subquotients takes them in those
     pres = Presentation(5, (ext("a", (1, 0)), ext("b", (1, 0))), 2)
     a, b = (monomial_element(pres, {g: 1}) for g in "ab")
-    assert init_page(pres).class_coords(a).tolist() == [0, 1]
-    page = init_page(pres)
-    page.cells[(1, 0)] = Cell([alg.add(pres, a, b), b], [])
+
+    def refused(m, p):
+        raise AssertionError("row reduction on an E2 cell")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linfp, "_rref_inplace", refused)
+        assert init_page(pres).class_coords(a).tolist() == [0, 1]
+    va, vb = (coords(pres, (1, 0), x) for x in (a, b))
+    page = Page(pres, 2, 2, {(1, 0): Subquotient(5, 2, [va + vb, vb], [])})
     assert page.class_coords(a).tolist() == [1, 4]
-    page = init_page(pres)
-    page.cells[(1, 0)] = Cell([b, a], [b])
+    page = Page(pres, 2, 2, {(1, 0): Subquotient(5, 2, [vb, va], [vb])})
     assert not page.reduce(b)
+    assert page.class_coords(a).tolist() == [1]
 
 
 def test_turn_page_rejects_an_image_that_is_no_class():

@@ -204,7 +204,7 @@ def test_step3_expands_each_monomial_once_and_reads_each_cell_once(monkeypatch):
 
     monkeypatch.setattr(dga, "d_monomial", counted_expansion)
     monkeypatch.setattr(specseq.Page, "dim", counted_read("dim", specseq.Page.dim))
-    monkeypatch.setattr(specseq.Page, "cell", counted_read("cell", specseq.Page.cell))
+    monkeypatch.setattr(specseq.Page, "reps", counted_read("reps", specseq.Page.reps))
     monkeypatch.setattr(thhku, "certify_collapse", counted_collapse)
     _, report = step3_v1(5, 103)
     assert report.certificates[-1]["ok"]
