@@ -10,6 +10,7 @@ satisfies any positive bound).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -25,7 +26,10 @@ from .specseq import PageError, init_page, spec_images, turn_page
 from .thhku import PipelineError, reproduce_thh_ku
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    parsing leaves it unchanged, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="gradss",
         description="graded-algebra and spectral-sequence computations over F_p",

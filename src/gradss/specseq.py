@@ -74,20 +74,12 @@ class Page(Classes):
     cert_bound: int
     subquotients: dict
 
-    def subquotient(self, bd) -> Subquotient:
-        """The cell at bd, its classes modulo its boundaries, in the monomial
-        coordinates of bd; zero where the page stores no cell."""
-        sub = self.subquotients.get(bd)
-        if sub is None:
-            sub = Subquotient(self.pres.p, len(alg.basis_in_bidegree(self.pres, bd)), [], [])
-        return sub
-
     def reduce(self, el: Element) -> Element:
         """Canonical representative of el modulo the accumulated boundaries."""
         if not el:
             return ZERO
         bd = alg.bidegree_of(self.pres, el)
-        v = self.subquotient(bd).reduce(coords(self.pres, bd, el))
+        v = self.subquotients[bd].reduce(coords(self.pres, bd, el))
         return element_from_coords(self.pres, bd, v)
 
     def class_coords(self, el: Element) -> np.ndarray:
@@ -99,7 +91,7 @@ class Page(Classes):
         if not el:
             return np.zeros(0, dtype=np.int64)
         bd = alg.bidegree_of(self.pres, el)
-        x = self.subquotient(bd).coords(coords(self.pres, bd, el))
+        x = self.subquotients[bd].coords(coords(self.pres, bd, el))
         if x is None:
             raise PageError("element is not a class on this page")
         return x
@@ -127,15 +119,13 @@ def spec_images(pres: Presentation, specs: list) -> dict:
     return images
 
 
-def init_page(pres: Presentation, n_max: int | None = None) -> Page:
+def init_page(pres: Presentation) -> Page:
     """E2: every admissible monomial is its own class, no boundaries yet."""
-    bound = pres.max_degree if n_max is None else min(n_max, pres.max_degree)
     subs = {
         bd: Subquotient.whole(pres.p, len(monos))
         for bd, monos in alg.monomial_table(pres).items()
-        if sum(bd) <= bound
     }
-    return Page(pres, 2, bound, subs)
+    return Page(pres, 2, pres.max_degree, subs)
 
 
 def turn_page(page: Page, specs: list) -> Page:
@@ -170,10 +160,10 @@ def turn_page(page: Page, specs: list) -> Page:
         mat = d_matrix(d, bd)
         if not mat.any():
             continue
-        sub = page.subquotient(bd)
+        sub = page.subquotients[bd]
         target = d.target(bd)
         for v in matmul(stack_rows(sub.boundaries, sub.dim), mat.T, p):
-            if v.any() and page.subquotient(target).reduce(v).any():
+            if v.any() and page.subquotients[target].reduce(v).any():
                 raise PageError(
                     f"differential does not preserve boundaries at {bd}"
                 )
@@ -181,7 +171,7 @@ def turn_page(page: Page, specs: list) -> Page:
         img = rep_images[bd] = matmul(reps, mat.T, p)
         if not img.any():
             continue
-        tsub = page.subquotient(target)
+        tsub = page.subquotients[target]
         target2 = d.target(target)
         cols = []
         for v, dd in zip(img, matmul(img, d_matrix(d, target).T, p)):
@@ -191,7 +181,7 @@ def turn_page(page: Page, specs: list) -> Page:
                     f"differential image of a class at {bd} leaves the page"
                 )
             cols.append(x)
-            dd = page.subquotient(target2).reduce(dd) if dd.any() else dd
+            dd = page.subquotients[target2].reduce(dd) if dd.any() else dd
             if dd.any():
                 raise PageError(
                     f"d^2 != 0 on class at {bd}: "
@@ -210,7 +200,7 @@ def turn_page(page: Page, specs: list) -> Page:
         incoming = [v for v in rep_images.get((n + r, m - r + 1), ()) if v.any()]
         if bd not in kernels and not incoming:
             continue
-        sub = page.subquotient(bd)
+        sub = page.subquotients[bd]
         new_subquotients[bd] = Subquotient(
             p,
             sub.dim,
@@ -297,7 +287,7 @@ class ZeroDifferentialCertificate:
 def _permanent_classes(page: Page, bd, permanent) -> Subquotient:
     """The classes of `permanent` that lie at bd, modulo the boundaries there."""
     pres = page.pres
-    cell = page.subquotient(bd)
+    cell = page.subquotients[bd]
     perm = [
         coords(pres, bd, el)
         for el in permanent
@@ -333,7 +323,7 @@ def certify_zero_differentials(page: Page, permanent: list = ()) -> ZeroDifferen
             continue
         # every class in the target must be a recorded permanent cycle
         known = _permanent_classes(page, target, permanent)
-        if all(known.contains(v) for v in page.subquotient(target).reps):
+        if all(known.contains(v) for v in page.subquotients[target].reps):
             reasons[g.name] = "target-permanent"
         else:
             obstructions.append((g.name, target))

@@ -226,12 +226,14 @@ def relative_e2(p: int, N: int, su_degree: int = 3) -> Presentation:
     )
 
 
-def step2_v0(p: int, N: int = 100):
-    """The relative run: full E2 collapse, free-commutative abutment."""
-    _require_prime(p)
+def step2_v0(tor_pres: Presentation, N: int = 100):
+    """The relative run: full E2 collapse, free-commutative abutment.
+
+    tor_pres is step 1's presentation; su sits in the rows at its degree.
+    """
+    p = tor_pres.p
     if N < 2 * p + 2:
         raise ValueError(f"max degree {N} too small for p = {p}: need {2 * p + 2}")
-    tor_pres, _ = step1_tor(p)
     (su_gen,) = tor_pres.generators
     pres = relative_e2(p, N, su_gen.total_degree)
     page = init_page(pres)
@@ -564,5 +566,6 @@ def reproduce_thh_ku(p: int, N: int = 100) -> PipelineReport:
     """
     _require_prime(p)
     _require_step3_box(p, N)
-    steps = [step1_tor(p)[1], step2_v0(p, N)[1], step3_v1(p, N)[1]]
+    tor_pres, tor_report = step1_tor(p)
+    steps = [tor_report, step2_v0(tor_pres, N)[1], step3_v1(p, N)[1]]
     return PipelineReport(p, N, [_share_content(s) for s in steps])

@@ -312,7 +312,7 @@ def reference_turn_page(page, specs):
         images[name] = spec.image
     d = dga.extend_derivation(pres, images, r)
     for bd in sorted(page.subquotients):
-        for v in page.subquotient(bd).boundaries:
+        for v in page.subquotients[bd].boundaries:
             img = _leibniz(d, dga.element_from_coords(pres, bd, v))
             if img and page.reduce(img):
                 raise PageError(f"differential does not preserve boundaries at {bd}")
@@ -331,11 +331,11 @@ def reference_turn_page(page, specs):
     subs = {}
     for bd in sorted(page.subquotients):
         n, m = bd
-        sub = page.subquotient(bd)
+        sub = page.subquotients[bd]
         reps = list(sub.reps)
         target = (n - r, m + r - 1)
         if page.reps(bd) and target in page.subquotients:
-            tsub = page.subquotient(target)
+            tsub = page.subquotients[target]
             cols = [tsub.coords(dga.coords(pres, target, _leibniz(d, x))) for x in page.reps(bd)]
             kernel = kernel_basis(FpMatrix(pres.p, np.stack(cols, axis=1)))
             reps = [matmul(k, np.array(sub.reps), pres.p) for k in kernel]

@@ -33,6 +33,7 @@ from gradss.thhku import (
     absolute_e2,
     basis_formula_count,
     full_basis_count,
+    step1_tor,
     step2_v0,
     step3_v1,
 )
@@ -60,7 +61,7 @@ def test_acceptance_step2_reproduction():
     ok = True
     for p in (5, 7):
         t0 = time.perf_counter()
-        result, report = step2_v0(p, 102)
+        result, report = step2_v0(step1_tor(p)[0], 102)
         elapsed = time.perf_counter() - t0
         collapse = [c for c in report.certificates if c["kind"] == "collapse"][0]
         ok &= collapse["ok"] and not collapse["refusals"]

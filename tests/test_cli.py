@@ -206,6 +206,43 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_shared_parser_answers_like_fresh_ones(capsys):
+    # the parser is built once per process; valid and invalid argv in turn
+    # must get the exit codes and messages a fresh parser gives them
+    homology = ["homology", str(files("gradss") / "data" / "brunku1_p5.ss")]
+    tor = ["tor", "--base", "zpu", "--left", "fp", "--right", "zp", "--max", "6"]
+    argvs = [
+        tor,
+        ["nonsense"],
+        homology,
+        ["tor", "--base", "zpu", "--left", "fp", "--right", "zp"],
+        ["run"],
+        tor + ["--prime", "x"],
+        ["oracle", "filtered", "--seed", "1", "--cases", "1"],
+        ["reproduce", "thh-ku", "--prime", "5"],
+        homology + ["--extra"],
+        tor,
+        ["--help"],
+        homology,
+    ]
+
+    def answers(fresh):
+        cli._build_parser.cache_clear()
+        out = []
+        for argv in argvs:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = run_command(argv)
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    shared = answers(fresh=False)
+    assert cli._build_parser.cache_info().misses == 1
+    assert shared == answers(fresh=True)
+    assert [code for code, _, _ in shared] == [0, 2, 0, 2, 2, 2, 0, 2, 2, 0, 0, 0]
+
+
 def test_reproduce_writes_report(tmp_path):
     out = tmp_path / "report.json"
     code = run_command(

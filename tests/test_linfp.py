@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gradss import linfp
 from gradss.algebra import Presentation
@@ -187,6 +188,36 @@ def test_kernel_annihilated(p, data):
     m = mat(p, rows)
     for v in kernel_basis(m):
         assert not np.any(m.entries @ v % p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([5, 7, MAX_PRIME]), st.integers(0, 14), st.integers(0, 14), st.data())
+def test_list_and_numpy_loops_reduce_alike(p, rows, cols, data):
+    # shapes from 0 x 0 to 196 entries, past the list loop's bound; both
+    # loops pick the same pivots, so they agree entry for entry
+    a = data.draw(arrays(np.int64, (rows, cols), elements=st.integers(0, p - 1)))
+    by_lists = a.tolist()
+    pivots = linfp._rref_rows(by_lists, p)
+    by_numpy = a.copy()
+    assert linfp._rref_numpy(by_numpy, p) == pivots
+    assert by_numpy.tolist() == by_lists
+
+
+def test_rref_loop_chosen_by_entry_count(monkeypatch):
+    # up to the bound on Python ints, above it on numpy rows; the bound sits
+    # where the two loops cost about the same, far from either end
+    loops = []
+    for name in ("_rref_rows", "_rref_numpy"):
+        def logged(*args, _name=name, _loop=getattr(linfp, name)):
+            loops.append(_name)
+            return _loop(*args)
+        monkeypatch.setattr(linfp, name, logged)
+    bound = linfp._LIST_CELLS
+    assert 64 <= bound <= 256
+    shapes = [(1, 1), (8, 16), (1, bound), (1, bound + 1), (16, 16), (60, 200)]
+    for rows, cols in shapes:
+        assert rank(FpMatrix(5, np.eye(rows, cols, dtype=np.int64))) == min(rows, cols)
+    assert loops == ["_rref_rows"] * 3 + ["_rref_numpy"] * 3
 
 
 @settings(max_examples=40, deadline=None)

@@ -236,7 +236,7 @@ def test_second_live_turn_keeps_the_old_boundaries_as_cycles():
     spec = DifferentialSpec(
         4, monomial_element(pres, {"b": 1}), monomial_element(pres, {"x": 2})
     )
-    assert page.subquotient((0, 4)).boundaries and not page.reps((0, 4))
+    assert page.subquotients[0, 4].boundaries and not page.reps((0, 4))
     nxt = turn_page(page, [spec])
     assert nxt.dims_by_bidegree() == page.dims_by_bidegree()
     assert turned(turn_page, page, [spec]) == turned(reference_turn_page, page, [spec])

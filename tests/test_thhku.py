@@ -51,7 +51,7 @@ def test_step1_rejects_composite():
 
 def test_step2_result_degrees():
     for p in (5, 7):
-        result, report = step2_v0(p, 60)
+        result, report = step2_v0(step1_tor(p)[0], 60)
         assert [g.total_degree for g in result.generators] == [3, 2 * p - 1, 2 * p]
         kinds = [g.kind for g in result.generators]
         assert kinds == ["exterior", "exterior", "polynomial"]
@@ -172,7 +172,21 @@ def test_reproduce_runs_step2_once(monkeypatch):
 
     monkeypatch.setattr(thhku, "step2_v0", counted)
     assert reproduce_thh_ku(5, 60).ok
-    assert calls == [(5, 60)]
+    ((tor_pres, N),) = calls
+    assert N == 60 and tor_pres == step1_tor(5)[0]
+
+
+def test_reproduce_runs_step1_once(monkeypatch):
+    # step 2 reads su's degree off the presentation step 1 returned
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return step1_tor(*args)
+
+    monkeypatch.setattr(thhku, "step1_tor", counted)
+    assert reproduce_thh_ku(5, 60).ok
+    assert calls == [(5,)]
 
 
 def test_step3_expands_each_monomial_once_and_reads_each_cell_once(monkeypatch):
