@@ -6,16 +6,17 @@ leftmost pivot, topmost row, representatives greedily chosen from the input.
 
 import numpy as np
 
-from gradss.linfp import FpMatrix, Subquotient, kernel_basis, rank, rref
+from gradss.linfp import Subquotient, kernel_basis, rank, rref
 
+# a matrix over F_p is the pair (p, a) with `a` any 2-d integer array
 p = 5
-m = FpMatrix.from_rows(p, [[2, 4, 1], [1, 2, 3], [0, 0, 2]])
-red, pivots = rref(m)
+m = np.array([[2, 4, 1], [1, 2, 3], [0, 0, 2]])
+red, pivots = rref(p, m)
 print("matrix over F_5:")
-print(m.entries)
+print(m)
 print("reduced row-echelon form (pivots", pivots, "):")
-print(red.entries)
-print("rank:", rank(m), " kernel:", [v.tolist() for v in kernel_basis(m)])
+print(red)
+print("rank:", rank(p, m), " kernel:", [v.tolist() for v in kernel_basis(p, m)])
 
 print()
 print("a subquotient: cycles e1, e2 modulo the boundary e1 + e2")

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import algebra as alg
 from .algebra import Element, Presentation, ZERO
-from .linfp import FpMatrix, Subquotient, kernel_basis, matmul, rank
+from .linfp import Subquotient, kernel_basis, matmul, rank
 
 
 class DifferentialError(ValueError):
@@ -311,7 +311,7 @@ def homology(pres: Presentation, d: Derivation, n_max: int) -> HomologyResult:
             incoming = d_matrix(d, source)
             bvecs = [incoming[:, j] for j in np.flatnonzero(incoming.any(axis=0))]
         if mat.any():
-            sub = Subquotient(pres.p, dim, kernel_basis(FpMatrix(pres.p, mat)), bvecs)
+            sub = Subquotient(pres.p, dim, kernel_basis(pres.p, mat), bvecs)
         elif bvecs:
             sub = Subquotient(pres.p, dim, np.eye(dim, dtype=np.int64), bvecs)
         else:
@@ -453,7 +453,7 @@ def verify_presentation_iso(
         basis = standard.get(bd, [])
         want = H.dim(bd)
         vecs = [H.homology_coords(img) for img in map(f, basis) if img]
-        got = rank(FpMatrix(pres.p, np.array(vecs))) if want and vecs else 0
+        got = rank(pres.p, vecs) if want and vecs else 0
         if got < want:
             surj_failures.append((bd, got, want))
         if len(basis) != want:

@@ -30,9 +30,9 @@ import numpy as np
 from . import algebra as alg
 from .dga import Derivation, d_matrix
 from .linfp import (
-    FpMatrix,
     Subquotient,
     SubquotientError,
+    check_prime,
     homology_dims,
     kernel_basis,
     matmul,
@@ -56,6 +56,7 @@ class FilteredComplex:
     levels: dict
 
     def __post_init__(self):
+        check_prime(self.p)
         for d, dim in self.dims.items():
             lv = self.levels.get(d, [])
             if len(lv) != dim:
@@ -114,7 +115,7 @@ def _cycle_space(fc: FilteredComplex, n: int, r: int, d: int) -> list:
         return []
     target_cut = fc.filtration_dim(n - r, d - 1)
     mat = fc.bmat(d)[target_cut:, :fn]
-    ker = kernel_basis(FpMatrix(fc.p, mat))
+    ker = kernel_basis(fc.p, mat)
     out = []
     for v in ker:
         w = np.zeros(dim, dtype=np.int64)
@@ -159,7 +160,7 @@ def _certify_cycle_space(fc: FilteredComplex, key, basis, pivots: dict):
     d, fn, cut = key
     mat = fc.bmat(d)[cut:, :]
     if fn and (d, cut) not in pivots:
-        pivots[(d, cut)] = rref(FpMatrix(fc.p, mat))[1] if mat.any() else []
+        pivots[(d, cut)] = rref(fc.p, mat)[1] if mat.any() else []
     kernel_dim = fn - bisect_left(pivots.get((d, cut), []), fn)
     if len(basis) != kernel_dim:
         raise SubquotientError(
@@ -177,7 +178,7 @@ def _certify_cycle_space(fc: FilteredComplex, key, basis, pivots: dict):
     nonzero = a != 0
     last = nonzero[:, ::-1].argmax(axis=1)
     if not nonzero.any(axis=1).all() or len(set(last.tolist())) < len(basis):
-        if rank(FpMatrix(fc.p, a)) != len(basis):
+        if rank(fc.p, a) != len(basis):
             raise SubquotientError(f"cycle space {key}: dependent vectors")
 
 
@@ -333,6 +334,7 @@ def random_filtered_complex(
     previous boundary intersected with the vector's filtration stage, so the
     result is a complex by construction.
     """
+    check_prime(p)
     steps = rng.randint(1, max_steps)
     top_degree = rng.randint(1, max_degree)
     dims = {}
@@ -358,7 +360,7 @@ def random_filtered_complex(
             cut = sum(1 for s in levels[d - 1] if s <= levels[d][j])
             if cut == 0:
                 continue
-            ker = kernel_basis(FpMatrix(p, below[:, :cut]))
+            ker = kernel_basis(p, below[:, :cut])
             if not ker:
                 continue
             v = np.zeros(rows, dtype=np.int64)

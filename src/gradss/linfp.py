@@ -13,18 +13,26 @@ matrix's entry count: up to 128 entries it eliminates on Python int lists
 (numpy's fixed cost per call would outweigh the arithmetic there), above
 that on numpy rows.  Both pivot alike and give the same entries.
 
-Vectors are 1-d numpy int64 arrays with entries in [0, p); matrices are 2-d
-arrays of the same kind.  Every modulus must be a prime p <= MAX_PRIME =
-2**31 - 1, so (p - 1)**2 < 2**62: a product of two residues, plus a residue,
-never overflows int64 (numpy row reduction, RowSpan), and `matmul` sums at
-most 2**62 // (p - 1)**2 such products before reducing.  The list loop is
-exact for any p; the bound binds the numpy code.  check_prime enforces it
-wherever a modulus enters: here, in presentations and in the parser.
+A matrix is passed as (p, a): the modulus and any 2-d integer array.  The
+entry points (rref, rank, kernel_basis, solve, homology_dims, RowSpan,
+Subquotient) take every matrix and vector through _residues, which checks p,
+refuses an array of the wrong dimension and reduces a fresh int64 copy mod p,
+so they never mutate what they are given and read entries outside [0, p) as
+their residues.  RowSpan and Subquotient.whole, built before any entries
+arrive, call check_prime themselves.  Vectors are 1-d int64 arrays with
+entries in [0, p).
+
+Every modulus must be a prime p <= MAX_PRIME = 2**31 - 1, so
+(p - 1)**2 < 2**62: a product of two residues, plus a residue, never
+overflows int64 (numpy row reduction, RowSpan), and `matmul` sums at most
+2**62 // (p - 1)**2 such products before reducing.  The list loop is exact for
+any p; the bound binds the numpy code.  check_prime enforces it wherever a
+modulus enters: here, in presentations, in filtered complexes and in the
+parser.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -40,7 +48,7 @@ MAX_PRIME = 2**31 - 1
 @lru_cache(maxsize=128)
 def is_prime(n: int) -> bool:
     """Trial division, memoized: a run uses a handful of moduli, and every
-    FpMatrix checks its own."""
+    linfp entry point checks its own."""
     if n < 2:
         return False
     d = 2
@@ -66,53 +74,16 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class FpMatrix:
-    """Dense matrix over F_p, entries stored as residues in [0, p)."""
+def _residues(p: int, a, ndim: int = 2) -> np.ndarray:
+    """a mod p as a fresh int64 array, for a prime p (check_prime).
 
-    p: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        check_prime(self.p)
-        a = np.asarray(self.entries, dtype=np.int64)
-        if a.ndim != 2:
-            raise ValueError("entries must be a 2-d array")
-        object.__setattr__(self, "entries", np.mod(a, self.p))
-
-    @classmethod
-    def from_rows(cls, p: int, rows, cols: int | None = None) -> "FpMatrix":
-        rows = list(rows)
-        if rows:
-            return cls(p, np.array(rows, dtype=np.int64))
-        return cls(p, np.zeros((0, cols or 0), dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, p: int, n: int) -> "FpMatrix":
-        return cls(p, np.eye(n, dtype=np.int64))
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FpMatrix)
-            and self.p == other.p
-            and self.entries.shape == other.entries.shape
-            and bool(np.array_equal(self.entries, other.entries))
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.entries.shape, self.entries.tobytes()))
+    Raises ValueError unless p passes and `a` has `ndim` dimensions.
+    """
+    check_prime(p)
+    a = np.asarray(a, dtype=np.int64)
+    if a.ndim != ndim:
+        raise ValueError(f"entries must be a {ndim}-d array, not {a.ndim}-d")
+    return np.mod(a, p)
 
 
 # The most entries _rref_inplace reduces on Python int lists.  Near it the
@@ -190,15 +161,15 @@ def _rref_numpy(a: np.ndarray, p: int) -> list[int]:
     return pivots
 
 
-def rref(m: FpMatrix) -> tuple[FpMatrix, list[int]]:
-    """Reduced row-echelon form and its strictly increasing pivot columns."""
-    a = m.entries.copy()
-    pivots = _rref_inplace(a, m.p)
-    return FpMatrix(m.p, a), pivots
+def rref(p: int, a) -> tuple[np.ndarray, list[int]]:
+    """Reduced row-echelon form of a mod p and its strictly increasing pivot columns."""
+    red = _residues(p, a)
+    pivots = _rref_inplace(red, p)
+    return red, pivots
 
 
-def rank(m: FpMatrix) -> int:
-    return len(_rref_inplace(m.entries.copy(), m.p))
+def rank(p: int, a) -> int:
+    return len(_rref_inplace(_residues(p, a), p))
 
 
 def homology_dims(p: int, dims: dict, mats: dict) -> dict:
@@ -208,7 +179,7 @@ def homology_dims(p: int, dims: dict, mats: dict) -> dict:
     missing d_i counts as zero.  Every matrix is ranked once, empty ones
     included, so each checks the modulus.
     """
-    ranks = {i: rank(FpMatrix(p, m)) for i, m in mats.items()}
+    ranks = {i: rank(p, m) for i, m in mats.items()}
     out = {}
     for i, dim in dims.items():
         h = dim - ranks.get(i, 0) - ranks.get(i + 1, 0)
@@ -217,15 +188,15 @@ def homology_dims(p: int, dims: dict, mats: dict) -> dict:
     return out
 
 
-def kernel_basis(m: FpMatrix) -> list[np.ndarray]:
-    """Columns spanning ker(m), one per free column of the rref.
+def kernel_basis(p: int, a) -> list[np.ndarray]:
+    """Columns spanning the kernel of a mod p, one per free column of the rref.
 
     The basis vector for free column f has a 1 in position f and the
     negated rref entries in the pivot positions; vectors are ordered by
     increasing free column, which makes the result deterministic.
     """
-    p, cols = m.p, m.cols
-    a = m.entries.copy()
+    a = _residues(p, a)
+    cols = a.shape[1]
     pivots = _rref_inplace(a, p)
     red = a[: len(pivots)].tolist()
     pivot_set = set(pivots)
@@ -241,16 +212,17 @@ def kernel_basis(m: FpMatrix) -> list[np.ndarray]:
     return basis
 
 
-def solve(m: FpMatrix, b: np.ndarray) -> np.ndarray | None:
-    """One solution x of m @ x = b, or None when the system is inconsistent."""
-    b = np.mod(np.asarray(b, dtype=np.int64), m.p)
-    aug = np.concatenate([m.entries, b.reshape(-1, 1)], axis=1)
-    pivots = _rref_inplace(aug, m.p)
-    if m.cols in pivots:
+def solve(p: int, a, b) -> np.ndarray | None:
+    """One solution x of a @ x = b mod p, or None when the system is inconsistent."""
+    a = _residues(p, a)
+    cols = a.shape[1]
+    aug = np.concatenate([a, _residues(p, b, 1).reshape(-1, 1)], axis=1)
+    pivots = _rref_inplace(aug, p)
+    if cols in pivots:
         return None
-    x = np.zeros(m.cols, dtype=np.int64)
+    x = np.zeros(cols, dtype=np.int64)
     for i, c in enumerate(pivots):
-        x[c] = aug[i, m.cols]
+        x[c] = aug[i, cols]
     return x
 
 
@@ -262,6 +234,7 @@ class RowSpan:
     """
 
     def __init__(self, p: int, dim: int):
+        check_prime(p)  # no entries yet; every vector goes through _residues
         self.p = p
         self.dim = dim
         self.rows: list[np.ndarray] = []   # echelon rows, pivot entry 1
@@ -269,7 +242,7 @@ class RowSpan:
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
         """Residue of v modulo the current span."""
-        v = np.mod(np.asarray(v, dtype=np.int64), self.p)
+        v = _residues(self.p, v, 1)
         for row, c in zip(self.rows, self.pivots):
             if v[c]:
                 v = (v - v[c] * row) % self.p
@@ -306,12 +279,12 @@ def stack_rows(vectors, dim: int) -> np.ndarray:
     return np.array(vectors, dtype=np.int64).reshape(len(vectors), dim)
 
 
-def _independent(p: int, dim: int, vectors) -> list[int]:
-    """Indices of the vectors that are not combinations of earlier ones.
+def _independent(p: int, rows: np.ndarray) -> list[int]:
+    """Indices of the rows that are not combinations of earlier ones.
 
-    These are the pivot columns of the matrix with the vectors as columns.
+    These are the pivot columns of the transpose, reduced as a copy.
     """
-    return _rref_inplace(np.ascontiguousarray(stack_rows(vectors, dim).T), p)
+    return _rref_inplace(rows.T.copy(), p)
 
 
 class Subquotient:
@@ -335,13 +308,15 @@ class Subquotient:
     def __init__(self, p: int, dim: int, cycles, boundaries):
         self.p = p
         self.dim = dim
-        cycles = [np.mod(np.asarray(v, dtype=np.int64), p) for v in cycles]
-        bnd = [np.mod(np.asarray(v, dtype=np.int64), p) for v in boundaries]
-        if bnd and any(i >= len(cycles) for i in _independent(p, dim, cycles + bnd)):
+        rows = _residues(p, stack_rows([*boundaries, *cycles], dim))
+        nb = len(boundaries)
+        picks = _independent(p, rows)
+        # the boundaries lie in span(cycles) when they add nothing to its rank
+        if nb and len(picks) > len(_independent(p, rows[nb:])):
             raise SubquotientError("boundary outside the span of the cycles")
-        picks = _independent(p, dim, bnd + cycles)
-        self.boundaries = [bnd[i] for i in picks if i < len(bnd)]
-        self.reps = [cycles[i - len(bnd)] for i in picks if i >= len(bnd)]
+        vectors = list(rows)
+        self.boundaries = [vectors[i] for i in picks if i < nb]
+        self.reps = [vectors[i] for i in picks if i >= nb]
         self.is_whole = False
         self._boundary_echelon = None
         self._solver = None
@@ -349,6 +324,7 @@ class Subquotient:
     @classmethod
     def whole(cls, p: int, dim: int) -> "Subquotient":
         """span(e_1..e_dim) / 0, the same as Subquotient(p, dim, eye, [])."""
+        check_prime(p)  # no entries to reduce; every vector goes through _residues
         sub = cls.__new__(cls)
         sub.p = p
         sub.dim = dim
@@ -365,16 +341,16 @@ class Subquotient:
         """The unit vectors of a whole subquotient; __init__ assigns the others."""
         return list(np.eye(self.dim, dtype=np.int64))
 
-    def _residues(self, v) -> np.ndarray:
+    def _vector(self, v) -> np.ndarray:
         """v mod p as a fresh array; raises ValueError unless its shape is (dim,)."""
-        v = np.mod(np.asarray(v, dtype=np.int64), self.p)
+        v = _residues(self.p, v, 1)
         if v.shape != (self.dim,):
             raise ValueError(f"vector of shape {v.shape}, expected ({self.dim},)")
         return v
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
         """The normal form of v modulo the boundaries: zero at their pivots."""
-        v = self._residues(v)
+        v = self._vector(v)
         if self.is_whole:
             return v
         if self._boundary_echelon is None:
@@ -388,7 +364,7 @@ class Subquotient:
 
         None when v is not in span(reps + boundaries).
         """
-        v = self._residues(v)
+        v = self._vector(v)
         if self.is_whole:
             return v
         if self._solver is None:

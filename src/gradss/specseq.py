@@ -38,8 +38,8 @@ import numpy as np
 
 from . import algebra as alg
 from .algebra import Element, Presentation, ZERO
-from .dga import Classes, coords, d_element, d_matrix, element_from_coords, extend_derivation
-from .linfp import FpMatrix, Subquotient, kernel_basis, matmul, stack_rows
+from .dga import Classes, coords, d_matrix, element_from_coords, extend_derivation
+from .linfp import Subquotient, kernel_basis, matmul, stack_rows
 
 
 class PageError(ValueError):
@@ -188,7 +188,7 @@ def turn_page(page: Page, specs: list) -> Page:
                     f"{alg.element_str(pres, element_from_coords(pres, target2, dd))}"
                 )
         # kernel of the induced differential on surviving classes
-        kernel = kernel_basis(FpMatrix(p, np.stack(cols, axis=1)))
+        kernel = kernel_basis(p, np.stack(cols, axis=1))
         kernels[bd] = matmul(stack_rows(kernel, len(cols)), reps, p)
 
     # a cell that d neither leaves nor enters carries over unchanged
@@ -559,38 +559,3 @@ def assemble_abutment(
         unresolved,
         beyond,
     )
-
-
-def check_leibniz(page: Page, specs: list) -> list:
-    """Violations of d_r(xy) = d_r(x) y + (-1)^{n+m} x d_r(y) on the page.
-
-    Runs over every ordered pair of surviving basis classes whose product
-    stays inside the box; both sides are compared as reduced representatives.
-    An empty list certifies the Leibniz rule for this page's differential.
-    """
-    pres = page.pres
-    images = spec_images(pres, specs)
-    d = extend_derivation(pres, images, page.r) if images else None
-
-    def dd(el: Element) -> Element:
-        if d is None or not el:
-            return ZERO
-        return d_element(d, el)
-
-    violations = []
-    classes = list(page.classes())
-    for bd1, i1, x in classes:
-        for bd2, i2, y in classes:
-            if sum(bd1) + sum(bd2) > pres.max_degree:
-                continue
-            xy = alg.multiply(pres, x, y)
-            lhs = page.reduce(dd(xy))
-            sign = (-1) ** (bd1[0] + bd1[1])
-            rhs = alg.add(
-                pres,
-                alg.multiply(pres, dd(x), y),
-                alg.scale(pres, sign, alg.multiply(pres, x, dd(y))),
-            )
-            if lhs != page.reduce(rhs):
-                violations.append((bd1, i1, bd2, i2))
-    return violations

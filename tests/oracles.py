@@ -14,6 +14,8 @@ dga.check_d_squared multiplies two matrices per bidegree; a page is turned by
 applying d to one element at a time, where specseq.turn_page maps each cell
 by one matrix product; and collapse is certified by scanning every target of
 every class, where specseq.certify_collapse reads one column index per page.
+check_leibniz checks d_r(xy) = d_r(x) y + (-1)^{n+m} x d_r(y) on every pair
+of classes of a page by brute force; only tests call it.
 """
 
 import itertools
@@ -23,8 +25,8 @@ import numpy as np
 from gradss import algebra as alg
 from gradss import dga, filtered
 from gradss.filtered import SSRun
-from gradss.specseq import CollapseCertificate, Page, PageError
-from gradss.linfp import FpMatrix, Subquotient, kernel_basis, matmul, rank
+from gradss.specseq import CollapseCertificate, Page, PageError, spec_images
+from gradss.linfp import Subquotient, kernel_basis, matmul, rank
 
 
 def truncated_poly_basis(height, var_degree, t_max):
@@ -83,9 +85,9 @@ def bar_tor_fp_fp(p, height, var_degree, n_max, t_max):
             if n == 0:
                 cycles = len(idxs)
             else:
-                cycles = len(kernel_basis(FpMatrix(p, mats[n - 1][:, sel])))
+                cycles = len(kernel_basis(p, mats[n - 1][:, sel]))
             nxt = [i for i, c in enumerate(levels[n + 1]) if sum(c) == t]
-            incoming = rank(FpMatrix(p, mats[n][:, np.array(nxt)])) if nxt else 0
+            incoming = rank(p, mats[n][:, np.array(nxt)]) if nxt else 0
             if cycles - incoming:
                 dims[(n, t)] = cycles - incoming
     return dims
@@ -144,9 +146,9 @@ def dense_hochschild(p, height, var_degree, s_max, t_max):
             if s == 0:
                 cycles = len(idxs)
             else:
-                cycles = len(kernel_basis(FpMatrix(p, mats[s - 1][:, sel])))
+                cycles = len(kernel_basis(p, mats[s - 1][:, sel]))
             nxt = [i for i, c in enumerate(levels[s + 1]) if sum(c) == t]
-            incoming = rank(FpMatrix(p, mats[s][:, np.array(nxt)])) if nxt else 0
+            incoming = rank(p, mats[s][:, np.array(nxt)]) if nxt else 0
             if cycles - incoming:
                 dims[(s, t)] = cycles - incoming
     return dims
@@ -226,7 +228,7 @@ def quotient_dims(candidate, relations, bidegrees, memo=None):
                             rows[row, index[prod]] += sign * c
                 memo[terms, bd] = rows
             blocks.append(memo[terms, bd])
-        yield bd, len(basis) - rank(FpMatrix(candidate.p, np.concatenate(blocks)))
+        yield bd, len(basis) - rank(candidate.p, np.concatenate(blocks))
 
 
 def reference_check_d_squared(d, n_max):
@@ -267,7 +269,7 @@ def reference_homology(pres, d, n_max):
             continue
         mat = dga.d_matrix(d, (n, m))
         if len(mat):
-            cycles = kernel_basis(FpMatrix(pres.p, mat))
+            cycles = kernel_basis(pres.p, mat)
         else:
             cycles = list(np.eye(len(basis), dtype=np.int64))
         source = (n + d.page, m - d.page + 1)
@@ -337,7 +339,7 @@ def reference_turn_page(page, specs):
         if page.reps(bd) and target in page.subquotients:
             tsub = page.subquotients[target]
             cols = [tsub.coords(dga.coords(pres, target, _leibniz(d, x))) for x in page.reps(bd)]
-            kernel = kernel_basis(FpMatrix(pres.p, np.stack(cols, axis=1)))
+            kernel = kernel_basis(pres.p, np.stack(cols, axis=1))
             reps = [matmul(k, np.array(sub.reps), pres.p) for k in kernel]
         bnd = list(sub.boundaries)
         for x in page.reps((n + r, m - r + 1)):
@@ -378,3 +380,38 @@ def reference_certify_collapse(page):
         if reasons:
             certified[bd] = tuple(reasons)
     return CollapseCertificate(page.r, certified, uncertified, refusals)
+
+
+def check_leibniz(page, specs):
+    """Violations of d_r(xy) = d_r(x) y + (-1)^{n+m} x d_r(y) on the page.
+
+    Runs over every ordered pair of surviving basis classes whose product
+    stays inside the box; both sides are compared as reduced representatives.
+    An empty list certifies the Leibniz rule for this page's differential.
+    """
+    pres = page.pres
+    images = spec_images(pres, specs)
+    d = dga.extend_derivation(pres, images, page.r) if images else None
+
+    def dd(el):
+        if d is None or not el:
+            return alg.ZERO
+        return dga.d_element(d, el)
+
+    violations = []
+    classes = list(page.classes())
+    for bd1, i1, x in classes:
+        for bd2, i2, y in classes:
+            if sum(bd1) + sum(bd2) > pres.max_degree:
+                continue
+            xy = alg.multiply(pres, x, y)
+            lhs = page.reduce(dd(xy))
+            sign = (-1) ** (bd1[0] + bd1[1])
+            rhs = alg.add(
+                pres,
+                alg.multiply(pres, dd(x), y),
+                alg.scale(pres, sign, alg.multiply(pres, x, dd(y))),
+            )
+            if lhs != page.reduce(rhs):
+                violations.append((bd1, i1, bd2, i2))
+    return violations

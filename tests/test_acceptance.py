@@ -23,7 +23,6 @@ from gradss.filtered import (
 from gradss.homalg import BaseRing, hochschild_homology, koszul_tor
 from gradss.specseq import (
     certify_collapse,
-    check_leibniz,
     infer_forced_differentials,
     init_page,
     turn_page,
@@ -39,7 +38,7 @@ from gradss.thhku import (
 )
 
 from helpers import brunku2_spec, intro_dga
-from oracles import dense_hochschild
+from oracles import check_leibniz, dense_hochschild
 
 STEP3_BOX = {5: 103, 7: 176}  # covers every relation plus the collapse margin
 

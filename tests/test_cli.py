@@ -170,6 +170,15 @@ def test_oracle_command(capsys):
     assert out.endswith("3/3 converged\n")
 
 
+@pytest.mark.parametrize("prime", [1, 4, 9, 2147483659])
+def test_oracle_refuses_a_bad_prime(prime, capsys):
+    argv = ["oracle", "filtered", "--seed", "1", "--cases", "2", "--prime", str(prime)]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: p = {prime}: need a prime in [2, 2147483647]\n"
+
+
 def _drop_last_cycle(monkeypatch):
     original = filtered._cycle_space
     monkeypatch.setattr(filtered, "_cycle_space", lambda *cell: original(*cell)[:-1])

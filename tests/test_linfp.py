@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +8,9 @@ from hypothesis.extra.numpy import arrays
 from gradss import linfp
 from gradss.algebra import Presentation
 from gradss.dsl import ParseError, parse
+from gradss.filtered import FilteredComplex, random_filtered_complex
 from gradss.linfp import (
     MAX_PRIME,
-    FpMatrix,
     RowSpan,
     Subquotient,
     SubquotientError,
@@ -26,10 +28,6 @@ from gradss.linfp import (
 PAST_MAX_PRIME = 2147483659
 
 
-def mat(p, rows):
-    return FpMatrix.from_rows(p, rows)
-
-
 def matrices(p, max_dim=6):
     return st.integers(1, max_dim).flatmap(
         lambda r: st.integers(1, max_dim).flatmap(
@@ -43,37 +41,36 @@ def matrices(p, max_dim=6):
 
 
 def test_rref_empty_matrix():
-    red, pivots = rref(FpMatrix.zeros(5, 0, 0))
-    assert red.rows == 0 and red.cols == 0
+    red, pivots = rref(5, np.zeros((0, 0), dtype=np.int64))
+    assert red.shape == (0, 0) and red.dtype == np.int64
     assert pivots == []
 
 
 def test_rref_identity():
-    m = FpMatrix.identity(5, 3)
-    red, pivots = rref(m)
-    assert red == m
+    m = np.eye(3, dtype=np.int64)
+    red, pivots = rref(5, m)
+    assert red.tolist() == m.tolist()
     assert pivots == [0, 1, 2]
 
 
 def test_rref_hand_reduction():
     # hand oracle: scale first row by 2^-1 = 3, clear the second
-    red, pivots = rref(mat(5, [[2, 4], [1, 2]]))
-    assert red.entries.tolist() == [[1, 2], [0, 0]]
+    red, pivots = rref(5, [[2, 4], [1, 2]])
+    assert red.tolist() == [[1, 2], [0, 0]]
     assert pivots == [0]
 
 
 def test_kernel_zero_matrix():
-    basis = kernel_basis(FpMatrix.zeros(5, 2, 3))
+    basis = kernel_basis(5, np.zeros((2, 3), dtype=np.int64))
     assert [v.tolist() for v in basis] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_kernel_identity():
-    assert kernel_basis(FpMatrix.identity(7, 4)) == []
+    assert kernel_basis(7, np.eye(4, dtype=np.int64)) == []
 
 
 def test_kernel_single_row_exhaustive():
-    m = mat(5, [[1, 2]])
-    basis = kernel_basis(m)
+    basis = kernel_basis(5, [[1, 2]])
     assert len(basis) == 1
     assert basis[0].tolist() == [3, 1]
     # exhaust all 25 vectors of F_5^2
@@ -88,10 +85,10 @@ def test_kernel_single_row_exhaustive():
 
 
 def test_solve_consistent_and_inconsistent():
-    m = mat(5, [[1, 2], [0, 0]])
-    x = solve(m, np.array([3, 0]))
-    assert x is not None and (m.entries @ x % 5).tolist() == [3, 0]
-    assert solve(m, np.array([0, 1])) is None
+    m = np.array([[1, 2], [0, 0]])
+    x = solve(5, m, np.array([3, 0]))
+    assert x is not None and (m @ x % 5).tolist() == [3, 0]
+    assert solve(5, m, np.array([0, 1])) is None
 
 
 def e(i, n=3):
@@ -160,34 +157,109 @@ def test_subquotient_rejects_boundary_outside_cycles():
 
 def test_non_prime_modulus_rejected():
     with pytest.raises(ValueError):
-        FpMatrix.zeros(6, 1, 1)
+        rank(6, np.zeros((1, 1), dtype=np.int64))
     assert is_prime(7) and not is_prime(9)
+
+
+def _entry_points(p):
+    """Every linfp entry point that takes a modulus, on tiny inputs."""
+    e1, e2 = np.eye(2, dtype=np.int64)
+    return [
+        lambda: rref(p, np.zeros((0, 0), dtype=np.int64)),
+        lambda: rank(p, np.eye(2, dtype=np.int64)),
+        lambda: kernel_basis(p, np.zeros((1, 2), dtype=np.int64)),
+        lambda: solve(p, np.eye(2, dtype=np.int64), e1),
+        lambda: homology_dims(p, {0: 0}, {1: np.zeros((0, 0), dtype=np.int64)}),
+        lambda: subquotient_basis(2, [e1], [], p),
+        # mod 9, (6, 3) = 3 * (2, 1): no field, so no unique coordinates
+        lambda: Subquotient(p, 2, [e1, e2], []).coords([6, 3]),
+        lambda: Subquotient(p, 2, [], []),
+        lambda: Subquotient.whole(p, 2),
+        lambda: RowSpan(p, 2).add(e1),
+    ]
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, PAST_MAX_PRIME])
+def test_every_entry_point_refuses_a_bad_modulus(p):
+    for call in _entry_points(p):
+        with pytest.raises(ValueError, match="need a prime"):
+            call()
+    for call in _entry_points(5):
+        call()
+
+
+def test_entries_of_the_wrong_dimension_refused():
+    with pytest.raises(ValueError, match="2-d"):
+        rank(5, [1, 2, 3])
+    with pytest.raises(ValueError, match="1-d"):
+        solve(5, np.eye(2, dtype=np.int64), np.eye(2, dtype=np.int64))
+    with pytest.raises(ValueError, match="1-d"):
+        RowSpan(5, 2).add([[1, 0]])
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, PAST_MAX_PRIME])
+def test_filtered_complex_checks_the_prime_on_entry(p):
+    with pytest.raises(ValueError, match="need a prime"):
+        FilteredComplex(p, {0: 1, 1: 1}, {1: [[3]]}, {0: [0], 1: [1]})
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="need a prime"):
+        random_filtered_complex(rng, p=p)
+    assert rng.getstate() == state  # refused before the first draw
+
+
+def _entries(p):
+    """Integers covering every residue mod p, negatives and multiples of p among them."""
+    return st.one_of(
+        st.integers(-3 * p, 3 * p),
+        st.integers(-3, 3).map(lambda k: k * p),
+        st.integers(0, p - 1),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([5, 7, MAX_PRIME]), st.integers(0, 12), st.integers(0, 12), st.data())
+def test_entry_points_copy_and_reduce_their_input(p, rows, cols, data):
+    # an input is never mutated, and any integers give the answers of their residues
+    a = data.draw(arrays(np.int64, (rows, cols), elements=_entries(p)))
+    b = data.draw(arrays(np.int64, rows, elements=_entries(p)))
+    a_in, b_in = a.copy(), b.copy()
+    res, b_res = a % p, b % p
+
+    red, pivots = rref(p, a)
+    red_res, pivots_res = rref(p, res)
+    assert red.tolist() == red_res.tolist() and pivots == pivots_res
+    assert rank(p, a) == rank(p, res) == len(pivots)
+    assert [v.tolist() for v in kernel_basis(p, a)] == [v.tolist() for v in kernel_basis(p, res)]
+    x, x_res = solve(p, a, b), solve(p, res, b_res)
+    assert (x is None) == (x_res is None)
+    if x is not None:
+        assert x.tolist() == x_res.tolist()
+    assert a.tolist() == a_in.tolist() and b.tolist() == b_in.tolist()
+    assert res.tolist() == (a_in % p).tolist() and b_res.tolist() == (b_in % p).tolist()
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([5, 7]), st.data())
 def test_rank_nullity(p, data):
-    rows = data.draw(matrices(p))
-    m = mat(p, rows)
-    assert rank(m) + len(kernel_basis(m)) == m.cols
+    m = np.array(data.draw(matrices(p)), dtype=np.int64)
+    assert rank(p, m) + len(kernel_basis(p, m)) == m.shape[1]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([5, 7]), st.data())
 def test_rref_idempotent(p, data):
-    rows = data.draw(matrices(p))
-    red, _ = rref(mat(p, rows))
-    red2, _ = rref(red)
-    assert red2 == red
+    red, _ = rref(p, data.draw(matrices(p)))
+    red2, _ = rref(p, red)
+    assert red2.tolist() == red.tolist()
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([5, 7]), st.data())
 def test_kernel_annihilated(p, data):
-    rows = data.draw(matrices(p))
-    m = mat(p, rows)
-    for v in kernel_basis(m):
-        assert not np.any(m.entries @ v % p)
+    m = np.array(data.draw(matrices(p)), dtype=np.int64)
+    for v in kernel_basis(p, m):
+        assert not np.any(m @ v % p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -216,7 +288,7 @@ def test_rref_loop_chosen_by_entry_count(monkeypatch):
     assert 64 <= bound <= 256
     shapes = [(1, 1), (8, 16), (1, bound), (1, bound + 1), (16, 16), (60, 200)]
     for rows, cols in shapes:
-        assert rank(FpMatrix(5, np.eye(rows, cols, dtype=np.int64))) == min(rows, cols)
+        assert rank(5, np.eye(rows, cols, dtype=np.int64)) == min(rows, cols)
     assert loops == ["_rref_rows"] * 3 + ["_rref_numpy"] * 3
 
 
@@ -257,17 +329,18 @@ def test_prime_bound_edges():
 
 
 def test_prime_checked_once_per_modulus():
+    # a rank checks its modulus once: 150 checks of 3 moduli, 3 divisions
     is_prime.cache_clear()
     for _ in range(50):
         for p in (5, 7, MAX_PRIME):
-            FpMatrix.zeros(p, 2, 2)
+            rank(p, np.zeros((2, 2), dtype=np.int64))
     info = is_prime.cache_info()
     assert (info.misses, info.hits) == (3, 147)
     # the memo changes no answer: refusals repeat on every call
     for _ in range(3):
         for bad in (PAST_MAX_PRIME, 6, MAX_PRIME - 2):
             with pytest.raises(ValueError):
-                FpMatrix.zeros(bad, 1, 1)
+                rank(bad, np.zeros((1, 1), dtype=np.int64))
     assert is_prime(PAST_MAX_PRIME)  # prime, refused only by the bound
 
 
@@ -275,7 +348,7 @@ def test_solve_exact_at_edge_prime():
     p = MAX_PRIME
     a = [[p - 1, p - 2], [p - 3, p - 5]]
     b = [p - 7, p - 11]
-    x = solve(mat(p, a), np.array(b))
+    x = solve(p, a, b)
     assert x is not None
     x = [int(v) for v in x]
     for row, rhs in zip(a, b):
@@ -298,7 +371,7 @@ def test_matmul_exact_at_edge_prime():
 @pytest.mark.parametrize("p", [PAST_MAX_PRIME, 4294967311])
 def test_modulus_past_bound_refused(p):
     with pytest.raises(ValueError):
-        FpMatrix.zeros(p, 1, 1)
+        rank(p, np.zeros((1, 1), dtype=np.int64))
     with pytest.raises(ValueError):
         Presentation(p, (), 10)
     with pytest.raises(ParseError):
@@ -347,11 +420,8 @@ def subquotient_inputs(draw):
 def reference_coords(sub, v):
     """The rep part of one solution of [reps | boundaries] x = v, or None."""
     cols = sub.reps + sub.boundaries
-    if cols:
-        m = FpMatrix(sub.p, np.stack(cols, axis=1))
-    else:
-        m = FpMatrix.zeros(sub.p, sub.dim, 0)
-    x = solve(m, v)
+    m = np.stack(cols, axis=1) if cols else np.zeros((sub.dim, 0), dtype=np.int64)
+    x = solve(sub.p, m, v)
     return None if x is None else x[: len(sub.reps)]
 
 

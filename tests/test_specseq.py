@@ -24,7 +24,6 @@ from gradss.specseq import (
     assemble_abutment,
     certify_collapse,
     certify_zero_differentials,
-    check_leibniz,
     infer_forced_differentials,
     init_page,
     turn_page,
@@ -42,7 +41,12 @@ from helpers import (
     random_derivations,
     random_images,
 )
-from oracles import naive_exact_couple_run, reference_certify_collapse, reference_turn_page
+from oracles import (
+    check_leibniz,
+    naive_exact_couple_run,
+    reference_certify_collapse,
+    reference_turn_page,
+)
 
 
 def run_brunku2(p=5, N=60):
