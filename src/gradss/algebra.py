@@ -8,7 +8,8 @@ max total degree N, and any product that would land past N raises
 BeyondTruncation rather than being dropped silently.  Each monomial's bidegree
 and its position in the basis of its bidegree are computed once and kept on
 the presentation, and so is each algebra map out of it (monomial_map) and
-each derivation on it (dga.extend_derivation).
+each derivation on it (dga.extend_derivation).  A relation is one
+RelationSpec, read as an element of each presentation that checks it.
 
 Conventions: column n is the filtration degree, row m the coefficient degree.
 Koszul signs use the total degree n + m.  p is an odd prime >= 5, so exterior
@@ -126,7 +127,7 @@ class Presentation:
     _built: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_prime(self.p, 5)
+        object.__setattr__(self, "p", check_prime(self.p, 5))
         object.__setattr__(self, "generators", tuple(self.generators))
         gens = self.generators
         key = (self.p, self.max_degree, tuple(
@@ -333,10 +334,6 @@ def scale(pres: Presentation, c: int, a: Element) -> Element:
     return Element({m: (c * v) % pres.p for m, v in a.coeffs.items()})
 
 
-def sub(pres: Presentation, a: Element, b: Element) -> Element:
-    return add(pres, a, scale(pres, -1, b))
-
-
 def monomial_map(source: Presentation, target: Presentation, images: dict):
     """The algebra map source -> target fixed by generator images, on monomials.
 
@@ -366,6 +363,53 @@ def monomial_map(source: Presentation, target: Presentation, images: dict):
 
     source._built[key] = f
     return f
+
+
+def map_element(target: Presentation, f, el: Element) -> Element:
+    """sum c * f(m) over the terms c * m of el, for f a monomial_map into target."""
+    out = ZERO
+    for mono, c in el.items():
+        out = add(target, out, scale(target, c, f(mono)))
+    return out
+
+
+@dataclass(frozen=True)
+class RelationSpec:
+    """lhs = sum c * rhs on generator names: lhs is a tuple of (name,
+    exponent), rhs a tuple of (coefficient, lhs-style monomial), empty for
+    lhs = 0.  Exponents may exceed the kind bounds (u^{p-1}, a^2)."""
+
+    label: str
+    lhs: tuple
+    rhs: tuple = ()
+
+    def monomial(self, pres: Presentation, factors) -> Monomial:
+        """factors, a tuple like lhs, as an exponent tuple of pres."""
+        e = [0] * len(pres.generators)
+        for name, k in factors:
+            try:
+                e[pres.index(name)] += k
+            except KeyError:
+                raise ValueError(f"relation {self.label}: unknown generator {name}") from None
+        return tuple(e)
+
+    def element(self, pres: Presentation) -> Element:
+        """lhs - sum c * rhs in pres, equal monomials summed mod p; ValueError,
+        naming the label, when the terms' bidegrees differ."""
+        coeffs = {}
+        for c, factors in [(1, self.lhs), *((-c, mono) for c, mono in self.rhs)]:
+            mono = self.monomial(pres, factors)
+            coeffs[mono] = coeffs.get(mono, 0) + c
+        if len({bidegree(pres, mono) for mono in coeffs}) > 1:
+            raise ValueError(f"relation {self.label}: terms of different bidegrees")
+        return element(pres, coeffs)
+
+    def is_kind_bound(self, pres: Presentation) -> bool:
+        """Whether this is x^k = 0 with k at the exponent cap of x, such as
+        u^{p-1} or a_i^2: the kind of x already imposes it."""
+        return not self.rhs and any(
+            cap and e >= cap for e, cap in zip(self.monomial(pres, self.lhs), pres.caps)
+        )
 
 
 @lru_cache(maxsize=None)

@@ -23,10 +23,11 @@ on first read, and class counts per bidegree and per total degree (through a
 column index) read it directly.
 
 verify_presentation_iso certifies candidate/(relations) = homology degree by
-degree: relations must become boundaries, and the standard monomials (divisible
-by no relation's lex-least term), which span the quotient, must map to a basis
-of the homology, one square rank per bidegree.  Its one limit: a relation set
-that is not a Groebner basis for lex order has too many standard monomials
+degree: relations, algebra.RelationSpecs as assemble_abutment reads them, must
+become boundaries, and the standard monomials (divisible by no relation's
+lex-least term), which span the quotient, must map to a basis of the
+homology, one square rank per bidegree.  Its one limit: a relation set that
+is not a Groebner basis for lex order has too many standard monomials
 somewhere and is refused with a dimension mismatch, never accepted wrongly.
 """
 
@@ -327,10 +328,10 @@ class IsoReport:
     bound: int
     generator_failures: list
     kind_failures: list
-    relation_failures: list
+    relation_failures: list  # (label, bd, reason) of relations that survive
     surjectivity_failures: list  # (bd, rank of f(standard monomials), dim H)
     dimension_mismatches: list  # (bd, count of standard monomials, dim H)
-    skipped_relations: list  # (index, bd) of relations past the bound
+    skipped_relations: list  # (label, bd) of relations past the bound
 
     @property
     def ok(self) -> bool:
@@ -362,12 +363,13 @@ def verify_presentation_iso(
     H: HomologyResult,
     candidate: Presentation,
     gen_reps: dict,
-    extra_relations: list,
+    relations: list,
     n_max: int,
 ) -> IsoReport:
     """Certify H = candidate/(relations) as bigraded algebras up to degree bound.
 
-    (a) Every relation and every kind-bound power must map to a boundary, so
+    (a) Every relation, an algebra.RelationSpec, and every kind-bound power
+    (which also stands for a kind-bound relation) must map to a boundary, so
     the algebra map f factors through the quotient by the relation ideal I.
     (b) In every bidegree the standard monomials S, those divisible by no
     relation's lead, must satisfy rank f(S) = |S| = dim H.
@@ -428,20 +430,19 @@ def verify_presentation_iso(
     relation_failures = []
     skipped = []
     leads = []
-    for i, rel in enumerate(extra_relations):
-        if not rel:
-            continue
+    for spec in relations:
+        rel = spec.element(candidate)
+        if not rel or spec.is_kind_bound(candidate):
+            continue  # the kind check above covers a kind bound
         rbd = alg.bidegree_of(candidate, rel)
         if sum(rbd) > bound:
-            skipped.append((i, rbd))
+            skipped.append((spec.label, rbd))
             continue
         leads.append(min(rel.coeffs))
-        val = ZERO
-        for mono, c in rel.items():
-            val = alg.add(pres, val, alg.scale(pres, c, f(mono)))
+        val = alg.map_element(pres, f, rel)
         if val and not H.is_zero_class(val):
             relation_failures.append(
-                (i, rbd, f"image {alg.element_str(pres, val)} survives")
+                (spec.label, rbd, f"image {alg.element_str(pres, val)} survives")
             )
 
     # the standard monomials must map to a basis of the homology

@@ -56,7 +56,7 @@ class FilteredComplex:
     levels: dict
 
     def __post_init__(self):
-        check_prime(self.p)
+        self.p = check_prime(self.p)
         for d, dim in self.dims.items():
             lv = self.levels.get(d, [])
             if len(lv) != dim:
@@ -334,7 +334,7 @@ def random_filtered_complex(
     previous boundary intersected with the vector's filtration stage, so the
     result is a complex by construction.
     """
-    check_prime(p)
+    p = check_prime(p)
     steps = rng.randint(1, max_steps)
     top_degree = rng.randint(1, max_degree)
     dims = {}

@@ -50,7 +50,7 @@ class BaseRing:
             raise ValueError("the polynomial variable must have positive even degree")
         if self.height is not None and self.height < 2:
             raise ValueError("truncation height must be >= 2")
-        check_prime(self.p)
+        object.__setattr__(self, "p", check_prime(self.p))
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,11 @@ that on numpy rows.  Both pivot alike and give the same entries.
 
 A matrix is passed as (p, a): the modulus and any 2-d integer array.  The
 entry points (rref, rank, kernel_basis, solve, homology_dims, RowSpan,
-Subquotient) take every matrix and vector through _residues, which checks p,
-refuses an array of the wrong dimension and reduces a fresh int64 copy mod p,
-so they never mutate what they are given and read entries outside [0, p) as
-their residues.  RowSpan and Subquotient.whole, built before any entries
-arrive, call check_prime themselves.  Vectors are 1-d int64 arrays with
-entries in [0, p).
+Subquotient) check p once (check_prime returns it as a Python int) and take
+every matrix and vector through _residues, which refuses the wrong dimension
+and non-integer entries and reduces a fresh int64 copy mod p: no input is
+mutated, and entries outside [0, p) read as their residues.  Vectors are 1-d
+int64 arrays with entries in [0, p).
 
 Every modulus must be a prime p <= MAX_PRIME = 2**31 - 1, so
 (p - 1)**2 < 2**62: a product of two residues, plus a residue, never
@@ -33,6 +32,7 @@ parser.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -59,10 +59,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def check_prime(p: int, least: int = 2):
-    """Refuse p unless it is a prime in [least, MAX_PRIME]."""
-    if not least <= p <= MAX_PRIME or not is_prime(p):
+def check_prime(p: int, least: int = 2) -> int:
+    """p as a Python int; ValueError unless p is an int prime in [least, MAX_PRIME]."""
+    q = operator.index(p) if isinstance(p, (int, np.integer)) else 0
+    if not least <= q <= MAX_PRIME or not is_prime(q):
         raise ValueError(f"p = {p}: need a prime in [{least}, {MAX_PRIME}]")
+    return q
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -75,15 +77,21 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _residues(p: int, a, ndim: int = 2) -> np.ndarray:
-    """a mod p as a fresh int64 array, for a prime p (check_prime).
+    """a mod p as a fresh int64 array, for p a value check_prime returned.
 
-    Raises ValueError unless p passes and `a` has `ndim` dimensions.
+    Raises ValueError unless `a` has `ndim` dimensions and integer entries;
+    entries not given as int64 are reduced mod p as Python ints first.
     """
-    check_prime(p)
-    a = np.asarray(a, dtype=np.int64)
-    if a.ndim != ndim:
-        raise ValueError(f"entries must be a {ndim}-d array, not {a.ndim}-d")
-    return np.mod(a, p)
+    arr = np.asarray(a)
+    if arr.dtype != np.int64:  # numpy may have widened big ints to float
+        try:
+            arr = np.frompyfunc(operator.index, 1, 1)(np.array(a, dtype=object)) % p
+        except TypeError:
+            raise ValueError(f"entries must be integers, not {arr.dtype}") from None
+        arr = np.asarray(arr, np.int64)
+    if arr.ndim != ndim:
+        raise ValueError(f"entries must be a {ndim}-d array, not {arr.ndim}-d")
+    return np.mod(arr, p)
 
 
 # The most entries _rref_inplace reduces on Python int lists.  Near it the
@@ -163,13 +171,17 @@ def _rref_numpy(a: np.ndarray, p: int) -> list[int]:
 
 def rref(p: int, a) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form of a mod p and its strictly increasing pivot columns."""
+    p = check_prime(p)
     red = _residues(p, a)
     pivots = _rref_inplace(red, p)
     return red, pivots
 
 
 def rank(p: int, a) -> int:
-    return len(_rref_inplace(_residues(p, a), p))
+    p = check_prime(p)
+    a = _residues(p, a)
+    # a single row or column has rank 1 exactly when it is nonzero
+    return int(a.any()) if min(a.shape) <= 1 else len(_rref_inplace(a, p))
 
 
 def homology_dims(p: int, dims: dict, mats: dict) -> dict:
@@ -195,6 +207,7 @@ def kernel_basis(p: int, a) -> list[np.ndarray]:
     negated rref entries in the pivot positions; vectors are ordered by
     increasing free column, which makes the result deterministic.
     """
+    p = check_prime(p)
     a = _residues(p, a)
     cols = a.shape[1]
     pivots = _rref_inplace(a, p)
@@ -214,6 +227,7 @@ def kernel_basis(p: int, a) -> list[np.ndarray]:
 
 def solve(p: int, a, b) -> np.ndarray | None:
     """One solution x of a @ x = b mod p, or None when the system is inconsistent."""
+    p = check_prime(p)
     a = _residues(p, a)
     cols = a.shape[1]
     aug = np.concatenate([a, _residues(p, b, 1).reshape(-1, 1)], axis=1)
@@ -234,8 +248,7 @@ class RowSpan:
     """
 
     def __init__(self, p: int, dim: int):
-        check_prime(p)  # no entries yet; every vector goes through _residues
-        self.p = p
+        self.p = check_prime(p)
         self.dim = dim
         self.rows: list[np.ndarray] = []   # echelon rows, pivot entry 1
         self.pivots: list[int] = []        # pivot column of each row
@@ -306,7 +319,7 @@ class Subquotient:
     """
 
     def __init__(self, p: int, dim: int, cycles, boundaries):
-        self.p = p
+        self.p = p = check_prime(p)
         self.dim = dim
         rows = _residues(p, stack_rows([*boundaries, *cycles], dim))
         nb = len(boundaries)
@@ -324,9 +337,8 @@ class Subquotient:
     @classmethod
     def whole(cls, p: int, dim: int) -> "Subquotient":
         """span(e_1..e_dim) / 0, the same as Subquotient(p, dim, eye, [])."""
-        check_prime(p)  # no entries to reduce; every vector goes through _residues
         sub = cls.__new__(cls)
-        sub.p = p
+        sub.p = check_prime(p)
         sub.dim = dim
         sub.boundaries = []
         sub.is_whole = True

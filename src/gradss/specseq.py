@@ -364,25 +364,9 @@ def infer_forced_differentials(
 
 
 @dataclass
-class RelationSpec:
-    """x = y in the abutment: lhs a formal generator monomial, rhs terms.
-
-    lhs is a tuple of (generator name, exponent); rhs is a tuple of
-    (coefficient, lhs-style monomial) terms, empty for x = 0.  Exponents may
-    exceed the kind bounds (u^{p-1}, a^2); a monomial's lifts are multiplied
-    in generator order.
-    """
-
-    label: str
-    lhs: tuple
-    rhs: tuple = ()
-
-
-@dataclass
 class AbutmentReport:
     """Lifts, relation justifications and leftovers at E-infinity."""
 
-    candidate: Presentation
     einf_dims: dict
     generator_lifts: dict        # name -> (filtration, weight, unique, obstructions)
     relations: list              # (label, kind, details)
@@ -425,10 +409,14 @@ class AbutmentReport:
         }
 
 
-def _lower_columns(page: Page, d: int, n: int) -> list:
-    """The occupied columns of total degree d strictly left of column n."""
+def _lower_classes(page: Page, d: int, n: int) -> list:
+    """(bd, rep, weight) for each class of total degree d left of column n."""
     cols = page.columns(d)
-    return cols[: bisect_left(cols, n)]
+    return [
+        ((c, d - c), rep, alg.weight_of_element(page.pres, rep))
+        for c in cols[: bisect_left(cols, n)]
+        for rep in page.reps((c, d - c))
+    ]
 
 
 def assemble_abutment(
@@ -440,8 +428,9 @@ def assemble_abutment(
     """Transfer the E-infinity presentation to the abutment.
 
     Generators must have surviving lifts in their bidegree with a unique
-    representative among classes of equal weight.  Each relation is settled
-    by one of: the free-commutative shortcut (no relations, E-infinity free
+    representative among classes of equal weight.  A relation must hold at
+    E-infinity (the lift of its lhs - rhs reduces to zero) and is settled by
+    one of: the free-commutative shortcut (no relations, E-infinity free
     graded-commutative of matching size), a strict lift (no lower-filtration
     classes in that total degree), or a weight obstruction (every
     lower-filtration class has a different weight).  Anything else is listed
@@ -467,17 +456,12 @@ def assemble_abutment(
             raise PageError(
                 f"lift of {g.name} has weight {lift_w}, declared {w}"
             )
-        obstructions = []
-        for n2 in _lower_columns(einf, n + m, n):
-            other = (n2, n + m - n2)
-            for rep in einf.reps(other):
-                wr = alg.weight_of_element(pres, rep)
-                if wr is None or wr == w:
-                    obstructions.append(
-                        (other, alg.element_str(pres, rep), wr)
-                    )
-        unique = not obstructions
-        lifts_report[g.name] = (n, w, unique, obstructions)
+        obstructions = [
+            (other, alg.element_str(pres, rep), wr)
+            for other, rep, wr in _lower_classes(einf, n + m, n)
+            if wr is None or wr == w
+        ]
+        lifts_report[g.name] = (n, w, not obstructions, obstructions)
 
     # free-commutative shortcut: a free E-infinity algebra lifts untouched
     if not relations:
@@ -491,7 +475,6 @@ def assemble_abutment(
         )
         if free_kinds and dims_ok:
             return AbutmentReport(
-                candidate,
                 einf.dims_by_bidegree(),
                 lifts_report,
                 [("all-products", "free-commutative", "no extension problems arise")],
@@ -500,50 +483,31 @@ def assemble_abutment(
                 free_commutative=True,
             )
 
-    def exponents(mono):
-        e = [0] * len(candidate.generators)
-        for name, k in mono:
-            e[candidate.index(name)] += k
-        return tuple(e)
-
     lift = alg.monomial_map(candidate, pres, gen_lifts)
 
     resolved = []
     unresolved = []
     beyond = []
     for rel in relations:
-        lhs = exponents(rel.lhs)
-        deg = alg.total_degree(candidate, lhs)
-        filt = alg.bidegree(candidate, lhs)[0]
+        diff = rel.element(candidate)  # lhs - rhs, refused if inhomogeneous
+        lhs = rel.monomial(candidate, rel.lhs)
+        filt, row = alg.bidegree(candidate, lhs)
         w = alg.weight_of(candidate, lhs)
-        if deg > survival_bound:
+        if filt + row > survival_bound:
             beyond.append(rel.label)
             continue
-        lhs_val = einf.reduce(lift(lhs))
-        rhs_val = ZERO
-        for c, mono in rel.rhs:
-            term = lift(exponents(mono))
-            rhs_val = alg.add(pres, rhs_val, alg.scale(pres, c, term))
-        rhs_val = einf.reduce(rhs_val)
-        if lhs_val != rhs_val:
-            unresolved.append(
-                (rel.label, "fails-at-E-infinity")
-            )
+        if einf.reduce(alg.map_element(pres, lift, diff)):
+            unresolved.append((rel.label, "fails-at-E-infinity"))
             continue
         # classes of the same total degree in strictly lower filtration
-        obstructions = []
-        for n2 in _lower_columns(einf, deg, filt):
-            other = (n2, deg - n2)
-            for rep in einf.reps(other):
-                obstructions.append((other, rep))
-        if not obstructions:
+        lower = _lower_classes(einf, filt + row, filt)
+        if not lower:
             resolved.append((rel.label, "strict-lift", "no lower-filtration classes"))
             continue
-        weights = [alg.weight_of_element(pres, rep) for _, rep in obstructions]
-        if all(wr is not None and wr != w for wr in weights):
+        if all(wr is not None and wr != w for _, _, wr in lower):
             detail = "; ".join(
                 f"{alg.element_str(pres, rep)} at {other} has weight {wr}"
-                for (other, rep), wr in zip(obstructions, weights)
+                for other, rep, wr in lower
             )
             resolved.append(
                 (rel.label, "weight-obstruction", f"product weight {w}: {detail}")
@@ -552,7 +516,6 @@ def assemble_abutment(
         unresolved.append((rel.label, "equal-weight lower-filtration classes remain"))
 
     return AbutmentReport(
-        candidate,
         einf.dims_by_bidegree(),
         lifts_report,
         resolved,

@@ -20,17 +20,17 @@ is re-runnable from the registry alone.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import algebra as alg
-from .algebra import Presentation, ext, monomial_element, poly, trunc
+from .algebra import Presentation, RelationSpec, ext, monomial_element, poly, trunc
 from .dga import extend_derivation, homology, verify_presentation_iso
 from .homalg import BaseRing, koszul_tor, recognize_free_presentation
 from .linfp import check_prime
 from .specseq import (
     DifferentialSpec,
-    RelationSpec,
     assemble_abutment,
     certify_collapse,
     certify_zero_differentials,
@@ -169,11 +169,26 @@ def presentation_dict(pres: Presentation) -> dict:
     }
 
 
-def _require_prime(p: int):
+def _require_prime(p: int) -> int:
+    """p as a Python int; PipelineError unless it is a prime >= 5."""
     try:
-        check_prime(p, 5)
+        return check_prime(p, 5)
     except ValueError as err:
         raise PipelineError(str(err)) from None
+
+
+def _require_box(p: int, N: int, top: int) -> int:
+    """N as an int; ValueError unless it is an integer of at least top + 2."""
+    try:
+        N = operator.index(N)
+    except TypeError:
+        raise ValueError(f"max degree {N!r} is not an integer") from None
+    if N < top + 2:
+        raise ValueError(
+            f"max degree {N} too small for p = {p}: the abutment generators "
+            f"reach total degree {top}, need at least {top + 2}"
+        )
+    return N
 
 
 # ------------------------------------------------------------------ step 1
@@ -184,7 +199,7 @@ def step1_tor(p: int, n_internal: int = 40):
     Returns the recognized presentation (generator su, bidegree (3, 0) in the
     total-degree convention) and its step report.
     """
-    _require_prime(p)
+    p = _require_prime(p)
     table = koszul_tor(BaseRing("zp", p), "fp", "zp", n_internal)
     rec = recognize_free_presentation(table.total_series(n_internal), p)
     cert = {
@@ -232,8 +247,7 @@ def step2_v0(tor_pres: Presentation, N: int = 100):
     tor_pres is step 1's presentation; su sits in the rows at its degree.
     """
     p = tor_pres.p
-    if N < 2 * p + 2:
-        raise ValueError(f"max degree {N} too small for p = {p}: need {2 * p + 2}")
+    N = _require_box(p, N, 2 * p)  # m1
     (su_gen,) = tor_pres.generators
     pres = relative_e2(p, N, su_gen.total_degree)
     page = init_page(pres)
@@ -281,7 +295,7 @@ def absolute_e2(p: int, N: int) -> Presentation:
 
 def weight_table(p: int) -> dict:
     """Galois weights of the abutment generators, in Z/(p-1)."""
-    _require_prime(p)
+    p = _require_prime(p)
     table = {"u": 1, "l1": 0, "mu2": 0}
     for i in range(p):
         table[f"a{i}"] = 1
@@ -309,29 +323,6 @@ def omega_candidate(p: int, N: int) -> Presentation:
     return Presentation(p, tuple(gens), N)
 
 
-def omega_relations(candidate: Presentation, p: int) -> list:
-    """rel2..rel7 and rel8[i,j], i < j, as candidate elements lhs - rhs.
-
-    Derived from abutment_relations.  The relations x^k = 0 with k at the
-    kind bound of x (rel1 = u^{p-1} and rel8[i,i] = a_i^2) are left out: the
-    kinds of the candidate's generators already impose them.
-    """
-    caps = {g.name: cap for g, cap in zip(candidate.generators, candidate.caps)}
-
-    def element(mono, c=1):
-        return monomial_element(candidate, dict(mono), c)
-
-    rels = []
-    for rel in abutment_relations(p):
-        if not rel.rhs and any(caps[x] and k >= caps[x] for x, k in rel.lhs):
-            continue
-        val = element(rel.lhs)
-        for c, mono in rel.rhs:
-            val = alg.sub(candidate, val, element(mono, c))
-        rels.append(val)
-    return rels
-
-
 def omega_reps(pres: Presentation, p: int) -> dict:
     """Cycle representatives: mu2 = m1^p, a_i = su m1^i, b_i = u m1^i."""
     reps = {
@@ -349,8 +340,8 @@ def omega_reps(pres: Presentation, p: int) -> dict:
 def abutment_relations(p: int) -> list:
     """rel1..rel8 as abutment statements, with b_0 = u throughout.
 
-    The one place the relations are written; omega_relations derives the
-    candidate's relation list from them.
+    The one place the relations are written: step 3 hands this one list to
+    verify_presentation_iso and to assemble_abutment.
     """
 
     def mono(*factors, **named):
@@ -423,19 +414,10 @@ def full_basis_count(p: int, d: int) -> int:
     return out
 
 
-def _require_step3_box(p: int, N: int):
-    """Refuse a box too small for the largest abutment generator, mu2."""
-    if N < 2 * p * p + 2:
-        raise ValueError(
-            f"max degree {N} too small for p = {p}: the abutment generators "
-            f"reach total degree {2 * p * p}, need at least {2 * p * p + 2}"
-        )
-
-
 def step3_v1(p: int, N: int = 100):
     """The absolute run: forced differential, collapse, identification, lifts."""
-    _require_prime(p)
-    _require_step3_box(p, N)
+    p = _require_prime(p)
+    N = _require_box(p, N, 2 * p * p)  # mu2
     pres = absolute_e2(p, N)
     facts = [
         "v1-ku",
@@ -510,9 +492,8 @@ def step3_v1(p: int, N: int = 100):
         raise PipelineError("page engine and DGA homology disagree", report)
 
     candidate = omega_candidate(p, N)
-    iso = verify_presentation_iso(
-        H, candidate, omega_reps(pres, p), omega_relations(candidate, p), N
-    )
+    relations = abutment_relations(p)
+    iso = verify_presentation_iso(H, candidate, omega_reps(pres, p), relations, N)
     report.certificates.append(
         {
             "kind": "presentation-iso",
@@ -524,9 +505,7 @@ def step3_v1(p: int, N: int = 100):
     if not iso.ok:
         raise PipelineError("E-infinity is not the expected presentation", report)
 
-    abutment = assemble_abutment(
-        einf, candidate, omega_reps(pres, p), abutment_relations(p)
-    )
+    abutment = assemble_abutment(einf, candidate, omega_reps(pres, p), relations)
     report.certificates.append(
         dict(abutment.to_json_dict(), kind="abutment", ok=abutment.ok)
     )
@@ -564,8 +543,8 @@ def reproduce_thh_ku(p: int, N: int = 100) -> PipelineReport:
 
     Step 3 needs the largest box, so its bound is checked before step 1.
     """
-    _require_prime(p)
-    _require_step3_box(p, N)
+    p = _require_prime(p)
+    N = _require_box(p, N, 2 * p * p)  # mu2
     tor_pres, tor_report = step1_tor(p)
     steps = [tor_report, step2_v0(tor_pres, N)[1], step3_v1(p, N)[1]]
     return PipelineReport(p, N, [_share_content(s) for s in steps])

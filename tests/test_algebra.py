@@ -288,3 +288,49 @@ def test_standard_monomials_are_the_lead_free_monomials(data):
             if kept:
                 want[bd] = kept
     assert alg.standard_monomials(pres, leads, bound) == want
+
+
+def omega_like(p=5, N=60):
+    """u truncated at p - 1, exterior a and b with |b| = |u a|, polynomial c."""
+    gens = (trunc("u", p - 1, (0, 2)), ext("a", (3, 0)), ext("b", (3, 2)), poly("c", (4, 0)))
+    return Presentation(p, gens, N)
+
+
+def test_relation_spec_element_is_lhs_minus_rhs():
+    pres = omega_like()
+    rel = alg.RelationSpec("r", (("b", 1),), ((2, (("u", 1), ("a", 1))),))
+    assert rel.element(pres) == element(pres, {(0, 0, 1, 0): 1, (1, 1, 0, 0): -2})
+    # equal monomials add up mod p, and a term may cancel the lhs
+    twice = alg.RelationSpec("r", (("b", 1),), ((2, (("b", 1),)), (2, (("b", 1),))))
+    assert twice.element(pres) == element(pres, {(0, 0, 1, 0): 1 - 4})
+    assert not alg.RelationSpec("r", (("b", 1),), ((1, (("b", 1),)),)).element(pres)
+    # a repeated name adds up, and exponents may pass the kind bounds
+    power = alg.RelationSpec("r", (("u", 2), ("u", 2), ("a", 2)))
+    assert power.element(pres) == alg.Element({(4, 2, 0, 0): 1})
+
+
+def test_relation_spec_refusals_name_the_label():
+    pres = omega_like()
+    mixed = alg.RelationSpec("rel-mixed", (("b", 1),), ((1, (("u", 1),)),))
+    with pytest.raises(ValueError, match="rel-mixed"):
+        mixed.element(pres)
+    unknown = alg.RelationSpec("rel-unknown", (("x", 1),))
+    for method in (unknown.element, unknown.is_kind_bound):
+        with pytest.raises(ValueError, match="rel-unknown: unknown generator x"):
+            method(pres)
+
+
+def test_relation_spec_kind_bounds():
+    pres = omega_like()
+    kind_bound = [(("u", 4),), (("a", 2),), (("a", 2), ("c", 1)), (("u", 5),)]
+    for lhs in kind_bound:
+        assert alg.RelationSpec("r", lhs).is_kind_bound(pres), lhs
+    # below the caps, on a polynomial generator, or with a right-hand side
+    others = [
+        alg.RelationSpec("r", (("u", 3),)),
+        alg.RelationSpec("r", (("a", 1), ("u", 3))),
+        alg.RelationSpec("r", (("c", 9),)),
+        alg.RelationSpec("r", (("u", 4),), ((1, (("u", 4),)),)),
+    ]
+    for rel in others:
+        assert not rel.is_kind_bound(pres), rel

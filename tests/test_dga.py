@@ -6,8 +6,16 @@ import re
 
 from gradss import algebra as alg
 from gradss import dga, linfp
-from gradss.algebra import Presentation, element, ext, monomial_element, poly, trunc
-from gradss.thhku import omega_candidate, omega_relations, omega_reps
+from gradss.algebra import (
+    Presentation,
+    RelationSpec,
+    element,
+    ext,
+    monomial_element,
+    poly,
+    trunc,
+)
+from gradss.thhku import abutment_relations, omega_candidate, omega_reps
 from helpers import intro_dga, random_derivations
 from oracles import quotient_dims, reference_check_d_squared, reference_homology
 from gradss.dga import (
@@ -303,12 +311,14 @@ def test_row_reduction_only_where_d_acts(monkeypatch):
     assert len(shapes) <= 3 * touched
     shapes.clear()
     cand = omega_candidate(p, N)
-    iso = verify_presentation_iso(H, cand, omega_reps(pres, p), omega_relations(cand, p), N)
+    iso = verify_presentation_iso(H, cand, omega_reps(pres, p), abutment_relations(p), N)
     assert iso.ok
     # one square rank per nonzero homology bidegree, and one coordinate
     # solver per bidegree where d acts
     ranked = sum(1 for bd in H.dims_by_bidegree() if sum(bd) <= iso.bound)
     assert len(shapes) <= ranked + touched
+    # a lone class is ranked without a reduction
+    assert (1, 1) not in shapes
 
 
 def test_verify_iso_target_candidate_passes():
@@ -316,9 +326,7 @@ def test_verify_iso_target_candidate_passes():
     pres, d = intro_dga(p, N)
     H = homology(pres, d, N)
     cand = omega_candidate(p, N)
-    report = verify_presentation_iso(
-        H, cand, omega_reps(pres, p), omega_relations(cand, p), N
-    )
+    report = verify_presentation_iso(H, cand, omega_reps(pres, p), abutment_relations(p), N)
     assert report.ok, report.summary()
     assert report.bound == N - 1
 
@@ -329,11 +337,11 @@ def test_verify_iso_bogus_relation_fails():
     pres, d = intro_dga(p, N)
     H = homology(pres, d, N)
     cand = omega_candidate(p, N)
-    rels = omega_relations(cand, p)
-    rels.append(monomial_element(cand, {"u": p - 2, f"a{p - 1}": 1}))
+    bogus = RelationSpec("bogus", (("u", p - 2), (f"a{p - 1}", 1)))
+    rels = abutment_relations(p) + [bogus]
     report = verify_presentation_iso(H, cand, omega_reps(pres, p), rels, N)
     assert not report.ok
-    assert report.relation_failures
+    assert [label for label, _, _ in report.relation_failures] == ["bogus"]
     assert report.dimension_mismatches
 
 
@@ -435,9 +443,11 @@ def test_verify_iso_dropped_relation_only_mismatches_dimensions():
     pres, d = intro_dga(p, N)
     H = homology(pres, d, N)
     cand = omega_candidate(p, N)
-    rels = omega_relations(cand, p)
-    assert rels[0] == monomial_element(cand, {"u": p - 2, "a0": 1})
-    report = verify_presentation_iso(H, cand, omega_reps(pres, p), rels[1:], N)
+    rels = abutment_relations(p)
+    (dropped,) = [r for r in rels if r.label == "rel2[0]"]
+    assert dropped.element(cand) == monomial_element(cand, {"u": p - 2, "a0": 1})
+    rest = [r for r in rels if r is not dropped]
+    report = verify_presentation_iso(H, cand, omega_reps(pres, p), rest, N)
     assert report.dimension_mismatches
     assert not (
         report.generator_failures
@@ -454,19 +464,19 @@ def test_verify_iso_missing_generator_fails_surjectivity():
     H = homology(pres, d, N)
     full = omega_candidate(p, N)
     cand = Presentation(p, tuple(g for g in full.generators if g.name != "l1"), N)
-    report = verify_presentation_iso(
-        H, cand, omega_reps(pres, p), omega_relations(cand, p), N
-    )
+    report = verify_presentation_iso(H, cand, omega_reps(pres, p), abutment_relations(p), N)
     l1 = full.gen("l1").bidegree
     assert (l1, 0, 1) in report.surjectivity_failures
     assert not (report.generator_failures or report.relation_failures)
 
 
 def omega_setup(p, N):
+    """H, the candidate, its relation specs other than kind bounds, and reps."""
     pres, d = intro_dga(p, N)
     H = homology(pres, d, N)
     cand = omega_candidate(p, N)
-    return H, cand, omega_relations(cand, p), omega_reps(pres, p)
+    specs = [r for r in abutment_relations(p) if not r.is_kind_bound(cand)]
+    return H, cand, specs, omega_reps(pres, p)
 
 
 def iso_bidegrees(H, cand):
@@ -487,13 +497,14 @@ def reference_first_mismatch(H, cand, rels, memo):
 def test_single_relation_drops_agree_with_ranked_ideal(p, N):
     # Past the first mismatch the lists may differ: without a relation the
     # set need not be a Groebner basis, and |S| then over-counts.
-    H, cand, rels, reps = omega_setup(p, N)
+    H, cand, specs, reps = omega_setup(p, N)
+    rels = [r.element(cand) for r in specs]
     memo = {}
     full = reference_first_mismatch(H, cand, rels, memo)
     assert full is None
     for k, rel in enumerate(rels):
         rest = rels[:k] + rels[k + 1 :]
-        report = verify_presentation_iso(H, cand, reps, rest, N)
+        report = verify_presentation_iso(H, cand, reps, specs[:k] + specs[k + 1 :], N)
         if sum(alg.bidegree_of(cand, rel)) > H.cert_bound:
             want = full  # a skipped relation leaves the ideal in the box alone
         else:
@@ -505,8 +516,9 @@ def test_single_relation_drops_agree_with_ranked_ideal(p, N):
 
 @pytest.mark.parametrize("p, N", [(5, 60), (7, 120)])
 def test_standard_counts_equal_ranked_quotient_dims(p, N):
-    H, cand, rels, reps = omega_setup(p, N)
-    assert verify_presentation_iso(H, cand, reps, rels, N).ok
+    H, cand, specs, reps = omega_setup(p, N)
+    assert verify_presentation_iso(H, cand, reps, specs, N).ok
+    rels = [r.element(cand) for r in specs]
     live = [r for r in rels if sum(alg.bidegree_of(cand, r)) <= H.cert_bound]
     standard = alg.standard_monomials(cand, [min(r.coeffs) for r in live], H.cert_bound)
     ranked = quotient_dims(cand, rels, iso_bidegrees(H, cand))

@@ -113,33 +113,50 @@ def test_hh_truncated_polynomial_matches_dense_oracle(p, h, s, t):
 
 
 def test_each_boundary_block_is_reduced_once(monkeypatch):
+    # every block is ranked once; of those, the blocks of more than one row
+    # and column are row reduced once, the others are ranked without one
     shapes = []
-    real = linfp._rref_inplace
+    reduced = []
+    real_rank = linfp.rank
+    real_rref = linfp._rref_inplace
 
-    def counting(a, p):
+    def ranking(p, a):
         shapes.append(a.shape)
-        return real(a, p)
+        return real_rank(p, a)
 
-    monkeypatch.setattr(linfp, "_rref_inplace", counting)
+    def reducing(a, p):
+        reduced.append(a.shape)
+        return real_rref(a, p)
+
+    monkeypatch.setattr(linfp, "rank", ranking)
+    monkeypatch.setattr(linfp, "_rref_inplace", reducing)
+
+    def reduced_once():
+        return reduced == [s for s in shapes if min(s) > 1]
 
     # Tor: one block per differential of the resolution and internal degree
     base = BaseRing("zp", 5)
     _, diffs = homalg._resolution(base, "fp", 20)
     koszul_tor(base, "fp", "fp", 20)
     assert len(shapes) == len(diffs) * 21
+    assert reduced_once()
 
     # total homology: one reduction per boundary matrix
     fc = random_filtered_complex(random.Random(3), p=5)
     shapes.clear()
+    reduced.clear()
     fc.total_homology()
     assert len(shapes) == len(fc.boundary)
+    assert reduced_once()
 
     # HH: blocks d_1 .. d_{s_max + 1}, one per internal degree 0..t_max; the
     # blocks of d_s partition the chains of s - 1 (rows) and of s (columns)
     pres = Presentation(5, (trunc("u", 4, (0, 2)),), 16)
     shapes.clear()
+    reduced.clear()
     hochschild_homology(pres, 2, 12)
     assert len(shapes) == 3 * 13
+    assert reduced_once()
 
     def chains(s):
         # u-exponents (e0, ..., es) of P_4(u), e1..es positive, degree <= 12

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gradss import linfp
-from gradss.algebra import Presentation
+from gradss.algebra import Presentation, poly
 from gradss.dsl import ParseError, parse
 from gradss.filtered import FilteredComplex, random_filtered_complex
 from gradss.linfp import (
@@ -288,7 +289,8 @@ def test_rref_loop_chosen_by_entry_count(monkeypatch):
     assert 64 <= bound <= 256
     shapes = [(1, 1), (8, 16), (1, bound), (1, bound + 1), (16, 16), (60, 200)]
     for rows, cols in shapes:
-        assert rank(5, np.eye(rows, cols, dtype=np.int64)) == min(rows, cols)
+        _, pivots = rref(5, np.eye(rows, cols, dtype=np.int64))
+        assert len(pivots) == min(rows, cols)
     assert loops == ["_rref_rows"] * 3 + ["_rref_numpy"] * 3
 
 
@@ -477,3 +479,68 @@ def test_subquotient_rejects_boundary_outside_cycle_span(inputs):
         else:
             with pytest.raises(SubquotientError):
                 Subquotient(p, dim, cycles, boundaries + [v])
+
+
+def integer_like(x):
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+MODULI = st.one_of(
+    st.integers(-3, 40),
+    st.sampled_from([MAX_PRIME, PAST_MAX_PRIME, 2**70 + 1]),
+    st.integers(-3, 40).map(np.int64),
+    st.integers(0, 40).map(np.int32),
+    st.integers(-3, 40).map(float),
+    st.floats(allow_nan=False),
+    st.booleans(),
+)
+ENTRIES = st.one_of(
+    st.integers(-20, 20),
+    st.integers(2**63, 2**80),
+    st.integers(-(2**80), -(2**63) - 1),
+    st.integers(-20, 20).map(np.int64),
+    st.integers(-20, 20).map(float),
+    st.floats(-20, 20),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    MODULI,
+    st.integers(1, 3).flatmap(
+        lambda cols: st.lists(
+            st.lists(ENTRIES, min_size=cols, max_size=cols), min_size=1, max_size=3
+        )
+    ),
+)
+def test_moduli_and_entries_give_the_plain_int_answer_or_value_error(p, rows):
+    """A float modulus or entry is refused even when it is integral, and so
+    is a bool modulus; big ints are reduced mod p, never overflow."""
+    q = operator.index(p) if integer_like(p) else None
+    prime = q is not None and 2 <= q <= MAX_PRIME and is_prime(q)
+    entries = [x for row in rows for x in row]
+    refused = not prime or any(isinstance(x, float) for x in entries)
+    plain = prime and all(integer_like(x) for x in entries)
+    if not refused:  # a bool entry reads as 0 or 1, or is refused
+        want = np.array([[operator.index(x) % q for x in row] for row in rows])
+    for call in (rank, rref, kernel_basis):
+        try:
+            got = call(p, rows)
+        except ValueError:
+            assert not plain, call.__name__
+            continue
+        assert not refused, call.__name__
+        ref = call(q, want)
+        if call is rank:
+            assert type(got) is int and got == ref
+        elif call is rref:
+            assert got[0].tolist() == ref[0].tolist() and got[1] == ref[1]
+        else:
+            assert [v.tolist() for v in got] == [v.tolist() for v in ref]
+    try:
+        pres = Presentation(p, (poly("x", (2, 0)),), 10)
+    except ValueError:
+        assert not (prime and q >= 5)
+    else:
+        assert prime and q >= 5 and type(pres.p) is int and pres.p == q

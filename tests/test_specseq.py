@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradss import algebra as alg
-from gradss.algebra import Presentation, element, ext, monomial_element, poly, trunc
+from gradss.algebra import (
+    Presentation,
+    RelationSpec,
+    element,
+    ext,
+    monomial_element,
+    poly,
+    trunc,
+)
 from gradss import dga, filtered, linfp, specseq
 from gradss.dga import coords, element_from_coords, extend_derivation, homology
 from gradss.filtered import (
@@ -20,7 +28,6 @@ from gradss.specseq import (
     DifferentialSpec,
     Page,
     PageError,
-    RelationSpec,
     assemble_abutment,
     certify_collapse,
     certify_zero_differentials,

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import sys
 import types
@@ -5,12 +6,14 @@ import weakref
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gradss import algebra as alg
 from gradss import dga, specseq, thhku
-from gradss.algebra import monomial_element
-from gradss.dga import homology
+from gradss.algebra import RelationSpec, monomial_element
+from gradss.dga import homology, verify_presentation_iso
+from gradss.specseq import assemble_abutment, init_page, turn_page
 from gradss.thhku import (
     PipelineError,
     abutment_relations,
@@ -18,7 +21,7 @@ from gradss.thhku import (
     full_basis_count,
     input_facts,
     omega_candidate,
-    omega_relations,
+    omega_reps,
     reproduce_thh_ku,
     step1_tor,
     step2_v0,
@@ -26,7 +29,7 @@ from gradss.thhku import (
     weight_table,
 )
 
-from helpers import intro_dga
+from helpers import brunku2_spec, intro_dga
 
 
 def test_step1_exterior_class_p5():
@@ -344,12 +347,13 @@ def render_relation(p, candidate, el):
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
-def test_omega_relations_match_golden(p):
-    """omega_relations, relation by relation, as written when rel2-rel8 were
-    still stated a second time in thhku; regenerate only for an intended
-    change of the relations."""
+def test_candidate_relations_match_golden(p):
+    """The relations verify_presentation_iso checks on the candidate, relation
+    by relation, as written when rel2-rel8 were still stated a second time in
+    thhku; regenerate only for an intended change of the relations."""
     candidate = omega_candidate(p, 10)
-    got = omega_relations(candidate, p)
+    specs = abutment_relations(p)
+    got = [r.element(candidate) for r in specs if not r.is_kind_bound(candidate)]
     want = [
         line
         for line in GOLDEN_OMEGA.read_text().splitlines()
@@ -357,8 +361,69 @@ def test_omega_relations_match_golden(p):
     ]
     assert [render_relation(p, candidate, el) for el in got] == want
     # abutment_relations minus rel1 and the p relations rel8[i,i] = a_i^2
-    specs = abutment_relations(p)
     kind_bounds = {"rel1"} | {f"rel8[{i},{i}]" for i in range(p)}
     assert kind_bounds <= {rel.label for rel in specs}
     assert len(got) == len(specs) - len(kind_bounds)
     assert got[0] == monomial_element(candidate, {"u": p - 2, "a0": 1})
+
+
+def step3_inputs(p, N):
+    """H, E-infinity, the candidate and its lifts, as step 3 builds them."""
+    pres, d = intro_dga(p, N)
+    page = init_page(pres)
+    while page.r < 2 * p - 3:
+        page = turn_page(page, [])
+    einf = turn_page(page, [brunku2_spec(pres, p)])
+    return homology(pres, d, N), einf, omega_candidate(p, N), omega_reps(pres, p)
+
+
+def test_a_mutated_relation_fails_both_certificates():
+    # b1^2 = 2 u b2 instead of u b2: both certificates name it by its label
+    p, N = 5, 60
+    H, einf, cand, reps = step3_inputs(p, N)
+    rels = abutment_relations(p)
+    assert verify_presentation_iso(H, cand, reps, rels, N).ok
+    assert assemble_abutment(einf, cand, reps, rels).ok
+    ((c, mono),) = rels[[r.label for r in rels].index("rel4[1,1]")].rhs
+    assert c == 1
+    rels = [
+        dataclasses.replace(r, rhs=((2, mono),)) if r.label == "rel4[1,1]" else r
+        for r in rels
+    ]
+    iso = verify_presentation_iso(H, cand, reps, rels, N)
+    assert [label for label, _, _ in iso.relation_failures] == ["rel4[1,1]"]
+    abutment = assemble_abutment(einf, cand, reps, rels)
+    assert abutment.unresolved == [("rel4[1,1]", "fails-at-E-infinity")]
+
+
+def test_an_inhomogeneous_relation_is_refused_by_both_certificates():
+    p, N = 5, 60
+    H, einf, cand, reps = step3_inputs(p, N)
+    # b1 sits at (10, 2) and u b1 at (10, 4); the label names the refusal
+    mixed = RelationSpec("rel-mixed", (("b1", 1),), ((1, (("u", 1), ("b1", 1))),))
+    rels = abutment_relations(p) + [mixed]
+    with pytest.raises(ValueError, match="rel-mixed: terms of different bidegrees"):
+        verify_presentation_iso(H, cand, reps, rels, N)
+    with pytest.raises(ValueError, match="rel-mixed: terms of different bidegrees"):
+        assemble_abutment(einf, cand, reps, rels)
+
+
+def test_a_non_integer_prime_or_box_is_refused():
+    with pytest.raises(PipelineError, match="p = 5.0"):
+        reproduce_thh_ku(5.0, 103)
+    with pytest.raises(PipelineError, match="p = True"):
+        step3_v1(True, 103)
+    with pytest.raises(ValueError, match="max degree 103.5 is not an integer"):
+        reproduce_thh_ku(5, 103.5)
+    with pytest.raises(ValueError, match="max degree 103.0 is not an integer"):
+        step3_v1(5, 103.0)
+    with pytest.raises(ValueError, match="max degree 60.5 is not an integer"):
+        step2_v0(step1_tor(5)[0], 60.5)
+    with pytest.raises(ValueError, match="reach total degree 10, need at least 12"):
+        step2_v0(step1_tor(5)[0], 11)
+
+
+def test_numpy_integer_prime_and_box_give_the_plain_report():
+    report = reproduce_thh_ku(np.int64(5), np.int64(103))
+    assert type(report.prime) is int and type(report.max_degree) is int
+    assert report.to_json().encode() == GOLDEN_REPORT.read_bytes()
