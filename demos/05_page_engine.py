@@ -1,9 +1,11 @@
 """The multiplicative page engine on the absolute run at p = 5.
 
-Classes live as elements of the E2 monomial basis on every page.  The demo
-walks the whole argument: infer the only differential that can kill
-u^{p-2} su, certify that every earlier page is forced to be zero, turn the
-page, and certify the collapse of everything after it.
+The E2 page is built as the pipeline builds it: V(1)_* ku tensored with the
+result of the relative run (steps 1 and 2).  Classes live as elements of the
+E2 monomial basis on every page.  The demo walks the whole argument: infer
+the only differential that can kill u^{p-2} su, certify that every earlier
+page is forced to be zero, turn the page, and certify the collapse of
+everything after it.
 """
 
 from gradss import algebra as alg
@@ -16,10 +18,11 @@ from gradss.specseq import (
     init_page,
     turn_page,
 )
-from gradss.thhku import absolute_e2
+from gradss.thhku import absolute_e2, step1_tor, step2_v0
 
 p = 5
-pres = absolute_e2(p, 60)
+relative_result, _ = step2_v0(step1_tor(p)[0], 60)
+pres = absolute_e2(relative_result, 60)
 page = init_page(pres)
 u = monomial_element(pres, {"u": 1})
 must_die = monomial_element(pres, {"u": p - 2, "su": 1})

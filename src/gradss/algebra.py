@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add as _add
 
-from .linfp import check_prime
+from .linfp import check_index, check_prime
 
 POLYNOMIAL = "polynomial"
 EXTERIOR = "exterior"
@@ -128,6 +128,7 @@ class Presentation:
 
     def __post_init__(self):
         object.__setattr__(self, "p", check_prime(self.p, 5))
+        object.__setattr__(self, "max_degree", check_index(self.max_degree, "max degree"))
         object.__setattr__(self, "generators", tuple(self.generators))
         gens = self.generators
         key = (self.p, self.max_degree, tuple(

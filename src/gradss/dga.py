@@ -40,7 +40,7 @@ import numpy as np
 
 from . import algebra as alg
 from .algebra import Element, Presentation, ZERO
-from .linfp import Subquotient, kernel_basis, matmul, rank
+from .linfp import Subquotient, check_index, kernel_basis, matmul, rank
 
 
 class DifferentialError(ValueError):
@@ -289,6 +289,7 @@ def homology(pres: Presentation, d: Derivation, n_max: int) -> HomologyResult:
     degree n_max + 1, where the boundaries into degree n_max come from;
     violations propagate as DifferentialError.
     """
+    n_max = check_index(n_max, "n_max")
     if n_max > pres.max_degree:
         raise alg.BeyondTruncation(n_max, pres.max_degree)
     bad = check_d_squared(d, n_max + 1)

@@ -32,6 +32,7 @@ from .dga import Derivation, d_matrix
 from .linfp import (
     Subquotient,
     SubquotientError,
+    _residues,
     check_prime,
     homology_dims,
     kernel_basis,
@@ -66,8 +67,7 @@ class FilteredComplex:
             if list(lv) != sorted(lv):
                 raise ValueError(f"degree {d}: basis not filtration-adapted")
         for d, mat in self.boundary.items():
-            mat = np.mod(np.asarray(mat, dtype=np.int64), self.p)
-            self.boundary[d] = mat
+            mat = self.boundary[d] = _residues(self.p, mat)
             if mat.shape != (self.dims.get(d - 1, 0), self.dims.get(d, 0)):
                 raise ValueError(f"degree {d}: boundary shape {mat.shape} is wrong")
             # filtration preserved: target level <= source level entrywise

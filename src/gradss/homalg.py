@@ -21,7 +21,7 @@ import numpy as np
 
 from . import algebra as alg
 from .algebra import EXTERIOR, Presentation, ext, poly
-from .linfp import check_prime, homology_dims
+from .linfp import check_index, check_prime, homology_dims
 
 
 class ResourceLimit(RuntimeError):
@@ -160,6 +160,7 @@ def koszul_tor(base: BaseRing, left: str, right: str, n_internal: int) -> TorTab
     """
     if left not in ("fp", "fpu"):
         raise ValueError(f"left module {left!r} is not p-torsion")
+    n_internal = check_index(n_internal, "n_internal")
     levels, diffs = _resolution(base, right, n_internal)
     left_degrees = _left_module_degrees(base, left, n_internal)
 

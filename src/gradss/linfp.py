@@ -67,6 +67,13 @@ def check_prime(p: int, least: int = 2) -> int:
     return q
 
 
+def check_index(n, what: str) -> int:
+    """n as a Python int; ValueError unless n is an int or numpy integer, not a bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{what} {n!r} is not an integer")
+    return operator.index(n)
+
+
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p, exact: the inner sum is reduced in chunks that fit int64."""
     step = 2**62 // (p - 1) ** 2

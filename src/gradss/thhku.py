@@ -1,34 +1,35 @@
 """Mod p and mod (p, v_1) THH of connective complex K-theory, as a pipeline.
 
-Three steps, each a first-quadrant spectral sequence computation over F_p:
+Three steps, each a first-quadrant spectral sequence computation over F_p
+whose E2 is built from the step before and the fact registry:
 
 1. Tor over Z_p[u] of (F_p, Z_p), recognized as an exterior algebra on a
    degree-3 class sigma-u.
-2. The relative run: E2 = E(su) (x) E(l1) (x) P(m1) collapses and abuts to
-   E(su, l1) (x) P(m1) without extension problems.
-3. The absolute run: E2 = P_{p-1}(u) (x) E(su, l1) (x) P(m1).  The vanishing
-   of u^{p-2} su in the abutment forces the unique differential
-   d_{2p-3}(m1) = u^{p-2} su; one page turn later everything collapses, the
-   result is identified with Omega (x) E(l1), and every multiplicative
-   extension is excluded by a strict lift or a weight obstruction.
+2. The relative run: E2 = E(su) (x) E(l1) (x) P(m1), step 1's result times
+   Bokstedt's, collapses and abuts to E(su, l1) (x) P(m1) without extensions.
+3. The absolute run: E2 = P_{p-1}(u) (x) E(su, l1) (x) P(m1), V(1)_* ku times
+   step 2's result.  The vanishing of u^{p-2} su in the abutment forces the
+   unique differential d_{2p-3}(m1) = u^{p-2} su; one page turn later
+   everything collapses, the result is identified with Omega (x) E(l1), and
+   every multiplicative extension is excluded by a strict lift or a weight
+   obstruction.
 
-Homotopy-theoretic inputs enter only through the fact registry below; each
-step's report records exactly which facts it consumed, so a reported result
-is re-runnable from the registry alone.
+Homotopy-theoretic inputs enter only through the fact registry below, which
+states every E2 generator and weight once; each step's report records exactly
+which facts it consumed, so a reported result is re-runnable from the registry.
 """
 
 from __future__ import annotations
 
 import json
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from . import algebra as alg
 from .algebra import Presentation, RelationSpec, ext, monomial_element, poly, trunc
 from .dga import extend_derivation, homology, verify_presentation_iso
 from .homalg import BaseRing, koszul_tor, recognize_free_presentation
-from .linfp import check_prime
+from .linfp import check_index, check_prime
 from .specseq import (
     DifferentialSpec,
     assemble_abutment,
@@ -50,11 +51,13 @@ class PipelineError(RuntimeError):
 
 @dataclass(frozen=True)
 class InputFact:
-    """A cited statement paired with the algebraic content the engine uses."""
+    """A cited statement and, as data, what a step reads from it: generators,
+    a name -> Galois weight dict, or None for a fact that is only cited."""
 
     identifier: str
     content: str
     citation: str
+    data: object = None
 
 
 def input_facts(p: int) -> dict:
@@ -73,12 +76,14 @@ def input_facts(p: int) -> dict:
                 "Bott class",
                 "Ausoni, Topological Hochschild homology of connective complex "
                 "K-theory, Amer. J. Math. 127 (2005)",
+                (trunc("u", p - 1, (0, 2)),),
             ),
             InputFact(
                 "bokstedt-thh-zp",
                 f"THH_*(Z_p; F_p) = E(l1) (x) P(m1) with |l1| = {2 * p - 1}, "
                 f"|m1| = {2 * p}",
                 "Bokstedt's periodicity computation of THH of the integers",
+                (ext("l1", (2 * p - 1, 0)), poly("m1", (2 * p, 0))),
             ),
             InputFact(
                 "sigma-must-die",
@@ -98,6 +103,7 @@ def input_facts(p: int) -> dict:
                 "Z/(p-1) Galois weights: u and su have weight 1; l1 and m1 have "
                 "weight 0, being pulled back from the Adams summand",
                 "Ausoni's delta-action method; the Adams summand comparison",
+                {"u": 1, "su": 1, "l1": 0, "m1": 0},
             ),
             InputFact(
                 "hfp-ku",
@@ -179,10 +185,7 @@ def _require_prime(p: int) -> int:
 
 def _require_box(p: int, N: int, top: int) -> int:
     """N as an int; ValueError unless it is an integer of at least top + 2."""
-    try:
-        N = operator.index(N)
-    except TypeError:
-        raise ValueError(f"max degree {N!r} is not an integer") from None
+    N = check_index(N, "max degree")
     if N < top + 2:
         raise ValueError(
             f"max degree {N} too small for p = {p}: the abutment generators "
@@ -228,35 +231,26 @@ def step1_tor(p: int, n_internal: int = 40):
 
 # ------------------------------------------------------------------ step 2
 
-def relative_e2(p: int, N: int, su_degree: int = 3) -> Presentation:
-    """E2 of the relative run: su in the rows, l1 and m1 in the columns."""
-    return Presentation(
-        p,
-        (
-            ext("su", (0, su_degree)),
-            ext("l1", (2 * p - 1, 0)),
-            poly("m1", (2 * p, 0)),
-        ),
-        N,
-    )
+def relative_e2(tor_pres: Presentation, N: int) -> Presentation:
+    """E2 of the relative run: step 1's generators in the rows at weight 0 (this
+    run reads no weights), then "bokstedt-thh-zp" in the columns."""
+    rows = [replace(g, bidegree=(0, g.total_degree), weight=0) for g in tor_pres.generators]
+    columns = input_facts(tor_pres.p)["bokstedt-thh-zp"].data
+    return Presentation(tor_pres.p, (*rows, *columns), N)
 
 
 def step2_v0(tor_pres: Presentation, N: int = 100):
     """The relative run: full E2 collapse, free-commutative abutment.
 
-    tor_pres is step 1's presentation; su sits in the rows at its degree.
+    Its result is the E2 with every generator moved to (total degree, 0).
     """
     p = tor_pres.p
     N = _require_box(p, N, 2 * p)  # m1
-    (su_gen,) = tor_pres.generators
-    pres = relative_e2(p, N, su_gen.total_degree)
+    pres = relative_e2(tor_pres, N)
     page = init_page(pres)
     collapse = certify_collapse(page)
-    result = Presentation(
-        p,
-        (ext("su", (3, 0)), ext("l1", (2 * p - 1, 0)), poly("m1", (2 * p, 0))),
-        N,
-    )
+    moved = [replace(g, bidegree=(g.total_degree, 0)) for g in pres.generators]
+    result = Presentation(p, moved, N)
     report = StepReport(
         "relative-run",
         presentation_dict(result),
@@ -267,8 +261,7 @@ def step2_v0(tor_pres: Presentation, N: int = 100):
     if not collapse.full:
         raise PipelineError("relative run does not collapse on the front page", report)
     lifts = {g.name: monomial_element(pres, {g.name: 1}) for g in pres.generators}
-    candidate = relative_e2(p, N)
-    abutment = assemble_abutment(page, candidate, lifts, [])
+    abutment = assemble_abutment(page, pres, lifts, [])
     report.certificates.append(
         dict(abutment.to_json_dict(), kind="abutment", ok=abutment.ok)
     )
@@ -279,22 +272,18 @@ def step2_v0(tor_pres: Presentation, N: int = 100):
 
 # ------------------------------------------------------------------ step 3
 
-def absolute_e2(p: int, N: int) -> Presentation:
-    """E2 of the absolute run, with the Galois weights attached."""
-    return Presentation(
-        p,
-        (
-            trunc("u", p - 1, (0, 2), weight=1),
-            ext("su", (3, 0), weight=1),
-            ext("l1", (2 * p - 1, 0), weight=0),
-            poly("m1", (2 * p, 0), weight=0),
-        ),
-        N,
-    )
+def absolute_e2(rel_pres: Presentation, N: int) -> Presentation:
+    """E2 of the absolute run: "v1-ku" in the rows, then step 2's result,
+    each generator with its weight from "delta-weights"."""
+    facts = input_facts(rel_pres.p)
+    weight = facts["delta-weights"].data
+    gens = facts["v1-ku"].data + rel_pres.generators
+    return Presentation(rel_pres.p, [replace(g, weight=weight[g.name]) for g in gens], N)
 
 
 def weight_table(p: int) -> dict:
-    """Galois weights of the abutment generators, in Z/(p-1)."""
+    """Galois weights of the abutment generators, in Z/(p-1), typed in apart
+    from "delta-weights" so that a wrong entry there fails the lift checks."""
     p = _require_prime(p)
     table = {"u": 1, "l1": 0, "mu2": 0}
     for i in range(p):
@@ -414,11 +403,11 @@ def full_basis_count(p: int, d: int) -> int:
     return out
 
 
-def step3_v1(p: int, N: int = 100):
+def step3_v1(rel_pres: Presentation, N: int = 100):
     """The absolute run: forced differential, collapse, identification, lifts."""
-    p = _require_prime(p)
+    p = rel_pres.p
     N = _require_box(p, N, 2 * p * p)  # mu2
-    pres = absolute_e2(p, N)
+    pres = absolute_e2(rel_pres, N)
     facts = [
         "v1-ku",
         "bokstedt-thh-zp",
@@ -546,5 +535,6 @@ def reproduce_thh_ku(p: int, N: int = 100) -> PipelineReport:
     p = _require_prime(p)
     N = _require_box(p, N, 2 * p * p)  # mu2
     tor_pres, tor_report = step1_tor(p)
-    steps = [tor_report, step2_v0(tor_pres, N)[1], step3_v1(p, N)[1]]
+    rel_pres, rel_report = step2_v0(tor_pres, N)
+    steps = [tor_report, rel_report, step3_v1(rel_pres, N)[1]]
     return PipelineReport(p, N, [_share_content(s) for s in steps])

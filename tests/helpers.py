@@ -1,8 +1,14 @@
 """Shared builders for tests of the absolute run and of random DGAs.
 
-The E2 presentations themselves are gradss.thhku.relative_e2 and absolute_e2.
+relative_e2 and absolute_e2 are the two E2 presentations typed in by hand, as
+references independent of gradss.thhku, which builds them from its fact
+registry.
 """
 
+import operator
+
+import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from gradss import algebra as alg
@@ -10,7 +16,49 @@ from gradss.algebra import Presentation, element, ext, monomial_element, poly, t
 from gradss.dga import extend_derivation
 from gradss.filtered import realize_filtered_dga
 from gradss.specseq import DifferentialSpec
-from gradss.thhku import absolute_e2
+
+
+def relative_e2(p, N):
+    """E2 of the relative run: su in the rows, l1 and m1 in the columns."""
+    return Presentation(
+        p, (ext("su", (0, 3)), ext("l1", (2 * p - 1, 0)), poly("m1", (2 * p, 0))), N
+    )
+
+
+def absolute_e2(p, N):
+    """E2 of the absolute run, with the Galois weights attached."""
+    return Presentation(
+        p,
+        (
+            trunc("u", p - 1, (0, 2), weight=1),
+            ext("su", (3, 0), weight=1),
+            ext("l1", (2 * p - 1, 0), weight=0),
+            poly("m1", (2 * p, 0), weight=0),
+        ),
+        N,
+    )
+
+
+def integer_like(x):
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def check_plain_int_answer_or_value_error(call, value, answer=lambda out: out):
+    """call(value) raises ValueError unless value is an int or a numpy integer;
+    if it is one, call(value) ends as call(plain int) does: the same answer,
+    or the same exception type."""
+    if not integer_like(value):
+        with pytest.raises(ValueError):
+            call(value)
+        return
+
+    def outcome(x):
+        try:
+            return answer(call(x))
+        except Exception as err:  # the plain int's refusal, whatever it is
+            return type(err)
+
+    assert outcome(value) == outcome(operator.index(value))
 
 
 def intro_dga(p=5, N=60):

@@ -29,7 +29,6 @@ from gradss.specseq import (
 )
 from gradss.thhku import (
     abutment_relations,
-    absolute_e2,
     basis_formula_count,
     full_basis_count,
     step1_tor,
@@ -37,7 +36,7 @@ from gradss.thhku import (
     step3_v1,
 )
 
-from helpers import brunku2_spec, intro_dga
+from helpers import absolute_e2, brunku2_spec, intro_dga, relative_e2
 from oracles import check_leibniz, dense_hochschild
 
 STEP3_BOX = {5: 103, 7: 176}  # covers every relation plus the collapse margin
@@ -71,8 +70,6 @@ def test_acceptance_step2_reproduction():
             "polynomial",
         ]
         # dimension series of the front page vs the free presentation
-        from gradss.thhku import relative_e2
-
         e2 = init_page(relative_e2(p, 102))
         series = alg.dimension_series(result, 100)
         ok &= all(e2.dim_total(d) == series[d] for d in range(101))
@@ -105,7 +102,7 @@ def test_acceptance_step3_reproduction():
         ok &= einf.r == 2 * p - 2
         ok &= certify_collapse(einf).full
 
-        result, report = step3_v1(p, N)
+        result, report = step3_v1(step2_v0(step1_tor(p)[0], N)[0], N)
         elapsed = time.perf_counter() - t0
         iso = [c for c in report.certificates if c["kind"] == "presentation-iso"][0]
         ok &= iso["ok"] and iso["bound"] >= 100 and iso["skipped_relations"] == 0

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gradss import linfp
-from gradss.algebra import Presentation, poly
+from gradss.algebra import Presentation, ext, poly
+from gradss.dga import homology
 from gradss.dsl import ParseError, parse
 from gradss.filtered import FilteredComplex, random_filtered_complex
+from gradss.homalg import BaseRing, koszul_tor
 from gradss.linfp import (
     MAX_PRIME,
     RowSpan,
@@ -24,6 +26,8 @@ from gradss.linfp import (
     solve,
     subquotient_basis,
 )
+
+from helpers import check_plain_int_answer_or_value_error, integer_like, intro_dga
 
 # the first prime past the int64 bound
 PAST_MAX_PRIME = 2147483659
@@ -207,6 +211,21 @@ def test_filtered_complex_checks_the_prime_on_entry(p):
     with pytest.raises(ValueError, match="need a prime"):
         random_filtered_complex(rng, p=p)
     assert rng.getstate() == state  # refused before the first draw
+
+
+def test_filtered_complex_refuses_a_float_boundary():
+    # 0.5 used to be stored as 0, leaving a boundary given as nonzero out
+    with pytest.raises(ValueError, match="entries must be integers"):
+        FilteredComplex(5, {0: 1, 1: 1}, {1: [[0.5]]}, {0: [0], 1: [0]})
+    with pytest.raises(ValueError, match="entries must be integers"):
+        FilteredComplex(5, {0: 1, 1: 1}, {1: np.ones((1, 1))}, {0: [0], 1: [0]})
+
+
+def test_filtered_complex_reduces_a_big_int_boundary():
+    # 2**70 used to raise OverflowError; it is 4 mod 5, so d is invertible
+    fc = FilteredComplex(5, {0: 1, 1: 1}, {1: [[2**70]]}, {0: [0], 1: [0]})
+    assert fc.boundary[1].tolist() == [[4]]
+    assert fc.total_homology() == {}
 
 
 def _entries(p):
@@ -481,10 +500,6 @@ def test_subquotient_rejects_boundary_outside_cycle_span(inputs):
                 Subquotient(p, dim, cycles, boundaries + [v])
 
 
-def integer_like(x):
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 MODULI = st.one_of(
     st.integers(-3, 40),
     st.sampled_from([MAX_PRIME, PAST_MAX_PRIME, 2**70 + 1]),
@@ -544,3 +559,52 @@ def test_moduli_and_entries_give_the_plain_int_answer_or_value_error(p, rows):
         assert not (prime and q >= 5)
     else:
         assert prime and q >= 5 and type(pres.p) is int and pres.p == q
+    rows_dims = {0: len(rows), 1: len(rows[0])}
+    levels = {d: [0] * dim for d, dim in rows_dims.items()}
+    try:
+        fc = FilteredComplex(p, rows_dims, {1: rows}, levels)
+    except ValueError:
+        assert not plain
+    else:
+        assert not refused
+        ref = FilteredComplex(q, rows_dims, {1: want}, levels)
+        assert fc.boundary[1].tolist() == ref.boundary[1].tolist()
+        assert fc.total_homology() == ref.total_homology()
+
+
+BOUNDS = st.one_of(
+    st.integers(-3, 30),
+    st.integers(2**63, 2**80),
+    st.integers(-(2**80), -(2**63)),
+    st.integers(-3, 30).map(np.int64),
+    st.integers(0, 30).map(np.int32),
+    st.integers(-3, 30).map(float),
+    st.floats(-3, 30),
+    st.booleans(),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(BOUNDS)
+def test_degree_bounds_give_the_plain_int_answer_or_value_error(n):
+    """A presentation's max degree, homology's n_max and koszul_tor's internal
+    bound: a float is refused even when it is integral, and so is a bool."""
+    check = check_plain_int_answer_or_value_error
+    gens = (ext("s", (3, 0)), poly("m", (4, 0)))
+    check(
+        lambda N: Presentation(5, gens, N),
+        n,
+        lambda pres: (type(pres.max_degree), pres.max_degree),
+    )
+    pres, d = intro_dga(5, 30)
+    check(
+        lambda N: homology(pres, d, N),
+        n,
+        lambda H: (type(H.cert_bound), [H.dim_total(k) for k in range(H.cert_bound + 1)]),
+    )
+    if not integer_like(n) or n <= 30:  # the Tor table has a row per internal degree
+        check(
+            lambda N: koszul_tor(BaseRing("zp", 5), "fp", "zp", N),
+            n,
+            lambda table: (type(table.max_internal), table.nonzero()),
+        )

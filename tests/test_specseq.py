@@ -36,9 +36,10 @@ from gradss.specseq import (
     turn_page,
 )
 
-from gradss.thhku import absolute_e2, omega_candidate, omega_reps, relative_e2
+from gradss.thhku import omega_candidate, omega_reps
 
 from helpers import (
+    absolute_e2,
     brunku2_spec,
     dga_instance,
     dga_shapes,
@@ -47,6 +48,7 @@ from helpers import (
     random_dga_instance,
     random_derivations,
     random_images,
+    relative_e2,
 )
 from oracles import (
     check_leibniz,
@@ -584,7 +586,7 @@ def test_exact_couple_certifies_a_space_used_only_at_empty_cells(run, monkeypatc
     fc = FilteredComplex(
         5,
         {0: 2, 1: 2, 2: 1},
-        {1: np.zeros((2, 2)), 2: np.array([[0], [1]])},
+        {1: np.zeros((2, 2), dtype=np.int64), 2: np.array([[0], [1]])},
         {0: [0, 1], 1: [0, 0], 2: [0]},
     )
     assert run(fc).einf == {(0, 0): 1, (1, -1): 1, (0, 1): 1}

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradss import algebra as alg
-from gradss import dga, specseq, thhku
-from gradss.algebra import RelationSpec, monomial_element
+from gradss import cli, dga, specseq, thhku
+from gradss.algebra import RelationSpec, ext, monomial_element, poly, trunc
 from gradss.dga import homology, verify_presentation_iso
+from gradss.dsl import parse
 from gradss.specseq import assemble_abutment, init_page, turn_page
 from gradss.thhku import (
     PipelineError,
@@ -29,7 +31,20 @@ from gradss.thhku import (
     weight_table,
 )
 
-from helpers import brunku2_spec, intro_dga
+from helpers import (
+    absolute_e2,
+    brunku2_spec,
+    check_plain_int_answer_or_value_error,
+    intro_dga,
+    relative_e2,
+)
+
+DATA = Path(thhku.__file__).parent / "data"
+
+
+def step3(p, N):
+    """Step 3 on step 2's result, as reproduce_thh_ku runs it."""
+    return step3_v1(step2_v0(step1_tor(p)[0], N)[0], N)
 
 
 def test_step1_exterior_class_p5():
@@ -63,15 +78,13 @@ def test_step2_result_degrees():
 
 def test_step2_collapse_witness_degree():
     # the page is empty in total degree 2p - 2
-    from gradss.thhku import relative_e2
-
     for p in (5, 7):
         pres = relative_e2(p, 60)
         assert alg.dimension_series(pres, 2 * p - 2)[2 * p - 2] == 0
 
 
 def test_step3_generator_degrees_p5():
-    result, report = step3_v1(5, 70)
+    result, report = step3(5, 70)
     by_name = {g.name: g.total_degree for g in result.generators}
     assert by_name["u"] == 2
     assert by_name["mu2"] == 50
@@ -83,7 +96,7 @@ def test_step3_generator_degrees_p5():
 
 def test_step3_dimension_at_degree_twelve():
     # exactly b1 and l1 a0
-    _, report = step3_v1(5, 70)
+    _, report = step3(5, 70)
     pres, d = intro_dga(5, 70)
     H = homology(pres, d, 70)
     assert H.dim_total(12) == 2
@@ -91,7 +104,7 @@ def test_step3_dimension_at_degree_twelve():
 
 
 def test_step3_weight_obstruction_listing():
-    _, report = step3_v1(5, 70)
+    _, report = step3(5, 70)
     abutment = [c for c in report.certificates if c["kind"] == "abutment"][0]
     rel8 = [r for r in abutment["relations"] if r["label"] == "rel8[1,2]"]
     assert rel8 and rel8[0]["kind"] == "weight-obstruction"
@@ -100,7 +113,7 @@ def test_step3_weight_obstruction_listing():
 
 
 def test_step3_justification_kinds():
-    _, report = step3_v1(5, 90)
+    _, report = step3(5, 90)
     abutment = [c for c in report.certificates if c["kind"] == "abutment"][0]
     kinds = {r["label"]: r["kind"] for r in abutment["relations"]}
     assert kinds["rel1"] == "strict-lift"
@@ -130,7 +143,7 @@ def test_basis_formula_small_degrees():
 
 def test_input_facts_cover_pipeline():
     facts = input_facts(5)
-    _, r3 = step3_v1(5, 70)
+    _, r3 = step3(5, 70)
     for fid in r3.consumed_facts:
         assert fid in facts
 
@@ -166,21 +179,30 @@ def test_reproduce_pipeline_json_roundtrip():
 
 
 def test_reproduce_runs_step2_once(monkeypatch):
-    # step 3 builds its own E2 page; the relative run is not one of its inputs
-    calls = []
+    # step 3 builds its E2 from the result step 2 returned, not from a rebuild
+    calls, results, step3_calls = [], [], []
 
     def counted(*args):
         calls.append(args)
-        return step2_v0(*args)
+        out = step2_v0(*args)
+        results.append(out[0])
+        return out
+
+    def recorded(*args):
+        step3_calls.append(args)
+        return step3_v1(*args)
 
     monkeypatch.setattr(thhku, "step2_v0", counted)
+    monkeypatch.setattr(thhku, "step3_v1", recorded)
     assert reproduce_thh_ku(5, 60).ok
     ((tor_pres, N),) = calls
     assert N == 60 and tor_pres == step1_tor(5)[0]
+    ((rel_pres, N),) = step3_calls
+    assert N == 60 and rel_pres is results[0]
 
 
 def test_reproduce_runs_step1_once(monkeypatch):
-    # step 2 reads su's degree off the presentation step 1 returned
+    # step 2 builds its rows from the presentation step 1 returned
     calls = []
 
     def counted(*args):
@@ -194,6 +216,7 @@ def test_reproduce_runs_step1_once(monkeypatch):
 
 def test_step3_expands_each_monomial_once_and_reads_each_cell_once(monkeypatch):
     # d is expanded once per (derivation, monomial); collapse reads no cell twice
+    rel_pres = step2_v0(step1_tor(5)[0], 103)[0]
     expanded = Counter()
     derivations = []  # held, so that no two derivations share an id
 
@@ -223,7 +246,7 @@ def test_step3_expands_each_monomial_once_and_reads_each_cell_once(monkeypatch):
     monkeypatch.setattr(specseq.Page, "dim", counted_read("dim", specseq.Page.dim))
     monkeypatch.setattr(specseq.Page, "reps", counted_read("reps", specseq.Page.reps))
     monkeypatch.setattr(thhku, "certify_collapse", counted_collapse)
-    _, report = step3_v1(5, 103)
+    _, report = step3_v1(rel_pres, 103)
     assert report.certificates[-1]["ok"]
     assert expanded and max(expanded.values()) == 1
     assert max(reads.values(), default=1) == 1
@@ -328,7 +351,7 @@ def test_step3_result_is_freed_with_its_report():
     # no cache keyed by the candidate presentation outlives the caller's
     # reference, nor the lift map kept on it; no other test builds the box
     # N = 98, so this candidate is the first of its box any cache could keep
-    ref = weakref.ref(step3_v1(5, 98)[0])
+    ref = weakref.ref(step3(5, 98)[0])
     gc.collect()
     assert ref() is None
 
@@ -412,11 +435,11 @@ def test_a_non_integer_prime_or_box_is_refused():
     with pytest.raises(PipelineError, match="p = 5.0"):
         reproduce_thh_ku(5.0, 103)
     with pytest.raises(PipelineError, match="p = True"):
-        step3_v1(True, 103)
+        reproduce_thh_ku(True, 103)
     with pytest.raises(ValueError, match="max degree 103.5 is not an integer"):
         reproduce_thh_ku(5, 103.5)
     with pytest.raises(ValueError, match="max degree 103.0 is not an integer"):
-        step3_v1(5, 103.0)
+        step3_v1(step2_v0(step1_tor(5)[0], 103)[0], 103.0)
     with pytest.raises(ValueError, match="max degree 60.5 is not an integer"):
         step2_v0(step1_tor(5)[0], 60.5)
     with pytest.raises(ValueError, match="reach total degree 10, need at least 12"):
@@ -427,3 +450,107 @@ def test_numpy_integer_prime_and_box_give_the_plain_report():
     report = reproduce_thh_ku(np.int64(5), np.int64(103))
     assert type(report.prime) is int and type(report.max_degree) is int
     assert report.to_json().encode() == GOLDEN_REPORT.read_bytes()
+
+
+BOXES = st.one_of(
+    st.integers(100, 107),
+    st.integers(40, 51),
+    st.integers(-(2**80), -(2**63)),
+    st.integers(100, 107).map(np.int64),
+    st.integers(100, 107).map(np.int32),
+    st.integers(100, 107).map(float),
+    st.floats(100, 107),
+    st.booleans(),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(BOXES)
+def test_a_box_gives_the_plain_report_or_value_error(N):
+    # boxes below 52 are too small at p = 5 and refused like their plain ints
+    check_plain_int_answer_or_value_error(
+        lambda box: reproduce_thh_ku(5, box), N, lambda report: report.to_json()
+    )
+
+
+class RecordingFacts(dict):
+    """A registry that records the identifier of every fact looked up in it."""
+
+    def __init__(self, facts, reads):
+        super().__init__(facts)
+        self.reads = reads
+
+    def __getitem__(self, fid):
+        self.reads.add(fid)
+        return super().__getitem__(fid)
+
+
+def test_each_step_reads_only_the_facts_it_consumed(monkeypatch):
+    reads = set()
+    original = thhku.input_facts
+    monkeypatch.setattr(thhku, "input_facts", lambda p: RecordingFacts(original(p), reads))
+
+    def run(step, *args):
+        reads.clear()
+        result, report = step(*args)
+        assert reads <= set(report.consumed_facts), report.name
+        return result, set(reads)
+
+    tor_pres, read1 = run(step1_tor, 5)
+    rel_pres, read2 = run(step2_v0, tor_pres, 103)
+    _, read3 = run(step3_v1, rel_pres, 103)
+    assert (read1, read2, read3) == (set(), {"bokstedt-thh-zp"}, {"v1-ku", "delta-weights"})
+    reads.clear()
+    assert reproduce_thh_ku(5, 103).ok
+    assert reads == {fid for fid, fact in original(5).items() if fact.data is not None}
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_pipeline_e2_pages_equal_the_shipped_files_and_the_references(p):
+    tor_pres = step1_tor(p)[0]
+    rel_e2 = thhku.relative_e2(tor_pres, 100)
+    assert rel_e2 == parse((DATA / f"brunku1_p{p}.ss").read_text()).presentation
+    assert rel_e2 == relative_e2(p, 100)
+    rel_pres = step2_v0(tor_pres, 100)[0]
+    assert [g.bidegree for g in rel_pres.generators] == [(3, 0), (2 * p - 1, 0), (2 * p, 0)]
+    assert all(g.weight == 0 for g in rel_pres.generators)
+    abs_e2 = thhku.absolute_e2(rel_pres, 100)
+    assert abs_e2 == parse((DATA / f"brunku2_p{p}.ss").read_text()).presentation
+    assert abs_e2 == absolute_e2(p, 100)
+
+
+REGISTRY_MUTATIONS = {
+    "m1 at degree 2p + 2": (
+        "bokstedt-thh-zp",
+        lambda p: (ext("l1", (2 * p - 1, 0)), poly("m1", (2 * p + 2, 0))),
+        "relative abutment is not free graded-commutative",
+    ),
+    "su at weight 0": (
+        "delta-weights",
+        lambda p: {"u": 1, "su": 0, "l1": 0, "m1": 0},
+        "lift of a0 has weight 0, declared 1",
+    ),
+    "u truncated at height p": (
+        "v1-ku",
+        lambda p: (trunc("u", p, (0, 2)),),
+        "no collapse on page 8",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(REGISTRY_MUTATIONS))
+def test_a_mutated_registry_fails_with_exit_1(mutation, monkeypatch, capsys):
+    fid, data, message = REGISTRY_MUTATIONS[mutation]
+    original = thhku.input_facts
+
+    def mutated(p):
+        facts = original(p)
+        facts[fid] = dataclasses.replace(facts[fid], data=data(p))
+        return facts
+
+    monkeypatch.setattr(thhku, "input_facts", mutated)
+    with pytest.raises((PipelineError, specseq.PageError), match=message):
+        reproduce_thh_ku(5, 103)
+    argv = ["reproduce", "thh-ku", "--prime", "5", "--max-degree", "103"]
+    assert cli.run_command(argv) == 1
+    assert f"certificate failure: {message}" in capsys.readouterr().err
