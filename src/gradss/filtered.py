@@ -66,8 +66,8 @@ class FilteredComplex:
                 raise ValueError(f"degree {d}: negative filtration level")
             if list(lv) != sorted(lv):
                 raise ValueError(f"degree {d}: basis not filtration-adapted")
+        self.boundary = {d: _residues(self.p, mat) for d, mat in self.boundary.items()}
         for d, mat in self.boundary.items():
-            mat = self.boundary[d] = _residues(self.p, mat)
             if mat.shape != (self.dims.get(d - 1, 0), self.dims.get(d, 0)):
                 raise ValueError(f"degree {d}: boundary shape {mat.shape} is wrong")
             # filtration preserved: target level <= source level entrywise
@@ -107,14 +107,14 @@ class FilteredComplex:
         return homology_dims(self.p, dims, self.boundary)
 
 
-def _cycle_space(fc: FilteredComplex, n: int, r: int, d: int) -> list:
-    """Basis of Z^r(n, d) as vectors in C_d."""
-    dim = fc.dims.get(d, 0)
-    fn = fc.filtration_dim(n, d)
+def _cycle_space(fc: FilteredComplex, key) -> list:
+    """Basis of the cycle space with memo key (d, fn, cut), the kernel of
+    bmat(d)[cut:, :fn], as vectors in C_d."""
+    d, fn, cut = key
     if fn == 0:
         return []
-    target_cut = fc.filtration_dim(n - r, d - 1)
-    mat = fc.bmat(d)[target_cut:, :fn]
+    dim = fc.dims.get(d, 0)
+    mat = fc.bmat(d)[cut:, :fn]
     ker = kernel_basis(fc.p, mat)
     out = []
     for v in ker:
@@ -223,9 +223,9 @@ def exact_couple_run(fc: FilteredComplex, r_max: int | None = None) -> SSRun:
             return 0
         return stages[d][min(s, top)]
 
-    def cycles(n, r, d, key):
+    def cycles(key):
         if key not in spaces:
-            basis = _cycle_space(fc, n, r, d)
+            basis = _cycle_space(fc, key)
             _certify_cycle_space(fc, key, basis, pivots)
             spaces[key] = basis
         return key
@@ -239,13 +239,13 @@ def exact_couple_run(fc: FilteredComplex, r_max: int | None = None) -> SSRun:
             for n in support[d]:
                 m = d - n
                 fn, cut = stage(n, d), stage(n - r, d - 1)
-                z = cycles(n, r, d, (d, fn, cut))
+                z = cycles((d, fn, cut))
                 if not spaces[z]:
                     continue
                 key = (
                     z,
-                    cycles(n - 1, r - 1, d, (d, stage(n - 1, d), cut)),
-                    cycles(n + r - 1, r - 1, d + 1, (d + 1, stage(n + r - 1, d + 1), fn)),
+                    cycles((d, stage(n - 1, d), cut)),
+                    cycles((d + 1, stage(n + r - 1, d + 1), fn)),
                 )
                 if key not in subs:
                     src = key[2]

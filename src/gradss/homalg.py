@@ -201,8 +201,7 @@ def koszul_tor(base: BaseRing, left: str, right: str, n_internal: int) -> TorTab
 def _entries(diff, gi, gj):
     """Entries of a resolution differential at (row gi, column gj)."""
     if gi < len(diff) and gj < len(diff[gi]):
-        e = diff[gi][gj]
-        return [e] if isinstance(e, tuple) else list(e)
+        return [diff[gi][gj]]
     return []
 
 

@@ -4,7 +4,7 @@ Three steps, each a first-quadrant spectral sequence computation over F_p
 whose E2 is built from the step before and the fact registry:
 
 1. Tor over Z_p[u] of (F_p, Z_p), recognized as an exterior algebra on a
-   degree-3 class sigma-u.
+   degree-3 class, which step 1 returns renamed sigma-u (su, weight 0).
 2. The relative run: E2 = E(su) (x) E(l1) (x) P(m1), step 1's result times
    Bokstedt's, collapses and abuts to E(su, l1) (x) P(m1) without extensions.
 3. The absolute run: E2 = P_{p-1}(u) (x) E(su, l1) (x) P(m1), V(1)_* ku times
@@ -15,8 +15,10 @@ whose E2 is built from the step before and the fact registry:
    obstruction.
 
 Homotopy-theoretic inputs enter only through the fact registry below, which
-states every E2 generator and weight once; each step's report records exactly
-which facts it consumed, so a reported result is re-runnable from the registry.
+states every E2 generator and weight once and words each fact from its data;
+each step's report records exactly which facts it consumed, so a reported
+result is re-runnable from the registry.  Omega is one table of generators
+and cycle representatives, and every certificate goes through `_certify`.
 """
 
 from __future__ import annotations
@@ -52,12 +54,38 @@ class PipelineError(RuntimeError):
 @dataclass(frozen=True)
 class InputFact:
     """A cited statement and, as data, what a step reads from it: generators,
-    a name -> Galois weight dict, or None for a fact that is only cited."""
+    a name -> Galois weight dict, or None for a fact that is only cited.
+    The statement of a fact with data is a function of the data, so the
+    printed `content` always reads what the steps read."""
 
     identifier: str
-    content: str
+    statement: object
     citation: str
     data: object = None
+
+    @property
+    def content(self) -> str:
+        return self.statement(self.data) if callable(self.statement) else self.statement
+
+
+_FACTOR = {alg.EXTERIOR: "E", alg.POLYNOMIAL: "P", alg.TRUNCATED: "P_"}
+
+
+def _algebra_text(gens) -> str:
+    """The free algebra on gens: E(x), P(x) or P_h(x) factors joined by (x)."""
+    return " (x) ".join(f"{_FACTOR[g.kind]}{g.height or ''}({g.name})" for g in gens)
+
+
+def _weights_text(weights: dict) -> str:
+    """One clause per weight, highest first: "u and su have weight 1; ..."."""
+    groups = {}
+    for name, w in sorted(weights.items(), key=lambda item: -item[1]):
+        groups.setdefault(w, []).append(name)
+    return "; ".join(
+        f"{' and '.join(names)} {'has' if len(names) == 1 else 'have'} weight {w}"
+        + (", being pulled back from the Adams summand" if w == 0 else "")
+        for w, names in groups.items()
+    )
 
 
 def input_facts(p: int) -> dict:
@@ -72,16 +100,16 @@ def input_facts(p: int) -> dict:
             ),
             InputFact(
                 "v1-ku",
-                f"V(1)_* ku = P_{p - 1}(u), truncated polynomial on the mod (p, v1) "
-                "Bott class",
+                lambda gens: f"V(1)_* ku = {_algebra_text(gens)}, truncated polynomial "
+                "on the mod (p, v1) Bott class",
                 "Ausoni, Topological Hochschild homology of connective complex "
                 "K-theory, Amer. J. Math. 127 (2005)",
                 (trunc("u", p - 1, (0, 2)),),
             ),
             InputFact(
                 "bokstedt-thh-zp",
-                f"THH_*(Z_p; F_p) = E(l1) (x) P(m1) with |l1| = {2 * p - 1}, "
-                f"|m1| = {2 * p}",
+                lambda gens: f"THH_*(Z_p; F_p) = {_algebra_text(gens)} with "
+                + ", ".join(f"|{g.name}| = {g.total_degree}" for g in gens),
                 "Bokstedt's periodicity computation of THH of the integers",
                 (ext("l1", (2 * p - 1, 0)), poly("m1", (2 * p, 0))),
             ),
@@ -100,8 +128,7 @@ def input_facts(p: int) -> dict:
             ),
             InputFact(
                 "delta-weights",
-                "Z/(p-1) Galois weights: u and su have weight 1; l1 and m1 have "
-                "weight 0, being pulled back from the Adams summand",
+                lambda weights: f"Z/(p-1) Galois weights: {_weights_text(weights)}",
                 "Ausoni's delta-action method; the Adams summand comparison",
                 {"u": 1, "su": 1, "l1": 0, "m1": 0},
             ),
@@ -119,9 +146,9 @@ def input_facts(p: int) -> dict:
 class StepReport:
     name: str
     result: dict
-    certificates: list = field(default_factory=list)
-    consumed_facts: list = field(default_factory=list)
-    cert_bound: int | None = None
+    consumed_facts: list
+    cert_bound: int | None
+    certificates: list = field(default_factory=list, init=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -183,9 +210,11 @@ def _require_prime(p: int) -> int:
         raise PipelineError(str(err)) from None
 
 
-def _require_box(p: int, N: int, top: int) -> int:
-    """N as an int; ValueError unless it is an integer of at least top + 2."""
+def _require_box(p: int, N: int, gens) -> int:
+    """N as an int; ValueError unless it is an integer of at least the
+    largest total degree of gens plus 2."""
     N = check_index(N, "max degree")
+    top = max(g.total_degree for g in gens)
     if N < top + 2:
         raise ValueError(
             f"max degree {N} too small for p = {p}: the abutment generators "
@@ -194,17 +223,25 @@ def _require_box(p: int, N: int, top: int) -> int:
     return N
 
 
+def _certify(report: StepReport, cert: dict, message: str):
+    """Record cert in report; PipelineError(message, report) unless cert["ok"]."""
+    report.certificates.append(cert)
+    if not cert["ok"]:
+        raise PipelineError(message, report)
+
+
 # ------------------------------------------------------------------ step 1
 
 def step1_tor(p: int, n_internal: int = 40):
     """Tor_{Z_p[u]}(F_p, Z_p): an exterior class in total degree 3.
 
-    Returns the recognized presentation (generator su, bidegree (3, 0) in the
-    total-degree convention) and its step report.
+    Returns the recognized presentation, its generator renamed su (bidegree
+    (3, 0) in the total-degree convention, weight 0), and its step report.
     """
     p = _require_prime(p)
     table = koszul_tor(BaseRing("zp", p), "fp", "zp", n_internal)
     rec = recognize_free_presentation(table.total_series(n_internal), p)
+    report = StepReport("tor-of-smash", {}, ["ku-homotopy"], n_internal)
     cert = {
         "kind": "tor-recognition",
         "table": {f"{n},{m}": v for (n, m), v in table.nonzero()},
@@ -212,19 +249,11 @@ def step1_tor(p: int, n_internal: int = 40):
         "forced": rec.forced,
         "ok": rec.presentation is not None and rec.forced,
     }
-    report = StepReport(
-        "tor-of-smash",
-        {},
-        [cert],
-        ["ku-homotopy"],
-        n_internal,
-    )
-    if not cert["ok"]:
-        raise PipelineError("Tor table was not recognized as forced-free", report)
+    _certify(report, cert, "Tor table was not recognized as forced-free")
     gens = rec.presentation.generators
     if [g.total_degree for g in gens] != [3]:
         raise PipelineError("Tor table is not an exterior algebra on degree 3", report)
-    pres = Presentation(p, (ext("su", (3, 0), weight=1),), n_internal)
+    pres = replace(rec.presentation, generators=(replace(gens[0], name="su"),))
     report.result = presentation_dict(pres)
     return pres, report
 
@@ -245,8 +274,9 @@ def step2_v0(tor_pres: Presentation, N: int = 100):
     Its result is the E2 with every generator moved to (total degree, 0).
     """
     p = tor_pres.p
-    N = _require_box(p, N, 2 * p)  # m1
-    pres = relative_e2(tor_pres, N)
+    pres = relative_e2(tor_pres, 0)
+    N = _require_box(p, N, pres.generators)
+    pres = replace(pres, max_degree=N)
     page = init_page(pres)
     collapse = certify_collapse(page)
     moved = [replace(g, bidegree=(g.total_degree, 0)) for g in pres.generators]
@@ -254,19 +284,20 @@ def step2_v0(tor_pres: Presentation, N: int = 100):
     report = StepReport(
         "relative-run",
         presentation_dict(result),
-        [dict(collapse.to_json_dict(), kind="collapse", ok=collapse.full)],
         ["ku-homotopy", "bokstedt-thh-zp"],
         page.cert_bound - 1,
     )
-    if not collapse.full:
-        raise PipelineError("relative run does not collapse on the front page", report)
+    _certify(
+        report,
+        dict(collapse.to_json_dict(), kind="collapse", ok=collapse.full),
+        "relative run does not collapse on the front page",
+    )
     lifts = {g.name: monomial_element(pres, {g.name: 1}) for g in pres.generators}
     abutment = assemble_abutment(page, pres, lifts, [])
-    report.certificates.append(
-        dict(abutment.to_json_dict(), kind="abutment", ok=abutment.ok)
-    )
-    if not (abutment.ok and abutment.free_commutative):
-        raise PipelineError("relative abutment is not free graded-commutative", report)
+    message = "relative abutment is not free graded-commutative"
+    _certify(report, dict(abutment.to_json_dict(), kind="abutment"), message)
+    if not abutment.free_commutative:
+        raise PipelineError(message, report)
     return result, report
 
 
@@ -293,37 +324,32 @@ def weight_table(p: int) -> dict:
     return table
 
 
-def omega_candidate(p: int, N: int) -> Presentation:
-    """Generators of the abutment: u, mu2, a_0..a_{p-1}, b_1..b_{p-1}, l1.
+def _omega(p: int) -> list:
+    """Omega as (generator, cycle representative exponents) pairs: u, l1,
+    mu2 = m1^p, a_i = su m1^i for 0 <= i < p, b_i = u m1^i for 0 < i < p.
 
     Kinds encode the monomial-bound relations: u is truncated at p-1 and the
     a_i are exterior; all remaining relations are handled separately.
     """
-    w = weight_table(p)
-    gens = [
-        trunc("u", p - 1, (0, 2), weight=w["u"]),
-        ext("l1", (2 * p - 1, 0), weight=w["l1"]),
-        poly("mu2", (2 * p * p, 0), weight=w["mu2"]),
+    return [
+        (trunc("u", p - 1, (0, 2)), {"u": 1}),
+        (ext("l1", (2 * p - 1, 0)), {"l1": 1}),
+        (poly("mu2", (2 * p * p, 0)), {"m1": p}),
+        *((ext(f"a{i}", (2 * p * i + 3, 0)), {"su": 1, "m1": i}) for i in range(p)),
+        *((poly(f"b{i}", (2 * p * i, 2)), {"u": 1, "m1": i}) for i in range(1, p)),
     ]
-    for i in range(p):
-        gens.append(ext(f"a{i}", (2 * p * i + 3, 0), weight=w[f"a{i}"]))
-    for i in range(1, p):
-        gens.append(poly(f"b{i}", (2 * p * i, 2), weight=w[f"b{i}"]))
-    return Presentation(p, tuple(gens), N)
+
+
+def omega_candidate(p: int, N: int) -> Presentation:
+    """Generators of the abutment, u, l1, mu2, a_0..a_{p-1}, b_1..b_{p-1},
+    with their weights from weight_table."""
+    w = weight_table(p)
+    return Presentation(p, [replace(g, weight=w[g.name]) for g, _ in _omega(p)], N)
 
 
 def omega_reps(pres: Presentation, p: int) -> dict:
-    """Cycle representatives: mu2 = m1^p, a_i = su m1^i, b_i = u m1^i."""
-    reps = {
-        "u": monomial_element(pres, {"u": 1}),
-        "l1": monomial_element(pres, {"l1": 1}),
-        "mu2": monomial_element(pres, {"m1": p}),
-    }
-    for i in range(p):
-        reps[f"a{i}"] = monomial_element(pres, {"su": 1, "m1": i})
-    for i in range(1, p):
-        reps[f"b{i}"] = monomial_element(pres, {"u": 1, "m1": i})
-    return reps
+    """Cycle representatives in pres of the generators of omega_candidate(p, N)."""
+    return {g.name: monomial_element(pres, exponents) for g, exponents in _omega(p)}
 
 
 def abutment_relations(p: int) -> list:
@@ -376,37 +402,28 @@ def basis_formula_count(p: int, d: int) -> int:
     Families: m1^{pn}; u^i m1^n for 1 <= i <= p-2; u^i su m1^n for
     0 <= i <= p-3; u^{p-2} su m1^{pn+p-1}.
     """
-    count = 0
-    if d % (2 * p * p) == 0:
-        count += 1
-    for i in range(1, p - 1):
-        rest = d - 2 * i
-        if rest >= 0 and rest % (2 * p) == 0:
-            count += 1
-    for i in range(0, p - 2):
-        rest = d - 2 * i - 3
-        if rest >= 0 and rest % (2 * p) == 0:
-            count += 1
-    rest = d - 2 * (p - 2) - 3
-    if rest >= 0 and rest % (2 * p) == 0:
-        n_index = rest // (2 * p)
-        if n_index % p == p - 1:
-            count += 1
-    return count
+
+    def family(first: int, step: int = 2 * p) -> int:
+        """1 if d is first plus a nonnegative multiple of step, else 0."""
+        return int(d >= first and (d - first) % step == 0)
+
+    return (
+        family(0, 2 * p * p)
+        + sum(family(2 * i) for i in range(1, p - 1))
+        + sum(family(2 * i + 3) for i in range(p - 2))
+        + family(2 * p * p - 1, 2 * p * p)
+    )
 
 
 def full_basis_count(p: int, d: int) -> int:
     """Dimension of the abutment in degree d: the four families times E(l1)."""
-    out = basis_formula_count(p, d)
-    if d >= 2 * p - 1:
-        out += basis_formula_count(p, d - (2 * p - 1))
-    return out
+    return basis_formula_count(p, d) + basis_formula_count(p, d - (2 * p - 1))
 
 
 def step3_v1(rel_pres: Presentation, N: int = 100):
     """The absolute run: forced differential, collapse, identification, lifts."""
     p = rel_pres.p
-    N = _require_box(p, N, 2 * p * p)  # mu2
+    N = _require_box(p, N, (g for g, _ in _omega(p)))
     pres = absolute_e2(rel_pres, N)
     facts = [
         "v1-ku",
@@ -416,7 +433,7 @@ def step3_v1(rel_pres: Presentation, N: int = 100):
         "sigma-must-die",
         "u-permanent",
     ]
-    report = StepReport("absolute-run", {}, [], facts, None)
+    report = StepReport("absolute-run", {}, facts, None)
 
     u = monomial_element(pres, {"u": 1})
     must_die = monomial_element(pres, {"u": p - 2, "su": 1})
@@ -433,9 +450,7 @@ def step3_v1(rel_pres: Presentation, N: int = 100):
         ],
         "ok": len(candidates) == 1,
     }
-    report.certificates.append(cert)
-    if len(candidates) != 1:
-        raise PipelineError("forced differential is not unique", report)
+    _certify(report, cert, "forced differential is not unique")
     r_forced, source = candidates[0]
     if r_forced != 2 * p - 3 or alg.element_str(pres, source) != "m1":
         raise PipelineError("unexpected forced differential candidate", report)
@@ -445,13 +460,12 @@ def step3_v1(rel_pres: Presentation, N: int = 100):
         zc = certify_zero_differentials(page, permanent=[u])
         zero_pages.append(zc.to_json_dict())
         if not zc.ok:
-            report.certificates.append(
-                {"kind": "zero-differentials", "pages": zero_pages, "ok": False}
-            )
-            raise PipelineError(f"page {page.r} differential not forced to vanish", report)
+            break
         page = turn_page(page, [])
-    report.certificates.append(
-        {"kind": "zero-differentials", "pages": zero_pages, "ok": True}
+    _certify(
+        report,
+        {"kind": "zero-differentials", "pages": zero_pages, "ok": zc.ok},
+        f"page {page.r} differential not forced to vanish",
     )
 
     spec = DifferentialSpec(
@@ -463,43 +477,40 @@ def step3_v1(rel_pres: Presentation, N: int = 100):
     einf = turn_page(page, [spec])
 
     collapse = certify_collapse(einf)
-    report.certificates.append(
-        dict(collapse.to_json_dict(), kind="collapse", ok=collapse.full)
+    _certify(
+        report,
+        dict(collapse.to_json_dict(), kind="collapse", ok=collapse.full),
+        f"no collapse on page {einf.r}",
     )
-    if not collapse.full:
-        raise PipelineError(f"no collapse on page {einf.r}", report)
 
     # independent path: straight DGA homology of the same differential
     deriv = extend_derivation(pres, {"m1": must_die}, r_forced)
     H = homology(pres, deriv, N)
     bound = min(H.cert_bound, einf.cert_bound)
     cross = all(H.dim_total(d) == einf.dim_total(d) for d in range(bound + 1))
-    report.certificates.append(
-        {"kind": "dga-cross-check", "bound": bound, "ok": cross}
+    _certify(
+        report,
+        {"kind": "dga-cross-check", "bound": bound, "ok": cross},
+        "page engine and DGA homology disagree",
     )
-    if not cross:
-        raise PipelineError("page engine and DGA homology disagree", report)
 
-    candidate = omega_candidate(p, N)
+    candidate, reps = omega_candidate(p, N), omega_reps(pres, p)
     relations = abutment_relations(p)
-    iso = verify_presentation_iso(H, candidate, omega_reps(pres, p), relations, N)
-    report.certificates.append(
-        {
-            "kind": "presentation-iso",
-            "bound": iso.bound,
-            "skipped_relations": len(iso.skipped_relations),
-            "ok": iso.ok,
-        }
-    )
-    if not iso.ok:
-        raise PipelineError("E-infinity is not the expected presentation", report)
+    iso = verify_presentation_iso(H, candidate, reps, relations, N)
+    cert = {
+        "kind": "presentation-iso",
+        "bound": iso.bound,
+        "skipped_relations": len(iso.skipped_relations),
+        "ok": iso.ok,
+    }
+    _certify(report, cert, "E-infinity is not the expected presentation")
 
-    abutment = assemble_abutment(einf, candidate, omega_reps(pres, p), relations)
-    report.certificates.append(
-        dict(abutment.to_json_dict(), kind="abutment", ok=abutment.ok)
+    abutment = assemble_abutment(einf, candidate, reps, relations)
+    _certify(
+        report,
+        dict(abutment.to_json_dict(), kind="abutment"),
+        "unresolved multiplicative extensions",
     )
-    if not abutment.ok:
-        raise PipelineError("unresolved multiplicative extensions", report)
 
     report.result = presentation_dict(candidate)
     report.cert_bound = bound
@@ -533,7 +544,7 @@ def reproduce_thh_ku(p: int, N: int = 100) -> PipelineReport:
     Step 3 needs the largest box, so its bound is checked before step 1.
     """
     p = _require_prime(p)
-    N = _require_box(p, N, 2 * p * p)  # mu2
+    N = _require_box(p, N, (g for g, _ in _omega(p)))
     tor_pres, tor_report = step1_tor(p)
     rel_pres, rel_report = step2_v0(tor_pres, N)
     steps = [tor_report, rel_report, step3_v1(rel_pres, N)[1]]

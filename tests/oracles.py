@@ -156,7 +156,14 @@ def dense_hochschild(p, height, var_degree, s_max, t_max):
 
 def naive_exact_couple_run(fc, r_max=None):
     """filtered.exact_couple_run without its memos: every Z and every
-    Subquotient is rebuilt at every (r, n, d), through filtered._cycle_space."""
+    Subquotient is rebuilt at every (r, n, d), through filtered._cycle_space
+    on a key computed here from FilteredComplex.filtration_dim."""
+
+    def cycle_space(n, r, d):
+        """Z^r(n, d): the kernel of bmat(d)[dim F_{n-r} C_{d-1}:, :dim F_n C_d]."""
+        key = (d, fc.filtration_dim(n, d), fc.filtration_dim(n - r, d - 1))
+        return filtered._cycle_space(fc, key)
+
     stable = fc.top_level + 1
     if r_max is None:
         r_max = stable
@@ -169,11 +176,11 @@ def naive_exact_couple_run(fc, r_max=None):
         for d in fc.degrees:
             for n in range(0, fc.top_level + 1):
                 m = d - n
-                z = filtered._cycle_space(fc, n, r, d)
+                z = cycle_space(n, r, d)
                 if not z:
                     continue
-                dead = filtered._cycle_space(fc, n - 1, r - 1, d)
-                for v in filtered._cycle_space(fc, n + r - 1, r - 1, d + 1):
+                dead = cycle_space(n - 1, r - 1, d)
+                for v in cycle_space(n + r - 1, r - 1, d + 1):
                     dead.append(matmul(fc.bmat(d + 1), v, fc.p))
                 sub = Subquotient(fc.p, fc.dims[d], z, dead)
                 if sub.reps:

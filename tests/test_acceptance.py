@@ -219,9 +219,11 @@ def test_acceptance_hochschild_oracle():
 
 def test_acceptance_determinism(tmp_path):
     src = str(files("gradss") / "data" / "brunku2_p5.ss")
+    # the subprocesses import the gradss this test imported, installed or not
+    path = os.path.dirname(os.path.dirname(alg.__file__))
     outputs = []
     for tag, threads in (("a", "1"), ("b", "4"), ("c", "1")):
-        env = dict(os.environ, GRADSS_THREADS=threads)
+        env = dict(os.environ, GRADSS_THREADS=threads, PYTHONPATH=path)
         chart = tmp_path / f"chart-{tag}.tsv"
         report = tmp_path / f"report-{tag}.json"
         r1 = subprocess.run(

@@ -221,6 +221,16 @@ def test_filtered_complex_refuses_a_float_boundary():
         FilteredComplex(5, {0: 1, 1: 1}, {1: np.ones((1, 1))}, {0: [0], 1: [0]})
 
 
+def test_filtered_complex_leaves_the_callers_boundaries_alone():
+    # the complex used to keep the caller's dict and write its residues into it
+    mat = np.array([[7]])
+    given = {1: mat, 2: [[0]]}
+    fc = FilteredComplex(5, {0: 1, 1: 1, 2: 1}, given, {0: [0], 1: [0], 2: [0]})
+    assert fc.boundary is not given and fc.boundary[1].tolist() == [[2]]
+    assert list(given) == [1, 2] and given[1] is mat and given[2] == [[0]]
+    assert mat.tolist() == [[7]]
+
+
 def test_filtered_complex_reduces_a_big_int_boundary():
     # 2**70 used to raise OverflowError; it is 4 mod 5, so d is invertible
     fc = FilteredComplex(5, {0: 1, 1: 1}, {1: [[2**70]]}, {0: [0], 1: [0]})

@@ -553,11 +553,6 @@ def test_exact_couple_matches_unmemoized_loop_on_filtered_dga(shape):
     assert_same_run(exact_couple_run(fc, r_max), naive_exact_couple_run(fc, r_max))
 
 
-def _cycle_key(fc, n, r, d):
-    """What Z^r(n, d) depends on: (d, dim F_n C_d, dim F_{n-r} C_{d-1})."""
-    return (d, fc.filtration_dim(n, d), fc.filtration_dim(n - r, d - 1))
-
-
 @pytest.mark.parametrize("run", [exact_couple_run, naive_exact_couple_run])
 def test_exact_couple_keeps_subquotient_check(run, monkeypatch):
     # negative control: F_0 C_0 = <a, a'>, C_1 = <b> at level 0, db = a'.
@@ -568,9 +563,9 @@ def test_exact_couple_keeps_subquotient_check(run, monkeypatch):
     assert run(fc).einf == {(0, 0): 1}
     original = filtered._cycle_space
 
-    def damaged(fc, n, r, d):
-        z = original(fc, n, r, d)
-        return z[:-1] if _cycle_key(fc, n, r, d) == (0, 2, 0) else z
+    def damaged(fc, key):
+        z = original(fc, key)
+        return z[:-1] if key == (0, 2, 0) else z
 
     monkeypatch.setattr(filtered, "_cycle_space", damaged)
     with pytest.raises(SubquotientError):
@@ -592,9 +587,9 @@ def test_exact_couple_certifies_a_space_used_only_at_empty_cells(run, monkeypatc
     assert run(fc).einf == {(0, 0): 1, (1, -1): 1, (0, 1): 1}
     original = filtered._cycle_space
 
-    def damaged(fc, n, r, d):
-        z = original(fc, n, r, d)
-        return z[:-1] if _cycle_key(fc, n, r, d) == (1, 2, 1) else z
+    def damaged(fc, key):
+        z = original(fc, key)
+        return z[:-1] if key == (1, 2, 1) else z
 
     monkeypatch.setattr(filtered, "_cycle_space", damaged)
     with pytest.raises(SubquotientError):
@@ -635,10 +630,10 @@ def test_exact_couple_refuses_every_damaged_cycle_space(damage, monkeypatch):
         fc = random_filtered_complex(random.Random(seed), p=(2, 3, 5, 7)[seed % 4])
         built = {}
 
-        def recorded(fc, n, r, d):
-            z = original(fc, n, r, d)
+        def recorded(fc, key):
+            z = original(fc, key)
             if z:
-                built[_cycle_key(fc, n, r, d)] = z
+                built[key] = z
             return z
 
         monkeypatch.setattr(filtered, "_cycle_space", recorded)
@@ -649,8 +644,8 @@ def test_exact_couple_refuses_every_damaged_cycle_space(damage, monkeypatch):
                 continue
             hit += 1
 
-            def damaged(fc, n, r, d, key=key, bad=bad):
-                return bad if _cycle_key(fc, n, r, d) == key else original(fc, n, r, d)
+            def damaged(fc, cell, key=key, bad=bad):
+                return bad if cell == key else original(fc, cell)
 
             monkeypatch.setattr(filtered, "_cycle_space", damaged)
             with pytest.raises(SubquotientError):
@@ -664,9 +659,9 @@ def test_exact_couple_builds_each_cycle_space_once(monkeypatch):
     original = filtered._cycle_space
     keys = []
 
-    def counted(fc, n, r, d):
-        keys.append(_cycle_key(fc, n, r, d))
-        return original(fc, n, r, d)
+    def counted(fc, key):
+        keys.append(key)
+        return original(fc, key)
 
     monkeypatch.setattr(filtered, "_cycle_space", counted)
     exact_couple_run(fc, r_max=specs[0].page + 2)

@@ -52,6 +52,9 @@ def test_step1_exterior_class_p5():
     (g,) = pres.generators
     assert g.kind == "exterior" and g.total_degree == 3
     assert report.certificates[0]["table"] == {"0,0": 1, "1,2": 1}
+    # the recognized class, renamed: weights are stated only in "delta-weights"
+    assert (g.name, g.bidegree, g.weight) == ("su", (3, 0), 0)
+    assert report.result["generators"][0]["weight"] == 0
 
 
 def test_step1_is_p_independent():
@@ -139,6 +142,8 @@ def test_basis_formula_small_degrees():
     expected = {0: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 0, 9: 0, 10: 0, 11: 0, 12: 1}
     for d, v in expected.items():
         assert basis_formula_count(5, d) == v, d
+    # a negative degree holds nothing, also at a multiple of |mu2| = 50
+    assert basis_formula_count(5, -50) == full_basis_count(5, -50) == 0
 
 
 def test_input_facts_cover_pipeline():
@@ -146,6 +151,53 @@ def test_input_facts_cover_pipeline():
     _, r3 = step3(5, 70)
     for fid in r3.consumed_facts:
         assert fid in facts
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_facts_with_data_are_worded_from_it(p):
+    facts = input_facts(p)
+    assert facts["v1-ku"].content == (
+        f"V(1)_* ku = P_{p - 1}(u), truncated polynomial on the mod (p, v1) Bott class"
+    )
+    assert facts["bokstedt-thh-zp"].content == (
+        f"THH_*(Z_p; F_p) = E(l1) (x) P(m1) with |l1| = {2 * p - 1}, |m1| = {2 * p}"
+    )
+    assert facts["delta-weights"].content == (
+        "Z/(p-1) Galois weights: u and su have weight 1; l1 and m1 have weight 0, "
+        "being pulled back from the Adams summand"
+    )
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_omega_reps_lift_every_candidate_generator(p):
+    N = 2 * p * p + 2
+    candidate = omega_candidate(p, N)
+    pres = absolute_e2(p, N)
+    reps = omega_reps(pres, p)
+    assert list(reps) == [g.name for g in candidate.generators]
+    for g in candidate.generators:
+        assert sum(alg.bidegree_of(pres, reps[g.name])) == g.total_degree, g.name
+
+
+def test_a_failing_zero_differential_page_ends_the_report(monkeypatch):
+    # at p = 5 pages 2..6 are shown to vanish before d_7; page 4 is made to fail
+    original = thhku.certify_zero_differentials
+
+    def failing_on_page_4(page, permanent=()):
+        cert = original(page, permanent)
+        if page.r == 4:
+            return dataclasses.replace(cert, obstructions=[("m1", (0, 4))])
+        return cert
+
+    monkeypatch.setattr(thhku, "certify_zero_differentials", failing_on_page_4)
+    with pytest.raises(PipelineError, match="page 4 differential not forced to vanish") as err:
+        step3(5, 60)
+    certs = err.value.report.certificates
+    assert [c["kind"] for c in certs] == ["forced-differential", "zero-differentials"]
+    assert certs[-1]["ok"] is False
+    assert [(z["page"], z["ok"]) for z in certs[-1]["pages"]] == [
+        (2, True), (3, True), (4, False)
+    ]
 
 
 def test_abutment_relation_count():
@@ -519,28 +571,33 @@ def test_pipeline_e2_pages_equal_the_shipped_files_and_the_references(p):
     assert abs_e2 == absolute_e2(p, 100)
 
 
+# (fact, mutated data, failure message, the fact's content at p = 5)
 REGISTRY_MUTATIONS = {
     "m1 at degree 2p + 2": (
         "bokstedt-thh-zp",
         lambda p: (ext("l1", (2 * p - 1, 0)), poly("m1", (2 * p + 2, 0))),
         "relative abutment is not free graded-commutative",
+        "THH_*(Z_p; F_p) = E(l1) (x) P(m1) with |l1| = 9, |m1| = 12",
     ),
     "su at weight 0": (
         "delta-weights",
         lambda p: {"u": 1, "su": 0, "l1": 0, "m1": 0},
         "lift of a0 has weight 0, declared 1",
+        "Z/(p-1) Galois weights: u has weight 1; su and l1 and m1 have weight 0, "
+        "being pulled back from the Adams summand",
     ),
     "u truncated at height p": (
         "v1-ku",
         lambda p: (trunc("u", p, (0, 2)),),
         "no collapse on page 8",
+        "V(1)_* ku = P_5(u), truncated polynomial on the mod (p, v1) Bott class",
     ),
 }
 
 
 @pytest.mark.parametrize("mutation", sorted(REGISTRY_MUTATIONS))
 def test_a_mutated_registry_fails_with_exit_1(mutation, monkeypatch, capsys):
-    fid, data, message = REGISTRY_MUTATIONS[mutation]
+    fid, data, message, content = REGISTRY_MUTATIONS[mutation]
     original = thhku.input_facts
 
     def mutated(p):
@@ -549,6 +606,7 @@ def test_a_mutated_registry_fails_with_exit_1(mutation, monkeypatch, capsys):
         return facts
 
     monkeypatch.setattr(thhku, "input_facts", mutated)
+    assert thhku.input_facts(5)[fid].content == content
     with pytest.raises((PipelineError, specseq.PageError), match=message):
         reproduce_thh_ku(5, 103)
     argv = ["reproduce", "thh-ku", "--prime", "5", "--max-degree", "103"]
