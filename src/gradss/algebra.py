@@ -18,11 +18,13 @@ generators are exactly the odd-degree ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from operator import add as _add
 
 from .linfp import check_index, check_prime
+
+LEAST_PRIME = 5  # the least prime of every presentation and every pipeline run
 
 POLYNOMIAL = "polynomial"
 EXTERIOR = "exterior"
@@ -104,7 +106,10 @@ def trunc(name, height, bidegree, weight=0):
 
 @dataclass(frozen=True)
 class Presentation:
-    """Bigraded graded-commutative F_p-algebra, enumerated up to degree N."""
+    """Bigraded graded-commutative F_p-algebra, enumerated up to degree N.
+
+    Each generator is stored with its weight reduced mod p - 1.
+    """
 
     p: int
     generators: tuple
@@ -127,10 +132,11 @@ class Presentation:
     _built: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "p", check_prime(self.p, 5))
+        p = check_prime(self.p, LEAST_PRIME)
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "max_degree", check_index(self.max_degree, "max degree"))
-        object.__setattr__(self, "generators", tuple(self.generators))
-        gens = self.generators
+        gens = tuple(replace(g, weight=g.weight % (p - 1)) for g in self.generators)
+        object.__setattr__(self, "generators", gens)
         key = (self.p, self.max_degree, tuple(
             (g.name, g.kind, g.bidegree, g.weight, g.height) for g in gens
         ))
@@ -176,10 +182,7 @@ class Presentation:
         e = [0] * len(self.generators)
         for name, k in exponents.items():
             i = self.index(name)
-            g = self.generators[i]
-            if k < 0 or (g.kind == EXTERIOR and k > 1) or (
-                g.kind == TRUNCATED and k >= g.height
-            ):
+            if k < 0 or (self.caps[i] is not None and k >= self.caps[i]):
                 raise ValueError(f"exponent {k} out of range for {name}")
             e[i] = k
         return tuple(e)
@@ -427,16 +430,9 @@ def monomial_table(pres: Presentation):
         if i == len(gens):
             table.setdefault((n, m), []).append(tuple(expo))
             return
-        g = gens[i]
-        dn, dm = g.bidegree
+        dn, dm = gens[i].bidegree
         d = dn + dm
-        if g.kind == EXTERIOR:
-            emax = 1
-        elif g.kind == TRUNCATED:
-            emax = g.height - 1
-        else:
-            emax = (pres.max_degree - n - m) // d
-        for e in range(emax + 1):
+        for e in range(pres.caps[i] or (pres.max_degree - n - m) // d + 1):
             if n + m + e * d > pres.max_degree:
                 break
             expo.append(e)

@@ -246,7 +246,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    check_prime(args.prime, 5)
+    check_prime(args.prime, alg.LEAST_PRIME)
     _check_destination("report", args.report)
     report = reproduce_thh_ku(args.prime, args.max_degree)
     _write(report.to_json(), args.report)

@@ -2,10 +2,10 @@
 
 A derivation is declared on generators and extended to monomials by the
 signed Leibniz rule d(xy) = d(x) y + (-1)^{|x|} x d(y), with |x| the total
-degree.  The bidegree shift is (-r, r-1) for a declared page r >= 1, so the
-total degree always drops by one and homology at total degree d is certified
-once every monomial of degree d + 1 is enumerated: the certified bound is
-N - 1.
+degree.  The bidegree shift is (-r, r-1) for a declared page r >= 1, stated
+for every module by d_target and d_source, so the total degree always drops
+by one and homology at total degree d is certified once every monomial of
+degree d + 1 is enumerated: the certified bound is N - 1.
 
 d is applied through one matrix per bidegree, d_matrix: its columns are the
 Leibniz expansions of the bidegree's monomials, built once per derivation, and
@@ -47,6 +47,16 @@ class DifferentialError(ValueError):
     """A generator image violates the declared bidegree shift."""
 
 
+def d_target(bd, r):
+    """The bidegree d_r maps bd to: (n - r, m + r - 1)."""
+    return (bd[0] - r, bd[1] + r - 1)
+
+
+def d_source(bd, r):
+    """The bidegree d_r maps to bd from: (n + r, m - r + 1)."""
+    return (bd[0] + r, bd[1] - r + 1)
+
+
 @dataclass
 class Derivation:
     """Degree -1 derivation with bidegree shift (-page, page - 1)."""
@@ -58,7 +68,7 @@ class Derivation:
     matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def target(self, bd):
-        return (bd[0] - self.page, bd[1] + self.page - 1)
+        return d_target(bd, self.page)
 
 
 def extend_derivation(pres: Presentation, gen_images: dict, page: int) -> Derivation:
@@ -71,14 +81,13 @@ def extend_derivation(pres: Presentation, gen_images: dict, page: int) -> Deriva
     """
     if page < 1:
         raise DifferentialError(f"page {page} must be >= 1")
-    shift = (-page, page - 1)
     images = {}
     for name, img in gen_images.items():
         g = pres.gen(name)
         if not img:
             continue
         bd = alg.bidegree_of(pres, img)
-        want = (g.bidegree[0] + shift[0], g.bidegree[1] + shift[1])
+        want = d_target(g.bidegree, page)
         if bd != want:
             raise DifferentialError(
                 f"d({name}) has bidegree {bd}, expected {want}"
@@ -301,13 +310,12 @@ def homology(pres: Presentation, d: Derivation, n_max: int) -> HomologyResult:
     table = alg.monomial_table(pres)
     subs: dict = {}
     for bd in sorted(table):
-        n, m = bd
-        if n + m > n_max:
+        if sum(bd) > n_max:
             continue
         dim = len(table[bd])
         mat = d_matrix(d, bd)
         # boundaries: the nonzero columns of d out of one shift up
-        source = (n + d.page, m - d.page + 1)
+        source = d_source(bd, d.page)
         bvecs = []
         if source in table:
             incoming = d_matrix(d, source)
@@ -343,21 +351,6 @@ class IsoReport:
             or self.surjectivity_failures
             or self.dimension_mismatches
         )
-
-    def summary(self) -> str:
-        if self.ok:
-            return f"isomorphism verified up to total degree {self.bound}"
-        lines = [f"verification failed (bound {self.bound}):"]
-        for tag, items in [
-            ("generator", self.generator_failures),
-            ("kind", self.kind_failures),
-            ("relation", self.relation_failures),
-            ("surjectivity", self.surjectivity_failures),
-            ("dimension", self.dimension_mismatches),
-        ]:
-            for it in items:
-                lines.append(f"  {tag}: {it}")
-        return "\n".join(lines)
 
 
 def verify_presentation_iso(

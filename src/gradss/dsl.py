@@ -18,10 +18,11 @@ single-block form; parse-print-parse is the identity on the parsed data.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import algebra as alg
 from .algebra import Presentation, ext, poly, trunc
+from .dga import d_target
 from .linfp import check_prime
 from .specseq import DifferentialSpec
 
@@ -38,7 +39,6 @@ class ParseError(ValueError):
 class ParsedFile:
     presentation: Presentation
     differentials: list
-    options: dict = field(default_factory=dict)
 
 
 def _tokenize(text: str):
@@ -123,7 +123,7 @@ def parse(text: str) -> ParsedFile:
         raise ParseError(ln if lines else 1, "missing prime declaration")
     p = _int(toks[1], ln, "prime")
     try:
-        check_prime(p, 5)
+        check_prime(p, alg.LEAST_PRIME)
     except ValueError as err:
         raise ParseError(ln, str(err)) from None
     ln, toks = take()
@@ -187,7 +187,7 @@ def parse(text: str) -> ParsedFile:
         g = pres.gen(name)
         image = parse_expression(pres, toks[4:], ln)
         bd = alg.bidegree_of(pres, image)
-        want = (g.bidegree[0] - page, g.bidegree[1] + page - 1)
+        want = d_target(g.bidegree, page)
         if bd is not None and bd != want:
             raise ParseError(
                 ln,
@@ -195,7 +195,7 @@ def parse(text: str) -> ParsedFile:
             )
         source = alg.element(pres, {pres.monomial({name: 1}): 1})
         diffs.append(DifferentialSpec(page, source, image, provenance=f"line {ln}"))
-    return ParsedFile(pres, diffs, {"prime": p, "maxdeg": maxdeg})
+    return ParsedFile(pres, diffs)
 
 
 def _parse_genline(toks: list, line: int):
@@ -246,8 +246,8 @@ def print_file(parsed: ParsedFile) -> str:
             if g.kind == "truncated":
                 kind = f"trunc {g.height}"
             piece = f"  gen {g.name} {kind} bideg {g.bidegree[0]} {g.bidegree[1]}"
-            if g.weight % (pres.p - 1):
-                piece += f" weight {g.weight % (pres.p - 1)}"
+            if g.weight:
+                piece += f" weight {g.weight}"
             out.append(piece)
         out.append("}")
     for spec in parsed.differentials:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra as alg
-from .dga import Derivation, d_matrix
+from .dga import Derivation, d_matrix, d_target
 from .linfp import (
     Subquotient,
     SubquotientError,
@@ -261,7 +261,7 @@ def exact_couple_run(fc: FilteredComplex, r_max: int | None = None) -> SSRun:
         # induced differential with the (-1)^{degree} boundary sign
         dmat = {}
         for (n, m), sub in cells.items():
-            target = cells.get((n - r, m + r - 1))
+            target = cells.get(d_target((n, m), r))
             if target is None:
                 continue
             d = n + m

@@ -183,26 +183,18 @@ def koszul_tor(base: BaseRing, left: str, right: str, n_internal: int) -> TorTab
             m = np.zeros((len(spaces[n]), len(spaces[n + 1])), dtype=np.int64)
             for j, (gj, deg) in enumerate(spaces[n + 1]):
                 for gi in range(len(levels[n])):
-                    for (c, k) in _entries(diffs[n], gi, gj):
-                        hit = _left_multiplication(base, left, c, k, deg)
-                        if hit is None:
-                            continue
-                        tdeg, coeff = hit
-                        key = (gi, tdeg)
-                        if key in rows:
-                            m[rows[key], j] = (m[rows[key], j] + coeff) % p
+                    hit = _left_multiplication(base, left, *diffs[n][gi][gj], deg)
+                    if hit is None:
+                        continue
+                    tdeg, coeff = hit
+                    key = (gi, tdeg)
+                    if key in rows:
+                        m[rows[key], j] = (m[rows[key], j] + coeff) % p
             mats[n + 1] = m
         sizes = {n: len(space) for n, space in enumerate(spaces)}
         for n, h in homology_dims(p, sizes, mats).items():
             dims[(n, t)] = h
     return TorTable(p, n_internal, dims)
-
-
-def _entries(diff, gi, gj):
-    """Entries of a resolution differential at (row gi, column gj)."""
-    if gi < len(diff) and gj < len(diff[gi]):
-        return [diff[gi][gj]]
-    return []
 
 
 @dataclass(frozen=True)

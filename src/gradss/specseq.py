@@ -38,7 +38,9 @@ import numpy as np
 
 from . import algebra as alg
 from .algebra import Element, Presentation, ZERO
-from .dga import Classes, coords, d_matrix, element_from_coords, extend_derivation
+from .dga import (
+    Classes, coords, d_matrix, d_source, d_target, element_from_coords, extend_derivation,
+)
 from .linfp import Subquotient, kernel_basis, matmul, stack_rows
 
 
@@ -73,6 +75,12 @@ class Page(Classes):
     r: int
     cert_bound: int
     subquotients: dict
+
+    @property
+    def survival_bound(self) -> int:
+        """Total degree through which a class is certified to survive: a
+        differential into degree cert_bound comes from past the certified box."""
+        return self.cert_bound - 1
 
     def reduce(self, el: Element) -> Element:
         """Canonical representative of el modulo the accumulated boundaries."""
@@ -194,10 +202,9 @@ def turn_page(page: Page, specs: list) -> Page:
     # a cell that d neither leaves nor enters carries over unchanged
     new_subquotients = dict(page.subquotients)
     for bd in sorted(page.subquotients):
-        n, m = bd
         # new boundaries: the old ones plus images from one shift up; the
         # old boundaries stay cycles too
-        incoming = [v for v in rep_images.get((n + r, m - r + 1), ()) if v.any()]
+        incoming = [v for v in rep_images.get(d_source(bd, r), ()) if v.any()]
         if bd not in kernels and not incoming:
             continue
         sub = page.subquotients[bd]
@@ -244,27 +251,27 @@ def certify_collapse(page: Page) -> CollapseCertificate:
     certified = {}
     uncertified = []
     refusals = []
-    survival_bound = page.cert_bound - 1
     for bd, sub in sorted(page.subquotients.items()):
         n, m = bd
         classes = range(len(sub))
         if not classes:
             continue
-        if n + m > survival_bound:
+        if n + m > page.survival_bound:
             uncertified.extend((n, m, i, "beyond-truncation") for i in classes)
             continue
         if n < page.r:
             certified[bd] = tuple((i, "column-bound") for i in classes)
             continue
-        # the first target (n - r, m + r - 1), r >= page.r, that holds classes:
-        # the largest occupied column <= n - page.r of total degree n + m - 1
-        below = page.columns(n + m - 1)
-        k = bisect_right(below, n - page.r)
+        # the first target of a d_r, r >= page.r, that holds classes: the
+        # largest occupied column of that total degree at or left of d_{page.r}'s
+        first = d_target(bd, page.r)
+        below = page.columns(sum(first))
+        k = bisect_right(below, first[0])
         if not k:
             certified[bd] = tuple((i, "target-vanishes") for i in classes)
             continue
-        c = below[k - 1]
-        refusals.extend((n, m, i, n - c, (c, n + m - 1 - c)) for i in classes)
+        r = n - below[k - 1]
+        refusals.extend((n, m, i, r, d_target(bd, r)) for i in classes)
     return CollapseCertificate(page.r, certified, uncertified, refusals)
 
 
@@ -313,8 +320,7 @@ def certify_zero_differentials(page: Page, permanent: list = ()) -> ZeroDifferen
         if not page.is_surviving(gen_el):
             reasons[g.name] = "generator-dead"
             continue
-        n, m = g.bidegree
-        target = (n - r, m + r - 1)
+        target = d_target(g.bidegree, r)
         if target[0] < 0:
             reasons[g.name] = "out-of-quadrant"
             continue
@@ -351,10 +357,9 @@ def infer_forced_differentials(
 
     if is_permanent(must_die):
         return []
-    n, m = target_bd
     candidates = []
-    for r in range(page.r, m + 2):
-        source = (n + r, m - r + 1)
+    for r in range(page.r, target_bd[1] + 2):
+        source = d_source(target_bd, r)
         if sum(source) > page.cert_bound:
             continue
         for rep in page.reps(source):
@@ -379,12 +384,6 @@ class AbutmentReport:
         return not self.unresolved and all(
             u for (_, _, u, _) in self.generator_lifts.values()
         )
-
-    def justification(self, label: str) -> str:
-        for lbl, kind, _ in self.relations:
-            if lbl == label:
-                return kind
-        raise KeyError(label)
 
     def to_json_dict(self) -> dict:
         return {
@@ -437,7 +436,6 @@ def assemble_abutment(
     as unresolved, never accepted silently.
     """
     pres = einf.pres
-    survival_bound = einf.cert_bound - 1
 
     lifts_report = {}
     for g in candidate.generators:
@@ -448,7 +446,7 @@ def assemble_abutment(
         if bd != g.bidegree or not einf.is_surviving(lift):
             raise PageError(f"lift of {g.name} is not a surviving class at {g.bidegree}")
         n, m = bd
-        w = g.weight % (candidate.p - 1)
+        w = g.weight
         # weight arguments are only sound if the declared weight is the
         # weight the lift actually carries on the page
         lift_w = alg.weight_of_element(pres, lift)
@@ -468,7 +466,7 @@ def assemble_abutment(
         free_kinds = all(
             g.kind in (alg.EXTERIOR, alg.POLYNOMIAL) for g in candidate.generators
         )
-        bound = min(survival_bound, candidate.max_degree)
+        bound = min(einf.survival_bound, candidate.max_degree)
         series = alg.dimension_series(candidate, bound)
         dims_ok = all(
             einf.dim_total(d) == series[d] for d in range(bound + 1)
@@ -493,7 +491,7 @@ def assemble_abutment(
         lhs = rel.monomial(candidate, rel.lhs)
         filt, row = alg.bidegree(candidate, lhs)
         w = alg.weight_of(candidate, lhs)
-        if filt + row > survival_bound:
+        if filt + row > einf.survival_bound:
             beyond.append(rel.label)
             continue
         if einf.reduce(alg.map_element(pres, lift, diff)):

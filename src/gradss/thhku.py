@@ -168,9 +168,7 @@ class PipelineReport:
 
     @property
     def ok(self) -> bool:
-        return all(
-            c.get("ok", True) for s in self.steps for c in s.certificates
-        )
+        return all(c["ok"] for s in self.steps for c in s.certificates)
 
     def to_json_dict(self) -> dict:
         return {
@@ -195,7 +193,7 @@ def presentation_dict(pres: Presentation) -> dict:
                 "kind": g.kind + (f"({g.height})" if g.height else ""),
                 "bidegree": list(g.bidegree),
                 "total_degree": g.total_degree,
-                "weight": g.weight % (pres.p - 1),
+                "weight": g.weight,
             }
             for g in pres.generators
         ],
@@ -205,7 +203,7 @@ def presentation_dict(pres: Presentation) -> dict:
 def _require_prime(p: int) -> int:
     """p as a Python int; PipelineError unless it is a prime >= 5."""
     try:
-        return check_prime(p, 5)
+        return check_prime(p, alg.LEAST_PRIME)
     except ValueError as err:
         raise PipelineError(str(err)) from None
 
@@ -232,16 +230,19 @@ def _certify(report: StepReport, cert: dict, message: str):
 
 # ------------------------------------------------------------------ step 1
 
-def step1_tor(p: int, n_internal: int = 40):
+TOR_BOX = 40  # internal degrees of step 1's Tor table, and its certified bound
+
+
+def step1_tor(p: int):
     """Tor_{Z_p[u]}(F_p, Z_p): an exterior class in total degree 3.
 
     Returns the recognized presentation, its generator renamed su (bidegree
     (3, 0) in the total-degree convention, weight 0), and its step report.
     """
     p = _require_prime(p)
-    table = koszul_tor(BaseRing("zp", p), "fp", "zp", n_internal)
-    rec = recognize_free_presentation(table.total_series(n_internal), p)
-    report = StepReport("tor-of-smash", {}, ["ku-homotopy"], n_internal)
+    table = koszul_tor(BaseRing("zp", p), "fp", "zp", TOR_BOX)
+    rec = recognize_free_presentation(table.total_series(TOR_BOX), p)
+    report = StepReport("tor-of-smash", {}, ["ku-homotopy"], TOR_BOX)
     cert = {
         "kind": "tor-recognition",
         "table": {f"{n},{m}": v for (n, m), v in table.nonzero()},
@@ -268,7 +269,7 @@ def relative_e2(tor_pres: Presentation, N: int) -> Presentation:
     return Presentation(tor_pres.p, (*rows, *columns), N)
 
 
-def step2_v0(tor_pres: Presentation, N: int = 100):
+def step2_v0(tor_pres: Presentation, N: int):
     """The relative run: full E2 collapse, free-commutative abutment.
 
     Its result is the E2 with every generator moved to (total degree, 0).
@@ -285,7 +286,7 @@ def step2_v0(tor_pres: Presentation, N: int = 100):
         "relative-run",
         presentation_dict(result),
         ["ku-homotopy", "bokstedt-thh-zp"],
-        page.cert_bound - 1,
+        page.survival_bound,
     )
     _certify(
         report,
@@ -420,7 +421,7 @@ def full_basis_count(p: int, d: int) -> int:
     return basis_formula_count(p, d) + basis_formula_count(p, d - (2 * p - 1))
 
 
-def step3_v1(rel_pres: Presentation, N: int = 100):
+def step3_v1(rel_pres: Presentation, N: int):
     """The absolute run: forced differential, collapse, identification, lifts."""
     p = rel_pres.p
     N = _require_box(p, N, (g for g, _ in _omega(p)))
@@ -538,7 +539,7 @@ def _share_content(step: StepReport) -> StepReport:
     return step
 
 
-def reproduce_thh_ku(p: int, N: int = 100) -> PipelineReport:
+def reproduce_thh_ku(p: int, N: int) -> PipelineReport:
     """Run all three steps and collect their reports.
 
     Step 3 needs the largest box, so its bound is checked before step 1.

@@ -152,6 +152,21 @@ def random_element(draw, pres, max_terms=3):
     return element(pres, dict(zip(picks, coeffs)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(random_presentations(), st.data())
+def test_monomial_refuses_exactly_the_exponents_at_or_past_the_cap(pres, data):
+    i = data.draw(st.integers(0, len(pres.generators) - 1))
+    k = data.draw(st.integers(-2, 6))
+    g = pres.generators[i]
+    name, cap = g.name, {alg.EXTERIOR: 2, alg.TRUNCATED: g.height}.get(g.kind)
+    assert pres.caps[i] == cap
+    if k < 0 or (cap is not None and k >= cap):
+        with pytest.raises(ValueError, match=f"exponent {k} out of range for {name}"):
+            pres.monomial({name: k})
+    else:
+        assert pres.monomial({name: k})[i] == k
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_graded_commutativity(data):

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from gradss import algebra as alg
 from gradss import cli, filtered, thhku
 from gradss.cli import chart_rows, run_command
-from gradss.dsl import ParsedFile, ParseError, parse, print_file
+from gradss.dga import DifferentialError, extend_derivation
+from gradss.dsl import ParsedFile, ParseError, parse, parse_expression, print_file
 from gradss.linfp import Subquotient
 
 
@@ -74,7 +75,6 @@ def test_round_trip_shipped_files():
         printed = print_file(parsed)
         again = parse(printed)
         assert again.presentation == parsed.presentation
-        assert again.options == parsed.options
         assert [
             (s.page, s.source, s.image) for s in again.differentials
         ] == [(s.page, s.source, s.image) for s in parsed.differentials]
@@ -88,7 +88,7 @@ def test_round_trip_random_presentations(data):
     gens = []
     for i in range(n_gens):
         kind = data.draw(st.sampled_from(["poly", "ext", "trunc"]))
-        w = data.draw(st.integers(0, 3))
+        w = data.draw(st.integers(-10, 10))
         if kind == "ext":
             gens.append(alg.ext(f"g{i}", (2 * data.draw(st.integers(0, 4)) + 1, 0), w))
         elif kind == "poly":
@@ -103,11 +103,28 @@ def test_round_trip_random_presentations(data):
                 )
             )
     pres = alg.Presentation(5, tuple(gens), data.draw(st.integers(10, 40)))
-    parsed = ParsedFile(pres, [], {"prime": 5, "maxdeg": pres.max_degree})
+    parsed = ParsedFile(pres, [])
     printed = print_file(parsed)
     again = parse(printed)
     assert again.presentation == pres
     assert print_file(again) == printed
+
+
+@pytest.mark.parametrize("page, image", [(7, "u"), (6, "u^3 su"), (8, "u^3 su")])
+def test_parser_and_extend_derivation_refuse_the_same_off_shift_image(
+    page, image, tmp_path, capsys
+):
+    text = data_text("brunku2_p5.ss")
+    pres = parse(text).presentation
+    bad = text.replace("d 7 m1 -> u^3 su", f"d {page} m1 -> {image}")
+    with pytest.raises(ParseError, match="must land in bidegree"):
+        parse(bad)
+    path = tmp_path / "off_shift.ss"
+    path.write_text(bad)
+    assert run_command(["run", str(path)]) == 2
+    assert "must land in bidegree" in capsys.readouterr().err
+    with pytest.raises(DifferentialError, match="expected"):
+        extend_derivation(pres, {"m1": parse_expression(pres, image.split(), 1)}, page)
 
 
 def test_run_emits_expected_chart_line(tmp_path):

@@ -56,6 +56,13 @@ def test_wrong_bidegree_image_rejected():
         extend_derivation(pres, {"m1": monomial_element(pres, {"u": 1})}, 7)
 
 
+@given(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), st.integers(1, 40))
+def test_d_source_inverts_d_target(bd, r):
+    target = dga.d_target(bd, r)
+    assert dga.d_source(target, r) == bd
+    assert sum(target) == sum(bd) - 1
+
+
 def test_equal_images_share_one_derivation_and_one_map():
     # equal (page, images) on one presentation: one Derivation, so its
     # d-matrices are built once; equal (target, images): one monomial map
@@ -327,7 +334,7 @@ def test_verify_iso_target_candidate_passes():
     H = homology(pres, d, N)
     cand = omega_candidate(p, N)
     report = verify_presentation_iso(H, cand, omega_reps(pres, p), abutment_relations(p), N)
-    assert report.ok, report.summary()
+    assert report.ok, report
     assert report.bound == N - 1
 
 
@@ -351,7 +358,7 @@ def test_verify_iso_identity_candidate():
     H = homology(pres, zero, 29)
     reps = {g.name: monomial_element(pres, {g.name: 1}) for g in pres.generators}
     report = verify_presentation_iso(H, pres, reps, [], 29)
-    assert report.ok, report.summary()
+    assert report.ok, report
 
 
 def test_euler_characteristic_conservation():

@@ -351,8 +351,8 @@ def test_abutment_weight_obstruction_for_mixed_relation():
         ((1, (("u", 1), ("a2", 1))),),
     )
     report = assemble_abutment(einf, candidate, lifts, [rel])
-    assert report.justification("rel5[1,1]") == "weight-obstruction"
-    (label, kind, details) = report.relations[0]
+    [(label, kind, details)] = report.relations
+    assert (label, kind) == ("rel5[1,1]", "weight-obstruction")
     assert "weight 3" in details and "weight 2" in details
 
 
@@ -364,7 +364,7 @@ def test_abutment_strict_lift_for_truncation_relation():
     lifts = omega_reps(pres, p)
     rel = RelationSpec("rel1", (("u", p - 1),), ())
     report = assemble_abutment(einf, candidate, lifts, [rel])
-    assert report.justification("rel1") == "strict-lift"
+    assert report.relations == [("rel1", "strict-lift", "no lower-filtration classes")]
     assert report.ok
 
 

@@ -341,6 +341,14 @@ def test_reproduce_report_bytes_match_golden_p7():
     assert reproduce_thh_ku(7, 176).to_json().encode() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("p, N", [(5, 103), (7, 176)])
+def test_every_certificate_states_a_bool_ok(p, N):
+    report = reproduce_thh_ku(p, N)
+    for step in report.steps:
+        assert step.certificates
+        assert all(type(c["ok"]) is bool for c in step.certificates), step.name
+
+
 @pytest.mark.parametrize("p, N", [(11, 448), (13, 632)])
 def test_reproduce_certifies_large_primes(p, N):
     # the smallest boxes that hold every relation at p = 11 and 13
