@@ -15,6 +15,7 @@ from .specseq import (
     DifferentialSpec,
     assemble_abutment,
     certify_collapse,
+    forced_run,
     infer_forced_differentials,
     init_page,
     turn_page,
@@ -36,6 +37,7 @@ __all__ = [
     "exact_couple_run",
     "ext",
     "extend_derivation",
+    "forced_run",
     "hochschild_homology",
     "homology",
     "infer_forced_differentials",

@@ -2,9 +2,7 @@
 
 Chart format (TSV): one line per class, columns r, n, m, index, representative,
 sorted by (r, n, m, index); index is 1-based within the bidegree.  Reports are
-JSON with sorted keys.  All computation is deterministic; GRADSS_THREADS is
-accepted as an upper bound on parallelism (the engine runs sequentially, which
-satisfies any positive bound).
+JSON with sorted keys.  All computation is deterministic.
 """
 
 from __future__ import annotations
@@ -68,16 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--max-degree", required=True, type=int, dest="max_degree")
     p_rep.add_argument("--report", help="write the JSON report here instead of stdout")
     return parser
-
-
-def _check_threads() -> bool:
-    raw = os.environ.get("GRADSS_THREADS")
-    if raw is None:
-        return True
-    try:
-        return int(raw) >= 1
-    except ValueError:
-        return False
 
 
 def chart_rows(parsed: ParsedFile) -> list:
@@ -255,9 +243,6 @@ def _cmd_reproduce(args) -> int:
 
 def run_command(argv) -> int:
     """Dispatch one invocation; 0 on success, 1 on certificate failure, 2 on usage."""
-    if not _check_threads():
-        print("GRADSS_THREADS must be a positive integer", file=sys.stderr)
-        return 2
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -352,6 +352,14 @@ class IsoReport:
             or self.dimension_mismatches
         )
 
+    def to_json_dict(self) -> dict:
+        return {
+            "kind": "presentation-iso",
+            "bound": self.bound,
+            "skipped_relations": len(self.skipped_relations),
+            "ok": self.ok,
+        }
+
 
 def verify_presentation_iso(
     H: HomologyResult,

@@ -8,11 +8,14 @@ Grammar (whitespace-separated tokens, '#' starts a comment):
     genline := "gen" NAME kind "bideg" INT INT ["weight" INT] NL
     kind    := "poly" | "ext" | "trunc" INT
     diff    := "d" INT NAME "->" expr NL
-    expr    := term ("+" term)*;  term := [INT] factor+;  factor := NAME["^"INT]
+    expr    := "0" | term ("+" term)*
+    term    := [INT] factor+;  factor := NAME["^"INT]
 
 A file parses to exactly one presentation (all blocks are tensored together in
-order) plus a list of page differentials.  The printer emits the normalized
-single-block form; parse-print-parse is the identity on the parsed data.
+order) plus a list of page differentials; an image whose coefficients all
+vanish mod p is the zero image and prints as "0".  The printer emits the
+normalized single-block form; parse-print-parse is the identity on the
+parsed data, and `run` treats the printed file as it treats the original.
 """
 
 from __future__ import annotations
@@ -70,7 +73,9 @@ def _parse_factor(tok: str, line: int):
 
 
 def parse_expression(pres: Presentation, tokens: list, line: int):
-    """expr := term ("+" term)*, evaluated to an element of pres."""
+    """expr := "0" | term ("+" term)*, evaluated to an element of pres."""
+    if tokens == ["0"]:
+        return alg.ZERO
     terms = [[]]
     for tok in tokens:
         if tok == "+":
@@ -130,6 +135,8 @@ def parse(text: str) -> ParsedFile:
     if toks[0] != "maxdeg" or len(toks) != 2:
         raise ParseError(ln, "missing maxdeg declaration")
     maxdeg = _int(toks[1], ln, "maxdeg")
+    if maxdeg < 0:
+        raise ParseError(ln, "max_degree must be non-negative")
 
     gens = []
     gen_lines = {}
@@ -194,7 +201,7 @@ def parse(text: str) -> ParsedFile:
                 f"d_{page}({name}) must land in bidegree {want}, got {bd}",
             )
         source = alg.element(pres, {pres.monomial({name: 1}): 1})
-        diffs.append(DifferentialSpec(page, source, image, provenance=f"line {ln}"))
+        diffs.append(DifferentialSpec(page, source, image))
     return ParsedFile(pres, diffs)
 
 

@@ -2,7 +2,7 @@
 
 Tor is computed from small explicit free resolutions (Koszul complexes for
 regular elements/sequences, the periodic resolution over a truncated ring)
-tensored with a p-torsion left module.  The p-adic coefficient ring is never
+tensored with F_p on the left.  The p-adic coefficient ring is never
 represented as such: resolution entries are kept as integer-coefficient
 u-powers, and tensoring with a p-torsion module reduces everything to F_p.
 
@@ -32,13 +32,12 @@ class ResourceLimit(RuntimeError):
 class BaseRing:
     """k[u] or k[u]/(u^height), k the prime field or the p-adic integers.
 
-    coefficients is "fp" or "zp"; "zp" is purely symbolic and only legal in
-    Tor computations whose left module is p-torsion.
+    coefficients is "fp" or "zp"; "zp" is purely symbolic, which is sound
+    because Tor takes F_p on the left.
     """
 
     coefficients: str
     p: int
-    var_degree: int = 2
     height: int | None = None
 
     def __post_init__(self):
@@ -46,8 +45,6 @@ class BaseRing:
             raise ValueError(f"unknown coefficient kind {self.coefficients!r}")
         if self.coefficients == "zp" and self.height is not None:
             raise ValueError("truncation is only supported over fp coefficients")
-        if self.var_degree <= 0 or self.var_degree % 2:
-            raise ValueError("the polynomial variable must have positive even degree")
         if self.height is not None and self.height < 2:
             raise ValueError("truncation height must be >= 2")
         object.__setattr__(self, "p", check_prime(self.p))
@@ -79,7 +76,7 @@ class TorTable:
 # free generators in homological degree n; diffs[n] maps level n+1 to level n,
 # entries (c, k) standing for c * u^k with c a plain integer (p survives in c).
 def _resolution(base: BaseRing, right: str, n_internal: int):
-    du = base.var_degree
+    du = 2  # |u|
     if base.coefficients == "zp":
         if right == "zp":
             return [[0], [du]], [[[(1, 1)]]]
@@ -125,71 +122,30 @@ def _resolution(base: BaseRing, right: str, n_internal: int):
     return levels, diffs
 
 
-def _left_module_degrees(base: BaseRing, left: str, n_internal: int) -> list[int]:
-    """Internal degrees carrying a basis vector of the left module."""
-    if left == "fp":
-        return [0]
-    if left == "fpu":
-        du = base.var_degree
-        top = n_internal // du
-        if base.coefficients == "fp" and base.height is not None:
-            top = min(top, base.height - 1)
-        return [k * du for k in range(top + 1)]
-    raise ValueError(f"unsupported left module {left!r}")
-
-
-def _left_multiplication(base: BaseRing, left: str, c: int, k: int, deg: int):
-    """(target_degree, coefficient) of u^k * c acting on the degree-deg line."""
-    c %= base.p
-    if c == 0:
-        return None
-    if left == "fp":
-        return (deg, c) if k == 0 else None
-    du = base.var_degree
-    j = deg // du + k
-    if base.coefficients == "fp" and base.height is not None and j >= base.height:
-        return None
-    return (deg + k * du, c)
-
-
 def koszul_tor(base: BaseRing, left: str, right: str, n_internal: int) -> TorTable:
-    """Tor_{n,m}(left, right) over the base ring, for internal degrees m <= N.
+    """Tor_{n,m}(F_p, right) over the base ring, for internal degrees m <= N.
 
-    The left module must be p-torsion so the tensored complex is an
-    F_p-complex; anything else is rejected.
+    F_p, the only left module, is p-torsion, so the tensored complex is an
+    F_p-complex: one basis vector per resolution generator, and the u^0 part
+    of each resolution entry, mod p.  Any other left module is rejected.
     """
-    if left not in ("fp", "fpu"):
-        raise ValueError(f"left module {left!r} is not p-torsion")
+    if left != "fp":
+        raise ValueError(f"left module {left!r} is not F_p")
     n_internal = check_index(n_internal, "n_internal")
     levels, diffs = _resolution(base, right, n_internal)
-    left_degrees = _left_module_degrees(base, left, n_internal)
-
-    # basis of the tensored complex at homological degree n, internal degree t:
-    # one vector per (generator of degree a, left line of degree t - a)
-    def basis(n, t):
-        out = []
-        for gi, a in enumerate(levels[n]):
-            if t - a in left_degrees:
-                out.append((gi, t - a))
-        return out
-
     p = base.p
     dims: dict = {}
     for t in range(n_internal + 1):
-        spaces = [basis(n, t) for n in range(len(levels))]
+        # the generators of internal degree t, per homological degree
+        spaces = [[g for g, a in enumerate(level) if a == t] for level in levels]
         mats = {}  # mats[n + 1]: level n + 1 -> level n
         for n in range(len(levels) - 1):
-            rows = {b: i for i, b in enumerate(spaces[n])}
             m = np.zeros((len(spaces[n]), len(spaces[n + 1])), dtype=np.int64)
-            for j, (gj, deg) in enumerate(spaces[n + 1]):
-                for gi in range(len(levels[n])):
-                    hit = _left_multiplication(base, left, *diffs[n][gi][gj], deg)
-                    if hit is None:
-                        continue
-                    tdeg, coeff = hit
-                    key = (gi, tdeg)
-                    if key in rows:
-                        m[rows[key], j] = (m[rows[key], j] + coeff) % p
+            for i, gi in enumerate(spaces[n]):
+                for j, gj in enumerate(spaces[n + 1]):
+                    c, k = diffs[n][gi][gj]
+                    if k == 0:
+                        m[i, j] = c % p
             mats[n + 1] = m
         sizes = {n: len(space) for n, space in enumerate(spaces)}
         for n, h in homology_dims(p, sizes, mats).items():

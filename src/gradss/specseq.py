@@ -27,6 +27,10 @@ the left of the page index), and classes within reach of the truncation
 boundary are reported as uncertified rather than assumed to survive.  Collapse
 and abutment read class counts, and find the occupied cells of a total degree
 in a per-page column index, Page.columns, instead of scanning every column.
+
+forced_run is the one argument from a page to E-infinity when a class must
+die: infer the one differential that can kill it, certify every page before
+it zero, turn that page and certify the collapse.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ class DifferentialSpec:
     page: int
     source: Element
     image: Element
-    provenance: str = ""
 
     def source_generator(self, pres: Presentation) -> str:
         monos = list(self.source.coeffs)
@@ -232,11 +235,13 @@ class CollapseCertificate:
 
     def to_json_dict(self) -> dict:
         return {
+            "kind": "collapse",
             "from_page": self.from_page,
             "certified": {f"{n},{m}": v for (n, m), v in sorted(self.certified.items())},
             "uncertified": [list(x) for x in self.uncertified],
             "refusals": [list(x) for x in self.refusals],
             "full": self.full,
+            "ok": self.full,
         }
 
 
@@ -368,6 +373,43 @@ def infer_forced_differentials(
     return candidates
 
 
+def forced_run(page: Page, must_die: Element, permanent: list):
+    """From page to E-infinity, when must_die dies and permanent survive.
+
+    The one differential that can kill must_die is inferred; every page
+    before it is certified zero, its page is turned, and the page after is
+    certified to collapse.  Returns E-infinity, or None on a failure, and the
+    certificates as (JSON dict, failure message) pairs in report order,
+    ending at the first that fails.
+    """
+    pres = page.pres
+    candidates = infer_forced_differentials(page, must_die, permanent)
+    forced = {
+        "kind": "forced-differential",
+        "must_die": alg.element_str(pres, must_die),
+        "candidates": [(r, alg.element_str(pres, src)) for r, src in candidates],
+        "ok": len(candidates) == 1,
+    }
+    certs = [(forced, "forced differential is not unique")]
+    if not forced["ok"]:
+        return None, certs
+    ((r, source),) = candidates
+    zero_pages = []
+    while page.r < r:
+        zero_pages.append(certify_zero_differentials(page, permanent).to_json_dict())
+        if not zero_pages[-1]["ok"]:
+            break
+        page = turn_page(page, [])
+    zero = {"kind": "zero-differentials", "pages": zero_pages, "ok": page.r == r}
+    certs.append((zero, f"page {page.r} differential not forced to vanish"))
+    if not zero["ok"]:
+        return None, certs
+    einf = turn_page(page, [DifferentialSpec(r, source, must_die)])
+    collapse = certify_collapse(einf)
+    certs.append((collapse.to_json_dict(), f"no collapse on page {einf.r}"))
+    return (einf if collapse.full else None), certs
+
+
 @dataclass
 class AbutmentReport:
     """Lifts, relation justifications and leftovers at E-infinity."""
@@ -387,6 +429,7 @@ class AbutmentReport:
 
     def to_json_dict(self) -> dict:
         return {
+            "kind": "abutment",
             "free_commutative": self.free_commutative,
             "einf_dims": {f"{n},{m}": v for (n, m), v in sorted(self.einf_dims.items())},
             "generator_lifts": {

@@ -9,10 +9,10 @@ whose E2 is built from the step before and the fact registry:
    Bokstedt's, collapses and abuts to E(su, l1) (x) P(m1) without extensions.
 3. The absolute run: E2 = P_{p-1}(u) (x) E(su, l1) (x) P(m1), V(1)_* ku times
    step 2's result.  The vanishing of u^{p-2} su in the abutment forces the
-   unique differential d_{2p-3}(m1) = u^{p-2} su; one page turn later
-   everything collapses, the result is identified with Omega (x) E(l1), and
-   every multiplicative extension is excluded by a strict lift or a weight
-   obstruction.
+   unique differential d_{2p-3}(m1) = u^{p-2} su (specseq.forced_run makes
+   that argument); one page turn later everything collapses, the result is
+   identified with Omega (x) E(l1), and every multiplicative extension is
+   excluded by a strict lift or a weight obstruction.
 
 Homotopy-theoretic inputs enter only through the fact registry below, which
 states every E2 generator and weight once and words each fact from its data;
@@ -32,15 +32,7 @@ from .algebra import Presentation, RelationSpec, ext, monomial_element, poly, tr
 from .dga import extend_derivation, homology, verify_presentation_iso
 from .homalg import BaseRing, koszul_tor, recognize_free_presentation
 from .linfp import check_index, check_prime
-from .specseq import (
-    DifferentialSpec,
-    assemble_abutment,
-    certify_collapse,
-    certify_zero_differentials,
-    infer_forced_differentials,
-    init_page,
-    turn_page,
-)
+from .specseq import assemble_abutment, certify_collapse, forced_run, init_page
 
 
 class PipelineError(RuntimeError):
@@ -131,12 +123,6 @@ def input_facts(p: int) -> dict:
                 lambda weights: f"Z/(p-1) Galois weights: {_weights_text(weights)}",
                 "Ausoni's delta-action method; the Adams summand comparison",
                 {"u": 1, "su": 1, "l1": 0, "m1": 0},
-            ),
-            InputFact(
-                "hfp-ku",
-                "HF_p_* ku = P_{p-1}(u) (x) P(xi1b, xi2b, ...) (x) E(tau2b, ...), "
-                "recorded for documentation only",
-                "Ausoni, Theorem 2.5 of the THH(ku) computation",
             ),
         ]
     }
@@ -288,15 +274,11 @@ def step2_v0(tor_pres: Presentation, N: int):
         ["ku-homotopy", "bokstedt-thh-zp"],
         page.survival_bound,
     )
-    _certify(
-        report,
-        dict(collapse.to_json_dict(), kind="collapse", ok=collapse.full),
-        "relative run does not collapse on the front page",
-    )
+    _certify(report, collapse.to_json_dict(), "relative run does not collapse on the front page")
     lifts = {g.name: monomial_element(pres, {g.name: 1}) for g in pres.generators}
     abutment = assemble_abutment(page, pres, lifts, [])
     message = "relative abutment is not free graded-commutative"
-    _certify(report, dict(abutment.to_json_dict(), kind="abutment"), message)
+    _certify(report, abutment.to_json_dict(), message)
     if not abutment.free_commutative:
         raise PipelineError(message, report)
     return result, report
@@ -438,54 +420,16 @@ def step3_v1(rel_pres: Presentation, N: int):
 
     u = monomial_element(pres, {"u": 1})
     must_die = monomial_element(pres, {"u": p - 2, "su": 1})
-    page = init_page(pres)
-
-    candidates = infer_forced_differentials(page, must_die, permanent=[u])
-    cert = {
-        "kind": "forced-differential",
-        "must_die": alg.element_str(pres, must_die),
-        "fact": "sigma-must-die",
-        "exclusions": ["u-permanent"],
-        "candidates": [
-            (r, alg.element_str(pres, src)) for r, src in candidates
-        ],
-        "ok": len(candidates) == 1,
-    }
-    _certify(report, cert, "forced differential is not unique")
-    r_forced, source = candidates[0]
-    if r_forced != 2 * p - 3 or alg.element_str(pres, source) != "m1":
+    einf, certs = forced_run(init_page(pres), must_die, permanent=[u])
+    (forced, message), *rest = certs
+    _certify(report, dict(forced, fact="sigma-must-die", exclusions=["u-permanent"]), message)
+    if forced["candidates"] != [(2 * p - 3, "m1")]:
         raise PipelineError("unexpected forced differential candidate", report)
-
-    zero_pages = []
-    while page.r < r_forced:
-        zc = certify_zero_differentials(page, permanent=[u])
-        zero_pages.append(zc.to_json_dict())
-        if not zc.ok:
-            break
-        page = turn_page(page, [])
-    _certify(
-        report,
-        {"kind": "zero-differentials", "pages": zero_pages, "ok": zc.ok},
-        f"page {page.r} differential not forced to vanish",
-    )
-
-    spec = DifferentialSpec(
-        r_forced,
-        source,
-        must_die,
-        provenance="sigma-must-die, unique candidate by bidegree enumeration",
-    )
-    einf = turn_page(page, [spec])
-
-    collapse = certify_collapse(einf)
-    _certify(
-        report,
-        dict(collapse.to_json_dict(), kind="collapse", ok=collapse.full),
-        f"no collapse on page {einf.r}",
-    )
+    for cert, message in rest:
+        _certify(report, cert, message)
 
     # independent path: straight DGA homology of the same differential
-    deriv = extend_derivation(pres, {"m1": must_die}, r_forced)
+    deriv = extend_derivation(pres, {"m1": must_die}, 2 * p - 3)
     H = homology(pres, deriv, N)
     bound = min(H.cert_bound, einf.cert_bound)
     cross = all(H.dim_total(d) == einf.dim_total(d) for d in range(bound + 1))
@@ -498,20 +442,9 @@ def step3_v1(rel_pres: Presentation, N: int):
     candidate, reps = omega_candidate(p, N), omega_reps(pres, p)
     relations = abutment_relations(p)
     iso = verify_presentation_iso(H, candidate, reps, relations, N)
-    cert = {
-        "kind": "presentation-iso",
-        "bound": iso.bound,
-        "skipped_relations": len(iso.skipped_relations),
-        "ok": iso.ok,
-    }
-    _certify(report, cert, "E-infinity is not the expected presentation")
-
+    _certify(report, iso.to_json_dict(), "E-infinity is not the expected presentation")
     abutment = assemble_abutment(einf, candidate, reps, relations)
-    _certify(
-        report,
-        dict(abutment.to_json_dict(), kind="abutment"),
-        "unresolved multiplicative extensions",
-    )
+    _certify(report, abutment.to_json_dict(), "unresolved multiplicative extensions")
 
     report.result = presentation_dict(candidate)
     report.cert_bound = bound

@@ -73,7 +73,6 @@ def brunku2_spec(pres, p):
         2 * p - 3,
         monomial_element(pres, {"m1": 1}),
         monomial_element(pres, {"u": p - 2, "su": 1}),
-        provenance="forced by the vanishing of u^{p-2} su in the abutment",
     )
 
 

@@ -21,12 +21,7 @@ from gradss.filtered import (
     random_filtered_complex,
 )
 from gradss.homalg import BaseRing, hochschild_homology, koszul_tor
-from gradss.specseq import (
-    certify_collapse,
-    infer_forced_differentials,
-    init_page,
-    turn_page,
-)
+from gradss.specseq import certify_collapse, forced_run, init_page, turn_page
 from gradss.thhku import (
     abutment_relations,
     basis_formula_count,
@@ -78,16 +73,18 @@ def test_acceptance_step2_reproduction():
 
 
 def _run_absolute(p, N):
+    """The forced run on step 3's E2, checked against the typed turn of
+    d_{2p-3}(m1) = u^{p-2} su; its forced-differential certificate and E-infinity."""
     pres = absolute_e2(p, N)
     u = monomial_element(pres, {"u": 1})
     must_die = monomial_element(pres, {"u": p - 2, "su": 1})
+    einf, certs = forced_run(init_page(pres), must_die, permanent=[u])
     page = init_page(pres)
-    candidates = infer_forced_differentials(page, must_die, permanent=[u])
     while page.r < 2 * p - 3:
         page = turn_page(page, [])
-    spec = brunku2_spec(pres, p)
-    einf = turn_page(page, [spec])
-    return pres, candidates, einf
+    typed = turn_page(page, [brunku2_spec(pres, p)])
+    assert einf.dims_by_bidegree() == typed.dims_by_bidegree()
+    return certs[0][0], einf
 
 
 def test_acceptance_step3_reproduction():
@@ -95,10 +92,8 @@ def test_acceptance_step3_reproduction():
     for p in (5, 7):
         N = STEP3_BOX[p]
         t0 = time.perf_counter()
-        pres, candidates, einf = _run_absolute(p, N)
-        ok &= len(candidates) == 1
-        r, source = candidates[0]
-        ok &= r == 2 * p - 3 and alg.element_str(pres, source) == "m1"
+        forced, einf = _run_absolute(p, N)
+        ok &= forced["ok"] and forced["candidates"] == [(2 * p - 3, "m1")]
         ok &= einf.r == 2 * p - 2
         ok &= certify_collapse(einf).full
 
@@ -128,7 +123,7 @@ def test_acceptance_dga_cross_check():
         N = STEP3_BOX[p]
         pres, d = intro_dga(p, N)
         H = homology(pres, d, N)
-        _, _, einf = _run_absolute(p, N)
+        _, einf = _run_absolute(p, N)
         ok &= all(H.dim_total(deg) == einf.dim_total(deg) for deg in range(101))
     _report("dga-cross-check", ok)
 
@@ -222,8 +217,8 @@ def test_acceptance_determinism(tmp_path):
     # the subprocesses import the gradss this test imported, installed or not
     path = os.path.dirname(os.path.dirname(alg.__file__))
     outputs = []
-    for tag, threads in (("a", "1"), ("b", "4"), ("c", "1")):
-        env = dict(os.environ, GRADSS_THREADS=threads, PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=path)
+    for tag in "abc":
         chart = tmp_path / f"chart-{tag}.tsv"
         report = tmp_path / f"report-{tag}.json"
         r1 = subprocess.run(

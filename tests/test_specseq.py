@@ -31,6 +31,7 @@ from gradss.specseq import (
     assemble_abutment,
     certify_collapse,
     certify_zero_differentials,
+    forced_run,
     infer_forced_differentials,
     init_page,
     turn_page,
@@ -322,6 +323,31 @@ def test_infer_unit_class_has_no_source():
     page = init_page(pres)
     one = element(pres, {pres.unit_monomial: 1})
     assert infer_forced_differentials(page, one) == []
+
+
+def test_forced_run_with_the_differential_on_its_starting_page():
+    # P(x) (x) E(y), y must die: d_2 x = y is forced on page 2 itself
+    pres = Presentation(5, (poly("x", (2, 0)), ext("y", (0, 1))), 24)
+    y = monomial_element(pres, {"y": 1})
+    einf, certs = forced_run(init_page(pres), y, permanent=[])
+    (forced, _), (zero, _), (collapse, _) = certs
+    assert forced["candidates"] == [(2, "x")] and forced["ok"]
+    assert zero == {"kind": "zero-differentials", "pages": [], "ok": True}
+    assert collapse["kind"] == "collapse" and collapse["ok"]
+    assert einf.r == 3 and not einf.is_surviving(y)
+
+
+def test_forced_run_without_the_permanent_class_stops_at_page_3():
+    # without u permanent, d_3(su) could hit u: the candidate stays d_7(m1),
+    # but the zero-differentials certificate fails and ends the list
+    pres = absolute_e2(5, 60)
+    must_die = monomial_element(pres, {"u": 3, "su": 1})
+    einf, certs = forced_run(init_page(pres), must_die, permanent=[])
+    assert einf is None
+    (forced, _), (zero, message) = certs
+    assert forced["candidates"] == [(7, "m1")] and forced["ok"]
+    assert [(z["page"], z["ok"]) for z in zero["pages"]] == [(2, True), (3, False)]
+    assert not zero["ok"] and message == "page 3 differential not forced to vanish"
 
 
 # ---------------------------------------------------------------- abutment

@@ -181,7 +181,7 @@ def test_omega_reps_lift_every_candidate_generator(p):
 
 def test_a_failing_zero_differential_page_ends_the_report(monkeypatch):
     # at p = 5 pages 2..6 are shown to vanish before d_7; page 4 is made to fail
-    original = thhku.certify_zero_differentials
+    original = specseq.certify_zero_differentials
 
     def failing_on_page_4(page, permanent=()):
         cert = original(page, permanent)
@@ -189,7 +189,7 @@ def test_a_failing_zero_differential_page_ends_the_report(monkeypatch):
             return dataclasses.replace(cert, obstructions=[("m1", (0, 4))])
         return cert
 
-    monkeypatch.setattr(thhku, "certify_zero_differentials", failing_on_page_4)
+    monkeypatch.setattr(specseq, "certify_zero_differentials", failing_on_page_4)
     with pytest.raises(PipelineError, match="page 4 differential not forced to vanish") as err:
         step3(5, 60)
     certs = err.value.report.certificates
@@ -287,7 +287,7 @@ def test_step3_expands_each_monomial_once_and_reads_each_cell_once(monkeypatch):
             return method(page, bd)
         return read
 
-    def counted_collapse(page, _certify=thhku.certify_collapse):
+    def counted_collapse(page, _certify=specseq.certify_collapse):
         collapsing.append(page)
         try:
             return _certify(page)
@@ -297,7 +297,7 @@ def test_step3_expands_each_monomial_once_and_reads_each_cell_once(monkeypatch):
     monkeypatch.setattr(dga, "d_monomial", counted_expansion)
     monkeypatch.setattr(specseq.Page, "dim", counted_read("dim", specseq.Page.dim))
     monkeypatch.setattr(specseq.Page, "reps", counted_read("reps", specseq.Page.reps))
-    monkeypatch.setattr(thhku, "certify_collapse", counted_collapse)
+    monkeypatch.setattr(specseq, "certify_collapse", counted_collapse)
     _, report = step3_v1(rel_pres, 103)
     assert report.certificates[-1]["ok"]
     assert expanded and max(expanded.values()) == 1
