@@ -10,14 +10,21 @@ which is the derived exact couple made explicit.  The induced differential
 carries the boundary sign (-1)^{degree}; all dimension data is independent of
 that sign choice.
 
-Pages of a finite complex stabilize once r exceeds the top filtration level,
-which gives E-infinity and the strong-convergence comparison against the
-homology of the total complex.
+Z^r(n, d) is the kernel of a column prefix of bmat(d)[dim F_{n-r} C_{d-1}:, :],
+and with leftmost-column pivoting the kernel of a column prefix is spanned by
+the kernel_basis vectors of the whole slice whose last nonzero entry lies
+inside the prefix.  So the oracle row-reduces one kernel per (degree, cut)
+and certifies it once (its vectors are cycles, independent, and as many as
+the kernel's dimension); every cycle space is a prefix of one, checked
+against the rank of its column prefix.  E^r(n, m) is zero unless n is a
+filtration level of degree n + m, so only those cells are visited.
 
-E^r(n, m) is zero unless n is a filtration level of degree n + m, so the
-oracle visits only those cells, and it certifies every cycle space it builds
-(in the kernel, independent, of the kernel's dimension) instead of relying on
-the containment checks of the cells it skips.
+Pages of a finite complex stabilize once r exceeds the top filtration level.
+The oracle stops sooner, after the first page r on which no nonzero cell lies
+r or more columns right of a nonzero cell one degree lower.  Then d_r has no
+source with a target, so E^{r+1} = E^r, and every later d_r' spans r' > r
+columns between cells among these, so E^r is E-infinity.  E-infinity gives
+the strong-convergence comparison against the homology of the total complex.
 """
 
 from __future__ import annotations
@@ -37,8 +44,8 @@ from .linfp import (
     homology_dims,
     kernel_basis,
     matmul,
-    rank,
     rref,
+    stack_rows,
 )
 
 
@@ -70,13 +77,16 @@ class FilteredComplex:
         for d, mat in self.boundary.items():
             if mat.shape != (self.dims.get(d - 1, 0), self.dims.get(d, 0)):
                 raise ValueError(f"degree {d}: boundary shape {mat.shape} is wrong")
-            # filtration preserved: target level <= source level entrywise
-            for j in range(mat.shape[1]):
-                for i in np.nonzero(mat[:, j])[0]:
-                    if self.levels[d - 1][int(i)] > self.levels[d][j]:
-                        raise ValueError(
-                            f"degree {d}: boundary raises filtration at ({i}, {j})"
-                        )
+            # filtration preserved: target level <= source level entrywise.
+            # A nonzero entry means degrees d - 1 and d both have levels; the
+            # first offender in column-major order is named.
+            if not mat.any():
+                continue
+            rows, cols = np.asarray(self.levels[d - 1]), np.asarray(self.levels[d])
+            raised = (mat != 0) & (rows[:, None] > cols[None, :])
+            if raised.any():
+                j, i = (int(k[0]) for k in np.nonzero(raised.T))
+                raise ValueError(f"degree {d}: boundary raises filtration at ({i}, {j})")
         for d in self.dims:
             lower = self.bmat(d)
             upper = self.bmat(d + 1)
@@ -107,21 +117,11 @@ class FilteredComplex:
         return homology_dims(self.p, dims, self.boundary)
 
 
-def _cycle_space(fc: FilteredComplex, key) -> list:
-    """Basis of the cycle space with memo key (d, fn, cut), the kernel of
-    bmat(d)[cut:, :fn], as vectors in C_d."""
-    d, fn, cut = key
-    if fn == 0:
-        return []
-    dim = fc.dims.get(d, 0)
-    mat = fc.bmat(d)[cut:, :fn]
-    ker = kernel_basis(fc.p, mat)
-    out = []
-    for v in ker:
-        w = np.zeros(dim, dtype=np.int64)
-        w[:fn] = v
-        out.append(w)
-    return out
+def _kernel(fc: FilteredComplex, d: int, cut: int) -> list:
+    """kernel_basis of bmat(d)[cut:, :], as vectors in C_d: one per free
+    column of the rref, in increasing order of that column, which is also
+    the vector's last nonzero entry."""
+    return kernel_basis(fc.p, fc.bmat(d)[cut:, :])
 
 
 @dataclass
@@ -144,42 +144,34 @@ class SSRun:
         return sum(v for (n, m), v in self.einf.items() if n + m == d)
 
 
-def _certify_cycle_space(fc: FilteredComplex, key, basis, pivots: dict):
-    """Raise SubquotientError unless `basis` is a basis of the cycle space
-    with memo key (d, fn, cut), the kernel of bmat(d)[cut:, :fn].
+def _certify_kernel(fc: FilteredComplex, d: int, cut: int, basis) -> tuple:
+    """Raise SubquotientError unless `basis` is a basis of the kernel of
+    bmat(d)[cut:, :] in echelon form read from the right; return the last
+    nonzero column of each vector and the pivot columns of the slice's rref.
 
-    Three checks: there are fn - rank of the slice vectors; every vector
-    lies in F_fn C_d and is mapped to 0 by the slice (one matmul); and the
-    vectors are independent: their last nonzero entries lie in distinct
-    columns, as in kernel_basis output (one free column each), or else a
-    rank says so.
-    The slice rank is the number of pivots left of fn in the rref of
-    bmat(d)[cut:, :], which `pivots` holds once per (d, cut): leftmost-column
-    pivoting makes every column-prefix rank exact.
+    Three checks: there are cols - rank vectors; the slice maps them to 0
+    (one matmul); and every vector is nonzero with its last nonzero entry
+    strictly right of the one before, so they are independent.
     """
-    d, fn, cut = key
     mat = fc.bmat(d)[cut:, :]
-    if fn and (d, cut) not in pivots:
-        pivots[(d, cut)] = rref(fc.p, mat)[1] if mat.any() else []
-    kernel_dim = fn - bisect_left(pivots.get((d, cut), []), fn)
-    if len(basis) != kernel_dim:
+    pivots = rref(fc.p, mat)[1] if mat.any() else []
+    where = f"kernel of degree {d} below row {cut}"
+    if len(basis) != mat.shape[1] - len(pivots):
         raise SubquotientError(
-            f"cycle space {key}: {len(basis)} vectors, kernel dimension {kernel_dim}"
+            f"{where}: {len(basis)} vectors, kernel dimension {mat.shape[1] - len(pivots)}"
         )
     if not basis:
-        return
+        return [], pivots
     a = np.array(basis, dtype=np.int64) % fc.p
-    if a.shape != (len(basis), fc.dims[d]) or a[:, fn:].any():
-        raise SubquotientError(f"cycle space {key}: a vector outside F_n C_d")
-    if matmul(mat[:, :fn], a[:, :fn].T, fc.p).any():
-        raise SubquotientError(f"cycle space {key}: a vector is not a cycle")
-    # nonzero vectors whose last nonzero entries lie in distinct columns are
-    # independent (an echelon form read from the right)
+    if a.shape != (len(basis), mat.shape[1]):
+        raise SubquotientError(f"{where}: a vector outside C_d")
+    if matmul(mat, a.T, fc.p).any():
+        raise SubquotientError(f"{where}: a vector is not a cycle")
     nonzero = a != 0
-    last = nonzero[:, ::-1].argmax(axis=1)
-    if not nonzero.any(axis=1).all() or len(set(last.tolist())) < len(basis):
-        if rank(fc.p, a) != len(basis):
-            raise SubquotientError(f"cycle space {key}: dependent vectors")
+    last = (mat.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)).tolist()
+    if not nonzero.any(axis=1).all() or any(x >= y for x, y in zip(last, last[1:])):
+        raise SubquotientError(f"{where}: last nonzero entries not increasing")
+    return last, pivots
 
 
 def exact_couple_run(fc: FilteredComplex, r_max: int | None = None) -> SSRun:
@@ -190,20 +182,25 @@ def exact_couple_run(fc: FilteredComplex, r_max: int | None = None) -> SSRun:
     coordinates.  The finite filtration forces E^{S+1} = E-infinity for S
     the top level.
 
-    Z^r(n, d) is the kernel of the slice bmat(d)[dim F_{n-r} C_{d-1}:,
-    :dim F_n C_d], and that slice is fixed by the key
-    (d, dim F_n C_d, dim F_{n-r} C_{d-1}), so a memo on the key is exact.
-    The stage dimensions are read from one prefix-count list per degree.
-    Where F_n C_d = F_{n-1} C_d, Z^r(n, d) and Z^{r-1}(n-1, d) share a key
-    and E^r(n, m) = 0, so for each (r, d) only the filtration levels n of
-    degree d are visited: the E^1 support.
+    Z^r(n, d) is the kernel of the column prefix bmat(d)[cut:, :fn] with
+    fn = dim F_n C_d and cut = dim F_{n-r} C_{d-1}.  With leftmost-column
+    pivoting, that kernel is spanned by the vectors of _kernel(fc, d, cut)
+    whose last nonzero entry lies left of fn: a prefix of the list.  So each
+    (d, cut) is row-reduced and certified once (_certify_kernel), and the
+    length of each prefix is checked against fn minus the pivots left of
+    fn.  Where F_n C_d = F_{n-1} C_d, Z^r(n, d) = Z^{r-1}(n-1, d) and
+    E^r(n, m) = 0, so for each (r, d) only the filtration levels n of
+    degree d are visited: the E^1 support.  Each boundary image d Z is one
+    matmul per (d + 1, cut), each Subquotient is built once per choice of
+    its three prefixes and keeps its own check, and a differential image
+    outside its target page raises SubquotientError.
 
-    Each cycle space is certified once, when it is first built: its vectors
-    lie in the kernel, are independent, and number the kernel dimension,
-    or SubquotientError is raised.  Each boundary image d Z is built once
-    per key, and each Subquotient once per triple of its input keys, and
-    every Subquotient keeps its own check; a differential image outside its
-    target page also raises SubquotientError.
+    The run stops after page r once, in every degree d, no nonzero cell lies
+    r or more columns right of a nonzero cell of degree d - 1.  Then d_r
+    has no source with a target, so E^{r+1} = E^r; every later page has its
+    nonzero cells among these, and d_{r'} with r' > r spans more columns
+    still, so E^r = E-infinity.  The pages up to max(r_max, S + 1) are
+    copies of E^r with no differentials.
     """
     top = fc.top_level
     stable = top + 1
@@ -212,10 +209,9 @@ def exact_couple_run(fc: FilteredComplex, r_max: int | None = None) -> SSRun:
     r_max = max(r_max, stable)
     stages = {d: [fc.filtration_dim(s, d) for s in range(top + 1)] for d in fc.degrees}
     support = {d: sorted(set(fc.levels.get(d, []))) for d in fc.degrees}
-    spaces = {}   # key -> basis of Z
-    images = {}   # key of Z in degree d + 1 -> d Z in C_d
-    subs = {}     # (key of Z^r(n, d), of Z^{r-1}(n-1, d), of Z^{r-1}(n+r-1, d+1))
-    pivots = {}   # (d, cut) -> pivot columns of the rref of bmat(d)[cut:, :]
+    kernels = {}  # (d, cut) -> (basis, last nonzero columns, rref pivots)
+    images = {}   # (d + 1, cut) -> bmat(d + 1) of each vector of that kernel
+    subs = {}     # (d, cut, k, below, fn, source): the prefix lengths of its three Z
 
     def stage(s, d):
         """dim F_s C_d."""
@@ -223,12 +219,26 @@ def exact_couple_run(fc: FilteredComplex, r_max: int | None = None) -> SSRun:
             return 0
         return stages[d][min(s, top)]
 
-    def cycles(key):
-        if key not in spaces:
-            basis = _cycle_space(fc, key)
-            _certify_cycle_space(fc, key, basis, pivots)
-            spaces[key] = basis
-        return key
+    def cycles(d, fn, cut):
+        """The length of the prefix of kernels[d, cut] that spans Z."""
+        if fn == 0:
+            return 0
+        if (d, cut) not in kernels:
+            basis = _kernel(fc, d, cut)
+            kernels[d, cut] = (basis, *_certify_kernel(fc, d, cut, basis))
+        _, last, pivots = kernels[d, cut]
+        k, kernel_dim = bisect_left(last, fn), fn - bisect_left(pivots, fn)
+        if k != kernel_dim:
+            raise SubquotientError(
+                f"cycle space {(d, fn, cut)}: {k} vectors, kernel dimension {kernel_dim}"
+            )
+        return k
+
+    def image(d, cut):
+        if (d, cut) not in images:
+            basis = kernels[d, cut][0]
+            images[d, cut] = list(matmul(stack_rows(basis, fc.dims[d]), fc.bmat(d).T, fc.p))
+        return images[d, cut]
 
     pages = []
     diffs = []
@@ -239,21 +249,16 @@ def exact_couple_run(fc: FilteredComplex, r_max: int | None = None) -> SSRun:
             for n in support[d]:
                 m = d - n
                 fn, cut = stage(n, d), stage(n - r, d - 1)
-                z = cycles((d, fn, cut))
-                if not spaces[z]:
+                k = cycles(d, fn, cut)
+                if not k:
                     continue
-                key = (
-                    z,
-                    cycles((d, stage(n - 1, d), cut)),
-                    cycles((d + 1, stage(n + r - 1, d + 1), fn)),
-                )
+                below = cycles(d, stage(n - 1, d), cut)
+                source = cycles(d + 1, stage(n + r - 1, d + 1), fn)
+                key = (d, cut, k, below, fn, source)
                 if key not in subs:
-                    src = key[2]
-                    if src not in images:
-                        bmat = fc.bmat(d + 1)
-                        images[src] = [matmul(bmat, v, fc.p) for v in spaces[src]]
-                    dead = spaces[key[1]] + images[src]
-                    subs[key] = Subquotient(fc.p, fc.dims[d], spaces[z], dead)
+                    z = kernels[d, cut][0]
+                    dead = z[:below] + (image(d + 1, fn)[:source] if source else [])
+                    subs[key] = Subquotient(fc.p, fc.dims[d], z[:k], dead)
                 sub = subs[key]
                 if sub.reps:
                     dims[(n, m)] = len(sub.reps)
@@ -274,8 +279,22 @@ def exact_couple_run(fc: FilteredComplex, r_max: int | None = None) -> SSRun:
             dmat[(n, m)] = np.stack(cols, axis=1)
         pages.append((r, dims))
         diffs.append((r, dmat))
+        if _settled(dims, r):
+            pages += [(s, dict(dims)) for s in range(r + 1, r_max + 1)]
+            diffs += [(s, {}) for s in range(r + 1, r_max + 1)]
+            break
     einf = pages[stable - 1][1]
     return SSRun(fc.p, pages, diffs, dict(einf), stable)
+
+
+def _settled(dims: dict, r: int) -> bool:
+    """Whether no nonzero cell of E^r lies r or more columns right of a
+    nonzero cell one degree lower: then E^r = E-infinity."""
+    lo, hi = {}, {}
+    for n, m in dims:
+        lo[n + m] = min(lo.get(n + m, n), n)
+        hi[n + m] = max(hi.get(n + m, n), n)
+    return all(hi[d] - lo[d - 1] < r for d in hi if d - 1 in lo)
 
 
 def compare_with_total_homology(fc: FilteredComplex, run: SSRun) -> dict:

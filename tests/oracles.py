@@ -4,7 +4,8 @@ These recompute Tor and Hochschild homology from dense unnormalized bar
 complexes by raw rank counting, so the library's resolution-based and
 normalized-complex answers can be checked against a second route.  The
 exact-couple loop is also kept here in its unmemoized form, which rebuilds
-every cycle space and subquotient at every (r, n, d).  quotient_dims ranks
+every cycle space (each from its own kernel) and every subquotient at every
+(r, n, d), and turns every page.  quotient_dims ranks
 the whole relation ideal of a candidate presentation, where
 dga.verify_presentation_iso counts standard monomials.  DGA homology is
 also computed with a kernel and a two-rref Subquotient in every bidegree,
@@ -23,7 +24,7 @@ import itertools
 import numpy as np
 
 from gradss import algebra as alg
-from gradss import dga, filtered
+from gradss import dga
 from gradss.filtered import SSRun
 from gradss.specseq import CollapseCertificate, Page, PageError, spec_images
 from gradss.linfp import Subquotient, kernel_basis, matmul, rank
@@ -154,15 +155,27 @@ def dense_hochschild(p, height, var_degree, s_max, t_max):
     return dims
 
 
-def naive_exact_couple_run(fc, r_max=None):
-    """filtered.exact_couple_run without its memos: every Z and every
-    Subquotient is rebuilt at every (r, n, d), through filtered._cycle_space
-    on a key computed here from FilteredComplex.filtration_dim."""
+def cycle_space(fc, key):
+    """The cycle space with key (d, fn, cut), the kernel of
+    bmat(d)[cut:, :fn], from its own kernel_basis, as vectors in C_d."""
+    d, fn, cut = key
+    out = []
+    for v in kernel_basis(fc.p, fc.bmat(d)[cut:, :fn]) if fn else []:
+        w = np.zeros(fc.dims[d], dtype=np.int64)
+        w[:fn] = v
+        out.append(w)
+    return out
 
-    def cycle_space(n, r, d):
+
+def naive_exact_couple_run(fc, r_max=None):
+    """filtered.exact_couple_run without its memos, its shared kernels or its
+    early stop: every Z and every Subquotient is rebuilt at every (r, n, d),
+    each Z from its own kernel_basis of the slice, and every page up to
+    max(r_max, top level + 1) is turned."""
+
+    def cycles(n, r, d):
         """Z^r(n, d): the kernel of bmat(d)[dim F_{n-r} C_{d-1}:, :dim F_n C_d]."""
-        key = (d, fc.filtration_dim(n, d), fc.filtration_dim(n - r, d - 1))
-        return filtered._cycle_space(fc, key)
+        return cycle_space(fc, (d, fc.filtration_dim(n, d), fc.filtration_dim(n - r, d - 1)))
 
     stable = fc.top_level + 1
     if r_max is None:
@@ -176,11 +189,11 @@ def naive_exact_couple_run(fc, r_max=None):
         for d in fc.degrees:
             for n in range(0, fc.top_level + 1):
                 m = d - n
-                z = cycle_space(n, r, d)
+                z = cycles(n, r, d)
                 if not z:
                     continue
-                dead = cycle_space(n - 1, r - 1, d)
-                for v in cycle_space(n + r - 1, r - 1, d + 1):
+                dead = cycles(n - 1, r - 1, d)
+                for v in cycles(n + r - 1, r - 1, d + 1):
                     dead.append(matmul(fc.bmat(d + 1), v, fc.p))
                 sub = Subquotient(fc.p, fc.dims[d], z, dead)
                 if sub.reps:

@@ -243,8 +243,8 @@ def test_oracle_refuses_a_bad_prime(prime, capsys):
 
 
 def _drop_last_cycle(monkeypatch):
-    original = filtered._cycle_space
-    monkeypatch.setattr(filtered, "_cycle_space", lambda *cell: original(*cell)[:-1])
+    original = filtered._kernel
+    monkeypatch.setattr(filtered, "_kernel", lambda *at: original(*at)[:-1])
 
 
 def _lose_coordinates(monkeypatch):

@@ -51,6 +51,7 @@ from helpers import (
     random_images,
     relative_e2,
 )
+import oracles
 from oracles import (
     check_leibniz,
     naive_exact_couple_run,
@@ -485,6 +486,35 @@ def test_filtered_complex_rejects_filtration_violation():
         )
 
 
+# one refusal per FilteredComplex check: (dims, boundary, levels, message)
+FILTERED_COMPLEX_REFUSALS = {
+    "level count": ({0: 2}, {}, {0: [0]}, "degree 0: 1 levels for dimension 2"),
+    "negative level": ({0: 1}, {}, {0: [-1]}, "degree 0: negative filtration level"),
+    "unsorted levels": ({0: 2}, {}, {0: [1, 0]}, "degree 0: basis not filtration-adapted"),
+    "boundary shape": (
+        {0: 2, 1: 2}, {1: np.zeros((1, 2), dtype=np.int64)}, {0: [0, 0], 1: [0, 0]},
+        "degree 1: boundary shape (1, 2) is wrong",
+    ),
+    # (0, 1) and (1, 0) both raise the level; column-major order names (1, 0)
+    "raised filtration": (
+        {0: 2, 1: 2}, {1: np.array([[0, 1], [1, 0]])}, {0: [1, 1], 1: [0, 0]},
+        "degree 1: boundary raises filtration at (1, 0)",
+    ),
+    "d squared": (
+        {0: 1, 1: 1, 2: 1}, {1: np.array([[1]]), 2: np.array([[1]])},
+        {0: [0], 1: [0], 2: [0]}, "not a complex: d^2 != 0 out of degree 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILTERED_COMPLEX_REFUSALS))
+def test_filtered_complex_refusal_messages(case):
+    dims, boundary, levels, message = FILTERED_COMPLEX_REFUSALS[case]
+    with pytest.raises(ValueError) as info:
+        FilteredComplex(5, dims, boundary, levels)
+    assert str(info.value) == message
+
+
 # ------------------------------------------------- engine vs oracle
 
 @settings(max_examples=40, deadline=None)
@@ -548,6 +578,19 @@ def test_flagship_pages_match_exact_couple(p, N):
     )
 
 
+@pytest.mark.parametrize("p, N", [(5, 103), (7, 176)])
+def test_flagship_exact_couple_einf_matches_forced_run(p, N):
+    # step 3's DGA, realized as a filtered complex and run through the exact
+    # couple to its certified stop, against the engine's forced run
+    pres = absolute_e2(p, N)
+    must_die = monomial_element(pres, {"u": p - 2, "su": 1})
+    einf, _ = forced_run(init_page(pres), must_die, [monomial_element(pres, {"u": 1})])
+    fc = realize_filtered_dga(pres, extend_derivation(pres, {"m1": must_die}, 2 * p - 3), N)
+    run = exact_couple_run(fc)
+    bound = einf.survival_bound
+    assert _bounded(run.einf, bound) == _bounded(einf.dims_by_bidegree(), bound)
+
+
 # ------------------------------------- memoized oracle vs the unmemoized loop
 
 def assert_same_run(got, want):
@@ -579,6 +622,29 @@ def test_exact_couple_matches_unmemoized_loop_on_filtered_dga(shape):
     assert_same_run(exact_couple_run(fc, r_max), naive_exact_couple_run(fc, r_max))
 
 
+def _drop_last_vector(run, monkeypatch, key):
+    """Damage the cycle space with key (d, fn, cut) as `run` builds it:
+    exact_couple_run loses the last vector of its kernel of (d, cut), the
+    reference loop the last vector of that one space."""
+    d, fn, cut = key
+    if run is exact_couple_run:
+        original = filtered._kernel
+
+        def damaged(fc, *at):
+            z = original(fc, *at)
+            return z[:-1] if at == (d, cut) else z
+
+        monkeypatch.setattr(filtered, "_kernel", damaged)
+    else:
+        original = oracles.cycle_space
+
+        def damaged(fc, at):
+            z = original(fc, at)
+            return z[:-1] if at == key else z
+
+        monkeypatch.setattr(oracles, "cycle_space", damaged)
+
+
 @pytest.mark.parametrize("run", [exact_couple_run, naive_exact_couple_run])
 def test_exact_couple_keeps_subquotient_check(run, monkeypatch):
     # negative control: F_0 C_0 = <a, a'>, C_1 = <b> at level 0, db = a'.
@@ -587,13 +653,7 @@ def test_exact_couple_keeps_subquotient_check(run, monkeypatch):
         5, {0: 2, 1: 1}, {1: np.array([[0], [1]])}, {0: [0, 0], 1: [0]}
     )
     assert run(fc).einf == {(0, 0): 1}
-    original = filtered._cycle_space
-
-    def damaged(fc, key):
-        z = original(fc, key)
-        return z[:-1] if key == (0, 2, 0) else z
-
-    monkeypatch.setattr(filtered, "_cycle_space", damaged)
+    _drop_last_vector(run, monkeypatch, (0, 2, 0))
     with pytest.raises(SubquotientError):
         run(fc)
 
@@ -611,13 +671,7 @@ def test_exact_couple_certifies_a_space_used_only_at_empty_cells(run, monkeypatc
         {0: [0, 1], 1: [0, 0], 2: [0]},
     )
     assert run(fc).einf == {(0, 0): 1, (1, -1): 1, (0, 1): 1}
-    original = filtered._cycle_space
-
-    def damaged(fc, key):
-        z = original(fc, key)
-        return z[:-1] if key == (1, 2, 1) else z
-
-    monkeypatch.setattr(filtered, "_cycle_space", damaged)
+    _drop_last_vector(run, monkeypatch, (1, 2, 1))
     with pytest.raises(SubquotientError):
         run(fc)
 
@@ -628,19 +682,31 @@ def _unit(dim, i):
     return v
 
 
-# each damage keeps the vector count or drops one vector; None: not applicable
+def _moved_right(z):
+    """z with the last nonzero entry of its last vector that has room moved
+    one column right, out of the F_n whose cycle space that vector was taken
+    for; None when every vector ends at the last column."""
+    for i in reversed(range(len(z))):
+        last = int(np.nonzero(z[i])[0][-1])
+        if last + 1 < len(z[i]):
+            w = z[i].copy()
+            w[last], w[last + 1] = 0, z[i][last]
+            return z[:i] + [w] + z[i + 1:]
+    return None
+
+
+# damages to the kernel of bmat(d)[cut:, :] at (d, cut); each keeps the
+# vector count or drops one vector; None: not applicable
 SPACE_DAMAGES = {
-    "drop": lambda fc, key, z: z[:-1],
-    "zero": lambda fc, key, z: z[:-1] + [0 * z[-1]],
-    "copy": lambda fc, key, z: z[:-1] + [z[0]] if len(z) > 1 else None,
-    "outside F_n": lambda fc, key, z: (
-        z[:-1] + [z[-1] + _unit(len(z[-1]), key[1])] if key[1] < len(z[-1]) else None
-    ),
-    "not a cycle": lambda fc, key, z: next(
+    "drop": lambda fc, at, z: z[:-1],
+    "zero": lambda fc, at, z: z[:-1] + [0 * z[-1]],
+    "copy": lambda fc, at, z: z[:-1] + [z[0]] if len(z) > 1 else None,
+    "outside F_n": lambda fc, at, z: _moved_right(z),
+    "not a cycle": lambda fc, at, z: next(
         (
             z[:-1] + [_unit(len(z[-1]), j)]
-            for j in range(key[1])
-            if np.any(fc.bmat(key[0])[key[2]:, j])
+            for j in range(len(z[-1]))
+            if np.any(fc.bmat(at[0])[at[1]:, j])
         ),
         None,
     ),
@@ -649,49 +715,50 @@ SPACE_DAMAGES = {
 
 @pytest.mark.parametrize("damage", sorted(SPACE_DAMAGES))
 def test_exact_couple_refuses_every_damaged_cycle_space(damage, monkeypatch):
-    # seeded sweep: one damaged nonempty cycle space at a time must raise
-    original = filtered._cycle_space
+    # seeded sweep: one damaged nonempty kernel at a time must raise
+    original = filtered._kernel
     hit = 0
     for seed in range(12):
         fc = random_filtered_complex(random.Random(seed), p=(2, 3, 5, 7)[seed % 4])
         built = {}
 
-        def recorded(fc, key):
-            z = original(fc, key)
+        def recorded(fc, *at):
+            z = original(fc, *at)
             if z:
-                built[key] = z
+                built[at] = z
             return z
 
-        monkeypatch.setattr(filtered, "_cycle_space", recorded)
+        monkeypatch.setattr(filtered, "_kernel", recorded)
         exact_couple_run(fc)
-        for key, z in built.items():
-            bad = SPACE_DAMAGES[damage](fc, key, z)
+        for at, z in built.items():
+            bad = SPACE_DAMAGES[damage](fc, at, z)
             if bad is None:
                 continue
             hit += 1
 
-            def damaged(fc, cell, key=key, bad=bad):
-                return bad if cell == key else original(fc, cell)
+            def damaged(fc, *cell, at=at, bad=bad):
+                return bad if cell == at else original(fc, *cell)
 
-            monkeypatch.setattr(filtered, "_cycle_space", damaged)
+            monkeypatch.setattr(filtered, "_kernel", damaged)
             with pytest.raises(SubquotientError):
                 exact_couple_run(fc)
     assert hit >= 20
 
 
 def test_exact_couple_builds_each_cycle_space_once(monkeypatch):
+    # one kernel per (d, cut): every cycle space is a prefix of one of them
     pres, specs = dga_instance(7, 4, 2, 4, True, 30)
     fc = filtered_dga(pres, specs)
-    original = filtered._cycle_space
-    keys = []
+    original = filtered._kernel
+    built = []
 
-    def counted(fc, key):
-        keys.append(key)
-        return original(fc, key)
+    def counted(fc, *at):
+        built.append(at)
+        return original(fc, *at)
 
-    monkeypatch.setattr(filtered, "_cycle_space", counted)
+    monkeypatch.setattr(filtered, "_kernel", counted)
     exact_couple_run(fc, r_max=specs[0].page + 2)
-    assert keys and len(keys) == len(set(keys))
+    assert built and len(built) == len(set(built))
 
 
 def test_turn_page_rejects_d_squared_violation():
