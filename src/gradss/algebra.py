@@ -453,26 +453,40 @@ def standard_monomials(pres: Presentation, leads, bound: int) -> dict:
     over the earlier generators is raised in the new one until that fails.
     The list stays in lex order, so every m / g is decided before m; only the
     standard monomials and one refusal each are visited.
+
+    A monomial is tested by its mixed-radix code, sum of e_j * place_j with
+    radix_j one past the largest exponent the walk can reach, so m / g_j is
+    code - place_j.  A lead outside those radices is never reached, and is
+    dropped before its code could alias one that is.
     """
-    leads = set(leads)
-    unit = pres.unit_monomial
-    standard = [] if unit in leads else [(unit, 0)]  # (monomial, total degree)
-    seen = {m for m, _ in standard}
-    for i, (d, cap) in enumerate(zip(pres.degrees, pres.caps)):
+    radix = [max(1, cap or bound // d + 1) for d, cap in zip(pres.degrees, pres.caps)]
+    place = [1]
+    for r in radix[:-1]:
+        place.append(place[-1] * r)
+    lead_codes = {
+        sum(e * w for e, w in zip(lead, place))
+        for lead in set(leads)
+        if all(e < r for e, r in zip(lead, radix))
+    }
+    # (monomial, total degree, code, places of the generators dividing it)
+    standard = [] if 0 in lead_codes else [(pres.unit_monomial, 0, 0, ())]
+    seen = {0} if standard else set()
+    for i, (d, cap, w) in enumerate(zip(pres.degrees, pres.caps, place)):
         grown = []
-        for mono, deg in standard:
-            grown.append((mono, deg))
+        for mono, deg, code, below in standard:
+            grown.append((mono, deg, code, below))
             for e in range(1, cap or bound // d + 1):
-                m = mono[:i] + (e,) + mono[i + 1 :]
-                if deg + e * d > bound or m in leads or any(
-                    k and m[:j] + (k - 1,) + m[j + 1 :] not in seen for j, k in enumerate(m)
+                c = code + e * w
+                # m / g_i is the monomial grown just before m
+                if deg + e * d > bound or c in lead_codes or any(
+                    c - v not in seen for v in below
                 ):
                     break
-                seen.add(m)
-                grown.append((m, deg + e * d))
+                seen.add(c)
+                grown.append((mono[:i] + (e,) + mono[i + 1 :], deg + e * d, c, below + (w,)))
         standard = grown
     table: dict = {}
-    for mono, _ in standard:
+    for mono, *_ in standard:
         table.setdefault(bidegree(pres, mono), []).append(mono)
     return table
 

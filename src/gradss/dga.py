@@ -11,11 +11,15 @@ d is applied through one matrix per bidegree, d_matrix: its columns are the
 Leibniz expansions of the bidegree's monomials, built once per derivation, and
 d^2 = 0, homology and every element-level image read it.  extend_derivation
 returns one Derivation per (presentation, page, images), so a page turn and a
-homology of the same differential share those matrices.  Each bidegree's
-homology is a linfp.Subquotient of kernel modulo image, which also gives the
-coordinates of a class in the homology basis.  Row reduction runs only where d
-acts: a bidegree that d neither leaves nor enters is its own homology, the
-whole-space Subquotient with its monomials as representatives.
+homology of the same differential share those matrices.  A derivation knows
+its support, the sorted bidegrees out of which d is nonzero, found once: a
+matrix is built only where a monomial holds an acting generator and the
+target holds monomials.  d^2 = 0, homology and a page turn visit only the
+support and its targets.  Each such bidegree's homology is a
+linfp.Subquotient of kernel modulo image, which also gives the coordinates of
+a class in the homology basis; every other bidegree is its own homology, the
+whole-space Subquotient with its monomials as representatives, and needs
+neither a matrix nor row reduction.
 
 Classes, shared by HomologyResult and specseq.Page, stores classes one way,
 one Subquotient per bidegree; representatives as elements are built from it
@@ -69,6 +73,28 @@ class Derivation:
 
     def target(self, bd):
         return d_target(bd, self.page)
+
+    @cached_property
+    def table(self) -> dict:
+        """The base's monomial table, looked up once: a cache hit on a
+        presentation equal to, but not the same object as, the cached key
+        costs an __eq__."""
+        return alg.monomial_table(self.base)
+
+    @cached_property
+    def support(self) -> list:
+        """The sorted bidegrees out of which d is nonzero.
+
+        Only a bidegree with a monomial on an acting generator and monomials
+        in its target can be one, so a matrix is built for those alone.
+        """
+        acting = [i for i, g in enumerate(self.base.generators) if g.name in self.images]
+        return [
+            bd for bd, monos in sorted(self.table.items())
+            if self.target(bd) in self.table
+            and any(mono[i] for mono in monos for i in acting)
+            and d_matrix(self, bd).any()
+        ]
 
 
 def extend_derivation(pres: Presentation, gen_images: dict, page: int) -> Derivation:
@@ -132,7 +158,7 @@ def d_matrix(d: Derivation, bd) -> np.ndarray:
     """
     mat = d.matrices.get(bd)
     if mat is None:
-        table = alg.monomial_table(d.base)
+        table = d.table
         basis = table.get(bd, [])
         target = table.get(d.target(bd), [])
         mat = np.zeros((len(target), len(basis)), dtype=np.int64)
@@ -146,29 +172,34 @@ def d_matrix(d: Derivation, bd) -> np.ndarray:
 
 
 def d_element(d: Derivation, el: Element) -> Element:
+    """d(el), read from d_matrix on the support and zero off it."""
     if not el:
         return ZERO
     pres = d.base
     bd = alg.bidegree_of(pres, el)
+    if bd not in d.support:
+        return ZERO
     v = matmul(d_matrix(d, bd), coords(pres, bd, el), pres.p)
     return element_from_coords(pres, d.target(bd), v) if v.any() else ZERO
 
 
 def check_d_squared(d: Derivation, n_max: int) -> list:
-    """All (monomial, d(d(monomial))) pairs that fail d^2 = 0 up to degree n_max."""
+    """All (monomial, d(d(monomial))) pairs that fail d^2 = 0 up to degree n_max.
+
+    d^2 can be nonzero only out of a support bidegree whose target is in the
+    support too, so only those pairs are multiplied, in bidegree order.
+    """
     pres = d.base
+    support = set(d.support)
     violations = []
-    for bd, monos in sorted(alg.monomial_table(pres).items()):
-        if sum(bd) > n_max:
-            continue
-        mat = d_matrix(d, bd)
-        if not mat.any():
-            continue  # d is zero out of bd, so is d^2
+    for bd in d.support:
         target = d.target(bd)
-        dd = matmul(d_matrix(d, target), mat, pres.p)
+        if sum(bd) > n_max or target not in support:
+            continue
+        dd = matmul(d_matrix(d, target), d_matrix(d, bd), pres.p)
         for j in np.flatnonzero(dd.any(axis=0)):
             img = element_from_coords(pres, d.target(target), dd[:, j])
-            violations.append((monos[j], img))
+            violations.append((d.table[bd][j], img))
     return violations
 
 
@@ -292,11 +323,12 @@ class HomologyResult(Classes):
 def homology(pres: Presentation, d: Derivation, n_max: int) -> HomologyResult:
     """Per-bidegree homology via kernel/image subquotients.
 
-    A bidegree that d neither leaves nor enters is untouched: its homology is
-    the whole space, with its monomials as representatives, and it needs no
-    row reduction.  Requires d^2 = 0 on the enumerated monomials through
-    degree n_max + 1, where the boundaries into degree n_max come from;
-    violations propagate as DifferentialError.
+    Row reduction runs only on d's support, where the kernel is taken, and on
+    its targets, which hold the boundaries.  Every other bidegree is
+    untouched: its homology is the whole space, with its monomials as
+    representatives, and no matrix is read there.  Requires d^2 = 0 on the
+    enumerated monomials through degree n_max + 1, where the boundaries into
+    degree n_max come from; violations propagate as DifferentialError.
     """
     n_max = check_index(n_max, "n_max")
     if n_max > pres.max_degree:
@@ -307,26 +339,28 @@ def homology(pres: Presentation, d: Derivation, n_max: int) -> HomologyResult:
         raise DifferentialError(
             f"d^2 != 0 on {alg.monomial_str(pres, mono)}: {alg.element_str(pres, img)}"
         )
-    table = alg.monomial_table(pres)
+    table = d.table
+    support = set(d.support)
+    targets = {d.target(bd) for bd in support}
     subs: dict = {}
     for bd in sorted(table):
         if sum(bd) > n_max:
             continue
         dim = len(table[bd])
-        mat = d_matrix(d, bd)
+        if bd not in support and bd not in targets:
+            subs[bd] = Subquotient.whole(pres.p, dim)
+            continue
         # boundaries: the nonzero columns of d out of one shift up
         source = d_source(bd, d.page)
         bvecs = []
-        if source in table:
+        if source in support:
             incoming = d_matrix(d, source)
             bvecs = [incoming[:, j] for j in np.flatnonzero(incoming.any(axis=0))]
-        if mat.any():
-            sub = Subquotient(pres.p, dim, kernel_basis(pres.p, mat), bvecs)
-        elif bvecs:
-            sub = Subquotient(pres.p, dim, np.eye(dim, dtype=np.int64), bvecs)
+        if bd in support:
+            cycles = kernel_basis(pres.p, d_matrix(d, bd))
         else:
-            sub = Subquotient.whole(pres.p, dim)
-        subs[bd] = sub
+            cycles = np.eye(dim, dtype=np.int64)
+        subs[bd] = Subquotient(pres.p, dim, cycles, bvecs)
     return HomologyResult(pres, d, n_max, n_max - 1, subs)
 
 

@@ -315,7 +315,9 @@ def realize_filtered_dga(pres, derivation: Derivation, n_max: int) -> FilteredCo
     Basis of C_d: monomials of total degree d ordered by (column, exponents);
     the derivation strictly drops the column, so the filtration is preserved.
     The boundary of C_d is assembled from the d_matrix block of each of its
-    bidegrees.
+    bidegrees.  Every block is read on purpose, never the derivation's
+    support, so the oracle does not share the list the page engine and
+    dga.homology work from.
     """
     table = alg.monomial_table(pres)
     basis = {}  # d -> bidegrees of total degree d, by column

@@ -14,12 +14,12 @@ term; arbitrary class-level specifications are rejected.  Page turning loses
 one total degree of certification: boundaries into degree d come from degree
 d + 1.
 
-A page turn applies d through its matrix per bidegree (dga.d_matrix): each
-cell's classes are mapped by one product, and those images serve the
-soundness checks, the kernel and the target cell's new boundaries; a cell
-that d neither leaves nor enters carries over as it is.  An E2 cell is the
-whole space of its bidegree (linfp.Subquotient.whole) and needs no row
-reduction.
+A page turn applies d through its matrix per bidegree (dga.d_matrix), on
+the derivation's support only: each support cell's classes are mapped by one
+product, and those images serve the soundness checks, the kernel and the
+target cell's new boundaries.  Only the support cells and their targets are
+rebuilt; every other cell carries over as it is.  An E2 cell is the whole
+space of its bidegree (linfp.Subquotient.whole) and needs no row reduction.
 
 Collapse certification is conservative.  A class is certified permanent only
 with explicit evidence (all outgoing targets empty, or the whole column to
@@ -145,7 +145,9 @@ def turn_page(page: Page, specs: list) -> Page:
     All specs must target this page index; sources must be surviving algebra
     generators.  The extension by Leibniz must square to zero modulo
     boundaries and must map boundaries into boundaries, otherwise the
-    specification is rejected with the offending class.
+    specification is rejected with the offending class, the first in
+    bidegree order.  d is applied on its support alone, and only the support
+    cells and their targets are rebuilt.
     """
     pres = page.pres
     live = [s for s in specs if s.image]
@@ -167,10 +169,9 @@ def turn_page(page: Page, specs: list) -> Page:
     # images of each cell's classes and their class coordinates are kept
     rep_images = {}  # bd -> rows d(rep), in the monomial coordinates of the target
     kernels = {}     # bd -> surviving combinations of the reps, where d is nonzero
-    for bd in sorted(page.subquotients):
+    support = set(d.support)
+    for bd in d.support:
         mat = d_matrix(d, bd)
-        if not mat.any():
-            continue
         sub = page.subquotients[bd]
         target = d.target(bd)
         for v in matmul(stack_rows(sub.boundaries, sub.dim), mat.T, p):
@@ -184,8 +185,12 @@ def turn_page(page: Page, specs: list) -> Page:
             continue
         tsub = page.subquotients[target]
         target2 = d.target(target)
+        if target in support:
+            dds = matmul(img, d_matrix(d, target).T, p)
+        else:
+            dds = np.zeros((len(img), 0), dtype=np.int64)  # d is zero on the target
         cols = []
-        for v, dd in zip(img, matmul(img, d_matrix(d, target).T, p)):
+        for v, dd in zip(img, dds):
             x = tsub.coords(v)
             if x is None:
                 raise PageError(
@@ -202,9 +207,9 @@ def turn_page(page: Page, specs: list) -> Page:
         kernel = kernel_basis(p, np.stack(cols, axis=1))
         kernels[bd] = matmul(stack_rows(kernel, len(cols)), reps, p)
 
-    # a cell that d neither leaves nor enters carries over unchanged
+    # a cell off the support and its targets carries over unchanged
     new_subquotients = dict(page.subquotients)
-    for bd in sorted(page.subquotients):
+    for bd in sorted(support | {d.target(bd) for bd in support}):
         # new boundaries: the old ones plus images from one shift up; the
         # old boundaries stay cycles too
         incoming = [v for v in rep_images.get(d_source(bd, r), ()) if v.any()]

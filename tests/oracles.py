@@ -9,12 +9,14 @@ every cycle space (each from its own kernel) and every subquotient at every
 the whole relation ideal of a candidate presentation, where
 dga.verify_presentation_iso counts standard monomials.  DGA homology is
 also computed with a kernel and a two-rref Subquotient in every bidegree,
-where dga.homology row-reduces only where d acts.  d^2 = 0 is also
-checked one monomial at a time by Leibniz expansion, where
-dga.check_d_squared multiplies two matrices per bidegree; a page is turned by
-applying d to one element at a time, where specseq.turn_page maps each cell
-by one matrix product; and collapse is certified by scanning every target of
-every class, where specseq.certify_collapse reads one column index per page.
+where dga.homology row-reduces only on d's support and its targets.  d^2 = 0
+is also checked one monomial at a time by Leibniz expansion, where
+dga.check_d_squared multiplies two matrices per support bidegree; a page is
+turned by applying d to one element at a time, where specseq.turn_page maps
+each support cell by one matrix product.  These loops visit every bidegree
+and never read the support.  Collapse is certified by scanning every target
+of every class, where specseq.certify_collapse reads one column index per
+page.
 check_leibniz checks d_r(xy) = d_r(x) y + (-1)^{n+m} x d_r(y) on every pair
 of classes of a page by brute force; only tests call it.
 """

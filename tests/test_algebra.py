@@ -305,6 +305,19 @@ def test_standard_monomials_are_the_lead_free_monomials(data):
     assert alg.standard_monomials(pres, leads, bound) == want
 
 
+def test_standard_monomials_ignore_leads_no_monomial_reaches():
+    # u^4 and a^2 sit past their caps and c^6 past the bound; read as codes
+    # in the walk's radices they would name a, b and a monomial past the box
+    pres, bound = omega_like(), 20
+    unreachable = [(4, 0, 0, 0), (0, 2, 0, 0), (0, 0, 0, 6), (0, 0, 0, 40)]
+    assert alg.standard_monomials(pres, unreachable, bound) == (
+        alg.standard_monomials(pres, [], bound)
+    )
+    assert sum(map(len, alg.standard_monomials(pres, [], bound).values())) == sum(
+        len(ms) for bd, ms in alg.monomial_table(pres).items() if sum(bd) <= bound
+    )
+
+
 def omega_like(p=5, N=60):
     """u truncated at p - 1, exterior a and b with |b| = |u a|, polynomial c."""
     gens = (trunc("u", p - 1, (0, 2)), ext("a", (3, 0)), ext("b", (3, 2)), poly("c", (4, 0)))

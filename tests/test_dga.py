@@ -1,11 +1,14 @@
+import re
+from importlib.resources import files
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import re
-
 from gradss import algebra as alg
-from gradss import dga, linfp
+from gradss import dga, linfp, thhku
+from gradss.dsl import parse
+from gradss.specseq import spec_images
 from gradss.algebra import (
     Presentation,
     RelationSpec,
@@ -178,6 +181,71 @@ def abce_derivation():
 def test_d_squared_matches_element_level_reference(d):
     for bound in (d.base.max_degree, d.base.max_degree - 2):
         assert check_d_squared(d, bound) == reference_check_d_squared(d, bound)
+
+
+def brute_support(d):
+    """The bidegrees whose d_matrix is nonzero, each matrix built on a fresh
+    twin of d that shares none of its memos."""
+    twin = dga.Derivation(d.base, d.page, d.images)
+    return [bd for bd in sorted(alg.monomial_table(d.base)) if d_matrix(twin, bd).any()]
+
+
+def shadowed_derivation():
+    """d(x) = y, with z beside x in bidegree (2, 0) and first there in lex
+    order, so the acting monomial is not the first of its bidegree."""
+    pres = Presentation(5, (poly("x", (2, 0)), poly("z", (2, 0)), ext("y", (0, 1))), 8)
+    return extend_derivation(pres, {"x": monomial_element(pres, {"y": 1})}, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_derivations())
+@example(abce_derivation())
+@example(shadowed_derivation())
+def test_support_is_where_d_matrix_is_nonzero(d):
+    assert d.support == brute_support(d)
+
+
+def brunku2_p7(N):
+    """The shipped brunku2 p = 7 file, parsed with its box set to N."""
+    text = (files("gradss") / "data" / "brunku2_p7.ss").read_text()
+    parsed = parse(re.sub(r"(?m)^maxdeg \d+$", f"maxdeg {N}", text))
+    return extend_derivation(parsed.presentation, spec_images(
+        parsed.presentation, parsed.differentials), parsed.differentials[0].page)
+
+
+@pytest.mark.parametrize("build, acting, cells", [
+    (lambda: intro_dga(5, 103)[1], 16, 159),
+    (lambda: brunku2_p7(300), 36, 505),
+])
+def test_flagship_support_matches_brute_force(build, acting, cells):
+    d = build()
+    assert d.support == brute_support(d)
+    assert (len(d.support), len(alg.monomial_table(d.base))) == (acting, cells)
+
+
+def test_step3_builds_matrices_only_where_d_can_act(monkeypatch):
+    # a matrix only where a monomial holds an acting generator and the target
+    # holds monomials: 19 of 159 bidegrees at the acceptance box
+    p, N = 5, 103
+    seen = []
+
+    def recorded(pres, d, n_max):
+        seen.append(d)
+        return homology(pres, d, n_max)
+
+    monkeypatch.setattr(thhku, "homology", recorded)
+    tor, _ = thhku.step1_tor(p)
+    rel, _ = thhku.step2_v0(tor, N)
+    thhku.step3_v1(rel, N)
+    (d,) = seen
+    acting = [i for i, g in enumerate(d.base.generators) if g.name in d.images]
+    table = alg.monomial_table(d.base)
+    can_act = {
+        bd for bd, monos in table.items()
+        if d.target(bd) in table and any(mono[i] for mono in monos for i in acting)
+    }
+    assert set(d.matrices) == can_act
+    assert (len(can_act), len(table)) == (19, 159)
 
 
 @settings(max_examples=60, deadline=None)

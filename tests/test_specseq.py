@@ -578,17 +578,40 @@ def test_flagship_pages_match_exact_couple(p, N):
     )
 
 
-@pytest.mark.parametrize("p, N", [(5, 103), (7, 176)])
-def test_flagship_exact_couple_einf_matches_forced_run(p, N):
-    # step 3's DGA, realized as a filtered complex and run through the exact
-    # couple to its certified stop, against the engine's forced run
+def flagship_einfs(p, N):
+    """Step 3's DGA, realized as a filtered complex and run through the exact
+    couple to its certified stop, and the engine's forced run: their
+    E-infinity dimensions through the engine's survival bound."""
     pres = absolute_e2(p, N)
     must_die = monomial_element(pres, {"u": p - 2, "su": 1})
     einf, _ = forced_run(init_page(pres), must_die, [monomial_element(pres, {"u": 1})])
     fc = realize_filtered_dga(pres, extend_derivation(pres, {"m1": must_die}, 2 * p - 3), N)
     run = exact_couple_run(fc)
     bound = einf.survival_bound
-    assert _bounded(run.einf, bound) == _bounded(einf.dims_by_bidegree(), bound)
+    return _bounded(run.einf, bound), _bounded(einf.dims_by_bidegree(), bound)
+
+
+@pytest.mark.parametrize("p, N", [(5, 103), (7, 176)])
+def test_flagship_exact_couple_einf_matches_forced_run(p, N):
+    oracle, engine = flagship_einfs(p, N)
+    assert oracle == engine
+
+
+@pytest.mark.parametrize("drop", [0, 5, -1])
+def test_exact_couple_stays_off_the_support(drop, monkeypatch):
+    # the engine turns pages on d's support, the oracle reads every block of
+    # d: with one support bidegree dropped the two must disagree, so the
+    # oracle cannot be sharing the engine's list
+    support = dga.Derivation.support.func
+
+    def short(d):
+        bds = support(d)
+        del bds[drop]
+        return bds
+
+    monkeypatch.setattr(dga.Derivation, "support", property(short))
+    oracle, engine = flagship_einfs(5, 103)
+    assert oracle != engine
 
 
 # ------------------------------------- memoized oracle vs the unmemoized loop
