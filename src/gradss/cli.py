@@ -1,8 +1,10 @@
 """Command-line surface: run, homology, tor, hh, oracle, reproduce.
 
-Chart format (TSV): one line per class, columns r, n, m, index, representative,
-sorted by (r, n, m, index); index is 1-based within the bidegree.  Reports are
-JSON with sorted keys.  All computation is deterministic.
+Chart format (TSV): one line per class, columns r, n, m, index, representative;
+index is 1-based within the bidegree.  Rows are emitted in (r, n, m, index)
+order, page by page and bidegree by bidegree, not sorted afterwards, and each
+class is printed straight from the cell that stores it.  Reports are JSON with
+sorted keys.  All computation is deterministic.
 """
 
 from __future__ import annotations
@@ -79,17 +81,17 @@ def chart_rows(parsed: ParsedFile) -> list:
     rows = []
     while True:
         if page.r in emit:
-            for (n, m), i, rep in page.classes():
-                rows.append((page.r, n, m, i + 1, alg.element_str(pres, rep)))
+            for n, m in sorted(page.subquotients):
+                for i, text in enumerate(page.class_strs((n, m)), 1):
+                    rows.append((page.r, n, m, i, text))
         if page.r >= emit[-1]:
             break
         page = turn_page(page, by_page.get(page.r, []))
-    rows.sort(key=lambda t: t[:4])
     return rows
 
 
 def chart_tsv(rows: list) -> str:
-    return "".join("\t".join(str(x) for x in row) + "\n" for row in rows)
+    return "".join(f"{r}\t{n}\t{m}\t{i}\t{text}\n" for r, n, m, i, text in rows)
 
 
 def chart_svg(parsed: ParsedFile) -> str:
@@ -176,8 +178,9 @@ def _cmd_homology(args) -> int:
     images = spec_images(pres, parsed.differentials)
     H = homology(pres, extend_derivation(pres, images, page), pres.max_degree)
     out = [f"# certified through total degree {H.cert_bound}\n"]
-    for (n, m), i, rep in H.classes():
-        out.append(f"{n}\t{m}\t{i + 1}\t{alg.element_str(pres, rep)}\n")
+    for n, m in sorted(H.subquotients):
+        for i, text in enumerate(H.class_strs((n, m)), 1):
+            out.append(f"{n}\t{m}\t{i}\t{text}\n")
     sys.stdout.write("".join(out))
     return 0
 

@@ -9,7 +9,10 @@ degree d + 1 is enumerated: the certified bound is N - 1.
 
 d is applied through one matrix per bidegree, d_matrix: its columns are the
 Leibniz expansions of the bidegree's monomials, built once per derivation, and
-d^2 = 0, homology and every element-level image read it.  extend_derivation
+d^2 = 0, homology and every element-level image read it.  The expansion,
+d_monomial, runs the Leibniz rule on monomials: each term is two
+multiply_monomials calls on exponent tuples, and the coefficients are summed
+mod p in one dict, with no element arithmetic.  extend_derivation
 returns one Derivation per (presentation, page, images), so a page turn and a
 homology of the same differential share those matrices.  A derivation knows
 its support, the sorted bidegrees out of which d is nonzero, found once: a
@@ -23,8 +26,9 @@ neither a matrix nor row reduction.
 
 Classes, shared by HomologyResult and specseq.Page, stores classes one way,
 one Subquotient per bidegree; representatives as elements are built from it
-on first read, and class counts per bidegree and per total degree (through a
-column index) read it directly.
+on first read, a whole cell prints its monomials with no element built, and
+class counts per bidegree and per total degree (through a column index) read
+it directly.
 
 verify_presentation_iso certifies candidate/(relations) = homology degree by
 degree: relations, algebra.RelationSpecs as assemble_abutment reads them, must
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -126,27 +131,39 @@ def extend_derivation(pres: Presentation, gen_images: dict, page: int) -> Deriva
 
 
 def d_monomial(d: Derivation, mono) -> Element:
-    """Leibniz expansion of d on one monomial.
+    """Leibniz expansion of d on one monomial, on exponent tuples.
 
     For m = g_1^{e_1} ... g_k^{e_k} the i-th term is
-    (-1)^{|prefix|} e_i (prefix g_i^{e_i - 1}) d(g_i) suffix; the image is
-    multiplied in place between the two halves so no extra reordering sign
-    is needed.
+    (-1)^{|prefix|} e_i (prefix g_i^{e_i - 1}) d(g_i) suffix.  Each monomial
+    of d(g_i) is multiplied in place between the two halves, two
+    multiply_monomials calls whose Koszul signs are the only reordering
+    signs, and the coefficients are summed in one dict, reduced mod p once
+    by algebra.element.  A term with e_i = 0 mod p vanishes; any other
+    raises BeyondTruncation when the image, of total degree |m| - 1, lies
+    past the box.
     """
     pres = d.base
-    out = ZERO
+    p = pres.p
+    unit = pres.unit_monomial
+    image_degree = sum(map(mul, mono, pres.degrees)) - 1
+    out: dict = {}
     prefix_degree = 0
-    for i, (e, g) in enumerate(zip(mono, pres.generators)):
-        if e and g.name in d.images:
-            img = d.images[g.name]
-            left = list(mono[: i + 1]) + [0] * (len(mono) - i - 1)
-            left[i] = e - 1
-            right = [0] * (i + 1) + list(mono[i + 1 :])
-            term = alg.multiply(pres, alg.element(pres, {tuple(left): e}), img)
-            term = alg.multiply(pres, term, alg.element(pres, {tuple(right): 1}))
-            out = alg.add(pres, out, alg.scale(pres, (-1) ** prefix_degree, term))
-        prefix_degree += e * g.total_degree
-    return out
+    for i, (e, g, deg) in enumerate(zip(mono, pres.generators, pres.degrees)):
+        img = d.images.get(g.name) if e % p else None
+        if img:
+            if image_degree > pres.max_degree:
+                raise alg.BeyondTruncation(image_degree, pres.max_degree)
+            left = mono[:i] + (e - 1,) + unit[i + 1 :]
+            right = unit[: i + 1] + mono[i + 1 :]
+            c = -e if prefix_degree & 1 else e
+            for m, cm in img.items():
+                s1, prod = alg.multiply_monomials(pres, left, m)
+                if s1:
+                    s2, prod = alg.multiply_monomials(pres, prod, right)
+                    if s2:
+                        out[prod] = out.get(prod, 0) + s1 * s2 * c * cm
+        prefix_degree += e * deg
+    return alg.element(pres, out)
 
 
 def d_matrix(d: Derivation, bd) -> np.ndarray:
@@ -262,6 +279,15 @@ class Classes:
                 reps = [element_from_coords(self.pres, bd, v) for v in sub.reps]
             self._reps[bd] = reps
         return reps
+
+    def class_strs(self, bd) -> list:
+        """The classes at bd as strings, for printing: a whole cell's are its
+        basis monomials, printed with no element built; any other cell's are
+        its reps."""
+        sub = self.subquotients[bd]
+        if sub.is_whole:
+            return [alg.monomial_str(self.pres, mono) for mono in self._table[bd]]
+        return [alg.element_str(self.pres, rep) for rep in self.reps(bd)]
 
     def classes(self):
         """(bd, index, rep) for every class, in bidegree order."""

@@ -129,15 +129,16 @@ def filtered_dga(pres, specs):
 
 
 @st.composite
-def random_derivations(draw, max_gens=4):
-    """A small random presentation with a random page-r derivation on it.
+def random_derivations(draw, max_gens=4, min_page=1):
+    """A small random presentation with a random page-r derivation on it,
+    min_page <= r <= 3.
 
     Some generators sit one shift above a product of earlier ones, so their
     image has monomials to land on; each image is a random combination of the
     target's monomials, so d^2 = 0 often fails.  N covers every generator.
     """
     p = draw(st.sampled_from([5, 7]))
-    r = draw(st.integers(1, 3))
+    r = draw(st.integers(min_page, 3))
     gens = []
     for i in range(draw(st.integers(1, max_gens))):
         picks = draw(st.lists(st.sampled_from(gens), unique=True, max_size=2)) if gens else []

@@ -9,11 +9,15 @@ every cycle space (each from its own kernel) and every subquotient at every
 the whole relation ideal of a candidate presentation, where
 dga.verify_presentation_iso counts standard monomials.  DGA homology is
 also computed with a kernel and a two-rref Subquotient in every bidegree,
-where dga.homology row-reduces only on d's support and its targets.  d^2 = 0
-is also checked one monomial at a time by Leibniz expansion, where
+where dga.homology row-reduces only on d's support and its targets.  The
+Leibniz rule on a monomial is also run through Element arithmetic
+(multiply, scale, add), where dga.d_monomial multiplies exponent tuples; d^2
+= 0 is checked one monomial at a time by that expansion, where
 dga.check_d_squared multiplies two matrices per support bidegree; a page is
 turned by applying d to one element at a time, where specseq.turn_page maps
-each support cell by one matrix product.  These loops visit every bidegree
+each support cell by one matrix product.  A chart is also listed by printing
+every class's element and sorting the rows, where cli.chart_rows prints each
+class from its cell in the order the rows come out.  These loops visit every bidegree
 and never read the support.  Collapse is certified by scanning every target
 of every class, where specseq.certify_collapse reads one column index per
 page.
@@ -28,7 +32,14 @@ import numpy as np
 from gradss import algebra as alg
 from gradss import dga
 from gradss.filtered import SSRun
-from gradss.specseq import CollapseCertificate, Page, PageError, spec_images
+from gradss.specseq import (
+    CollapseCertificate,
+    Page,
+    PageError,
+    init_page,
+    spec_images,
+    turn_page,
+)
 from gradss.linfp import Subquotient, kernel_basis, matmul, rank
 
 
@@ -253,9 +264,31 @@ def quotient_dims(candidate, relations, bidegrees, memo=None):
         yield bd, len(basis) - rank(candidate.p, np.concatenate(blocks))
 
 
+def reference_d_monomial(d, mono):
+    """dga.d_monomial through Element arithmetic: the i-th Leibniz term
+    (-1)^{|prefix|} e_i (prefix g_i^{e_i - 1}) d(g_i) suffix is built by
+    algebra.multiply, scale and add, the image multiplied in place between
+    the two halves.  algebra.multiply raises BeyondTruncation past the box."""
+    pres = d.base
+    out = alg.ZERO
+    prefix_degree = 0
+    for i, (e, g) in enumerate(zip(mono, pres.generators)):
+        if e and g.name in d.images:
+            img = d.images[g.name]
+            left = list(mono[: i + 1]) + [0] * (len(mono) - i - 1)
+            left[i] = e - 1
+            right = [0] * (i + 1) + list(mono[i + 1 :])
+            term = alg.multiply(pres, alg.element(pres, {tuple(left): e}), img)
+            term = alg.multiply(pres, term, alg.element(pres, {tuple(right): 1}))
+            out = alg.add(pres, out, alg.scale(pres, (-1) ** prefix_degree, term))
+        prefix_degree += e * g.total_degree
+    return out
+
+
 def reference_check_d_squared(d, n_max):
     """dga.check_d_squared on elements: every monomial is expanded by
-    dga.d_monomial, then every term of its image, and the results summed."""
+    reference_d_monomial, then every term of its image, and the results
+    summed."""
     pres = d.base
     violations = []
     for (n, m), monos in sorted(alg.monomial_table(pres).items()):
@@ -263,8 +296,8 @@ def reference_check_d_squared(d, n_max):
             continue
         for mono in monos:
             v = alg.ZERO
-            for term, c in dga.d_monomial(d, mono).items():
-                v = alg.add(pres, v, alg.scale(pres, c, dga.d_monomial(d, term)))
+            for term, c in reference_d_monomial(d, mono).items():
+                v = alg.add(pres, v, alg.scale(pres, c, reference_d_monomial(d, term)))
             if v:
                 violations.append((mono, v))
     return violations
@@ -307,10 +340,10 @@ def reference_homology(pres, d, n_max):
 
 
 def _leibniz(d, el):
-    """d on an element, summed from dga.d_monomial on its monomials."""
+    """d on an element, summed from reference_d_monomial on its monomials."""
     out = alg.ZERO
     for mono, c in el.items():
-        out = alg.add(d.base, out, alg.scale(d.base, c, dga.d_monomial(d, mono)))
+        out = alg.add(d.base, out, alg.scale(d.base, c, reference_d_monomial(d, mono)))
     return out
 
 
@@ -402,6 +435,28 @@ def reference_certify_collapse(page):
         if reasons:
             certified[bd] = tuple(reasons)
     return CollapseCertificate(page.r, certified, uncertified, refusals)
+
+
+def reference_chart_rows(parsed):
+    """cli.chart_rows printing every class through its element: element_str
+    on every rep of every emitted page, then the rows sorted by
+    (r, n, m, index)."""
+    pres = parsed.presentation
+    by_page = {}
+    for spec in parsed.differentials:
+        by_page.setdefault(spec.page, []).append(spec)
+    emit = sorted({2} | {r + 1 for r in by_page})
+    page = init_page(pres)
+    rows = []
+    while True:
+        if page.r in emit:
+            for (n, m), i, rep in page.classes():
+                rows.append((page.r, n, m, i + 1, alg.element_str(pres, rep)))
+        if page.r >= emit[-1]:
+            break
+        page = turn_page(page, by_page.get(page.r, []))
+    rows.sort(key=lambda t: t[:4])
+    return rows
 
 
 def check_leibniz(page, specs):

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradss import algebra as alg
-from gradss import cli, filtered, thhku
+from gradss import cli, dga, filtered, thhku
 from gradss.cli import chart_rows, run_command
 from gradss.dga import DifferentialError, d_target, extend_derivation
 from gradss.dsl import ParsedFile, ParseError, parse, parse_expression, print_file
 from gradss.linfp import Subquotient
 from gradss.specseq import DifferentialSpec, PageError
+from helpers import random_derivations
+from oracles import reference_chart_rows
 
 
 def data_text(name):
@@ -186,6 +188,69 @@ def test_run_chart_is_sorted_and_indexed():
     assert rows == sorted(rows, key=lambda t: t[:4])
     pages = {r for r, *_ in rows}
     assert pages == {2, 8}
+
+
+def brunku2_text(p, maxdeg):
+    """The shipped brunku2 file at p with its box moved to maxdeg."""
+    text = data_text(f"brunku2_p{p}.ss")
+    assert "maxdeg 100\n" in text
+    return text.replace("maxdeg 100\n", f"maxdeg {maxdeg}\n")
+
+
+@pytest.mark.parametrize("name", ["brunku1_p5", "brunku1_p7", "brunku2_p5", "brunku2_p7"])
+def test_chart_rows_match_the_element_printing_reference_on_shipped_files(name):
+    parsed = parse(data_text(f"{name}.ss"))
+    assert chart_rows(parsed) == reference_chart_rows(parsed)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("maxdeg", [100, 200, 300])
+def test_chart_rows_match_the_element_printing_reference_on_brunku2(p, maxdeg):
+    parsed = parse(brunku2_text(p, maxdeg))
+    rows = chart_rows(parsed)
+    assert rows == reference_chart_rows(parsed)
+    assert {r for r, *_ in rows} == {2, 2 * p - 2}
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_derivations(min_page=2))
+def test_chart_rows_match_the_element_printing_reference_on_random_files(d):
+    # one differential, on the first generator with a nonzero image; a
+    # random d need not square to zero, and then both refuse alike
+    pres = d.base
+    name = next((g.name for g in pres.generators if g.name in d.images), None)
+    specs = []
+    if name is not None:
+        source = alg.monomial_element(pres, {name: 1})
+        specs.append(DifferentialSpec(d.page, source, d.images[name]))
+    parsed = ParsedFile(pres, specs)
+
+    def chart(rows_of):
+        try:
+            return rows_of(parsed)
+        except PageError as err:
+            return str(err)
+
+    assert chart(chart_rows) == chart(reference_chart_rows)
+
+
+def test_printing_a_whole_cell_builds_no_element(monkeypatch, tmp_path, capsys):
+    # brunku2 at (5, 100): run prints pages 2 and 8, homology one page of
+    # classes; only the cells d touches read their reps as elements, and
+    # here every one of them is empty, so no element is built at all
+    src = tmp_path / "brunku2.ss"
+    src.write_text(brunku2_text(5, 100))
+    built = []
+    monkeypatch.setattr(dga, "Element", lambda coeffs: built.append(coeffs) or alg.Element(coeffs))
+    read = []
+    reps = dga.Classes.reps
+    monkeypatch.setattr(dga.Classes, "reps", lambda self, bd: read.append(
+        self.subquotients[bd]) or reps(self, bd))
+    for command in ("run", "homology"):
+        assert run_command([command, str(src)]) == 0
+    lines = capsys.readouterr().out.count("\n")
+    assert read and not any(sub.is_whole for sub in read)
+    assert lines == 399 and built == [] and sum(len(sub) for sub in read) == 0
 
 
 def test_svg_emission(tmp_path):

@@ -20,7 +20,12 @@ from gradss.algebra import (
 )
 from gradss.thhku import abutment_relations, omega_candidate, omega_reps
 from helpers import intro_dga, random_derivations
-from oracles import quotient_dims, reference_check_d_squared, reference_homology
+from oracles import (
+    quotient_dims,
+    reference_check_d_squared,
+    reference_d_monomial,
+    reference_homology,
+)
 from gradss.dga import (
     DifferentialError,
     check_d_squared,
@@ -264,6 +269,73 @@ def test_d_matrix_columns_are_leibniz_expansions(d):
                 assert np.array_equal(mat[:, j], coords(pres, target, img))
             else:
                 assert not img
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_derivations())
+@example(abce_derivation())
+@example(intro_dga(5, 60)[1])
+def test_d_monomial_matches_element_arithmetic(d):
+    for monos in alg.monomial_table(d.base).values():
+        for mono in monos:
+            assert d_monomial(d, mono) == reference_d_monomial(d, mono), mono
+
+
+def test_d_monomial_drops_an_exponent_divisible_by_p():
+    # d(m1^5) = 5 m1^4 u^3 su = 0 at p = 5; d(m1^6) = 6 m1^5 u^3 su
+    pres, d = intro_dga(5, 60)
+    m1_5, m1_6 = pres.monomial({"m1": 5}), pres.monomial({"m1": 6})
+    assert d_monomial(d, m1_5) == reference_d_monomial(d, m1_5) == alg.ZERO
+    want = monomial_element(pres, {"u": 3, "su": 1, "m1": 5})
+    assert d_monomial(d, m1_6) == reference_d_monomial(d, m1_6) == want
+
+
+def test_d_monomial_sums_a_multi_term_image_over_every_factor():
+    # d(a) = x + 2y and d(b) = 3x on page 2: d(ab) = (x + 2y) b - a (3x),
+    # and a x = x a carries no sign since x is even
+    pres = Presentation(
+        5, (poly("x", (0, 2)), poly("y", (0, 2)), ext("a", (2, 1)), ext("b", (2, 1))), 12
+    )
+    images = {
+        "a": element(pres, {pres.monomial({"x": 1}): 1, pres.monomial({"y": 1}): 2}),
+        "b": monomial_element(pres, {"x": 1}, 3),
+    }
+    d = extend_derivation(pres, images, 2)
+    ab = pres.monomial({"a": 1, "b": 1})
+    want = element(pres, {
+        pres.monomial({"x": 1, "b": 1}): 1,
+        pres.monomial({"y": 1, "b": 1}): 2,
+        pres.monomial({"x": 1, "a": 1}): -3,
+    })
+    assert d_monomial(d, ab) == reference_d_monomial(d, ab) == want
+    x2ab = pres.monomial({"x": 2, "a": 1, "b": 1})
+    assert d_monomial(d, x2ab) == reference_d_monomial(d, x2ab)
+    assert len(d_monomial(d, x2ab).coeffs) == 3
+
+
+def test_d_monomial_of_a_factor_reaching_its_cap_vanishes():
+    # u^4 = 0 in P_4(u) and su^2 = 0: d(u m1) = u^4 su and d(su m1) = su^2 u^3
+    # reach a cap against the prefix, d(u m1^2) = 2 u^4 su m1 too
+    pres, d = intro_dga(5, 60)
+    for exps in ({"u": 1, "m1": 1}, {"su": 1, "m1": 1}, {"u": 1, "m1": 2}):
+        mono = pres.monomial(exps)
+        assert d_monomial(d, mono) == reference_d_monomial(d, mono) == alg.ZERO, exps
+    # d(a c) = b c c: the image reaches c's cap against the suffix
+    d = abce_derivation()
+    ac = d.base.monomial({"a": 1, "c": 1})
+    assert d_monomial(d, ac) == reference_d_monomial(d, ac) == alg.ZERO
+
+
+def test_d_monomial_refuses_a_monomial_past_the_box():
+    # m1^7 lies at total degree 70 > 60; m1^5 past a box of 40 still has
+    # d = 0, since its one term carries 5 = 0 mod p
+    pres, d = intro_dga(5, 60)
+    for call in (d_monomial, reference_d_monomial):
+        with pytest.raises(alg.BeyondTruncation):
+            call(d, pres.monomial({"m1": 7}))
+    pres, d = intro_dga(5, 40)
+    m1_5 = pres.monomial({"m1": 5})
+    assert d_monomial(d, m1_5) == reference_d_monomial(d, m1_5) == alg.ZERO
 
 
 def test_homology_degree_ten_vanishes():
