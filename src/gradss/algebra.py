@@ -369,14 +369,6 @@ def monomial_map(source: Presentation, target: Presentation, images: dict):
     return f
 
 
-def map_element(target: Presentation, f, el: Element) -> Element:
-    """sum c * f(m) over the terms c * m of el, for f a monomial_map into target."""
-    out = ZERO
-    for mono, c in el.items():
-        out = add(target, out, scale(target, c, f(mono)))
-    return out
-
-
 @dataclass(frozen=True)
 class RelationSpec:
     """lhs = sum c * rhs on generator names: lhs is a tuple of (name,

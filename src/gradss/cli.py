@@ -97,7 +97,7 @@ def chart_tsv(rows: list) -> str:
 def chart_svg(parsed: ParsedFile) -> str:
     """Static dot-chart of the front page with the declared differentials."""
     pres = parsed.presentation
-    cells = init_page(pres).dims_by_bidegree()
+    cells = {bd: len(ms) for bd, ms in sorted(alg.monomial_table(pres).items()) if ms}
     n_max = max((n for n, _ in cells), default=0)
     m_max = max((m for _, m in cells), default=0)
     unit = 24

@@ -28,7 +28,9 @@ Classes, shared by HomologyResult and specseq.Page, stores classes one way,
 one Subquotient per bidegree; representatives as elements are built from it
 on first read, a whole cell prints its monomials with no element built, and
 class counts per bidegree and per total degree (through a column index) read
-it directly.
+it directly.  Classes.vector_coords is the one way to take class
+coordinates of a vector, and image_coords the one way to evaluate an element
+under an algebra.monomial_map: straight into coordinates, no element built.
 
 verify_presentation_iso certifies candidate/(relations) = homology degree by
 degree: relations, algebra.RelationSpecs as assemble_abutment reads them, must
@@ -229,6 +231,18 @@ def coords(pres: Presentation, bd, el: Element) -> np.ndarray:
     return v
 
 
+def image_coords(pres: Presentation, bd, f, el) -> np.ndarray:
+    """Coordinates at bd of sum c * f(m) over the terms c * m of el, for f an
+    algebra.monomial_map into pres; zero-length where bd holds no monomial."""
+    p = pres.p
+    index = alg.basis_positions(pres, bd)
+    v = np.zeros(len(index), dtype=np.int64)
+    for mono, c in el.items():
+        for m, cm in f(mono).items():
+            v[index[m]] = (v[index[m]] + c * cm % p) % p
+    return v
+
+
 def element_from_coords(pres: Presentation, bd, v) -> Element:
     """The element with coordinates v (reduced mod p) in the basis of bd.
 
@@ -289,6 +303,12 @@ class Classes:
             return [alg.monomial_str(self.pres, mono) for mono in self._table[bd]]
         return [alg.element_str(self.pres, rep) for rep in self.reps(bd)]
 
+    def vector_coords(self, bd, v) -> np.ndarray | None:
+        """Class coordinates of v, a vector in the monomial basis of bd; None
+        when v is no class plus boundaries there, or nothing is stored at bd."""
+        sub = self.subquotients.get(bd)
+        return None if sub is None else sub.coords(v)
+
     def classes(self):
         """(bd, index, rep) for every class, in bidegree order."""
         for bd in sorted(self.subquotients):
@@ -325,25 +345,6 @@ class HomologyResult(Classes):
     max_degree: int
     cert_bound: int
     subquotients: dict
-
-    def homology_coords(self, el: Element) -> np.ndarray:
-        """Coordinates of a cycle in the homology basis of its bidegree.
-
-        Raises ValueError when el is not a cycle modulo the boundaries.
-        """
-        bd = alg.bidegree_of(self.pres, el)
-        if bd is None:
-            return np.zeros(0, dtype=np.int64)
-        sub = self.subquotients.get(bd)
-        x = None if sub is None else sub.coords(coords(self.pres, bd, el))
-        if x is None:
-            raise ValueError("element does not represent a homology class")
-        return x
-
-    def is_zero_class(self, el: Element) -> bool:
-        if not el:
-            return True
-        return not np.any(self.homology_coords(el))
 
 
 def homology(pres: Presentation, d: Derivation, n_max: int) -> HomologyResult:
@@ -479,13 +480,22 @@ def verify_presentation_iso(
     # induced map on candidate monomials, one multiply per new monomial
     f = alg.monomial_map(candidate, pres, images)
 
+    def class_of(bd, v):
+        """Homology coordinates at bd of v, a nonzero image under f."""
+        x = H.vector_coords(bd, v)
+        if x is None:
+            raise ValueError("element does not represent a homology class")
+        return x
+
     # kind-bound relations: exterior squares and truncated powers must die
     unit = candidate.unit_monomial
     for i, (g, k) in enumerate(zip(candidate.generators, candidate.caps)):
         if k is None or k * g.total_degree > pres.max_degree:
             continue  # no kind bound, or the power lives past the box
-        pw = f(unit[:i] + (k,) + unit[i + 1 :])
-        if pw and not H.is_zero_class(pw):
+        pw = unit[:i] + (k,) + unit[i + 1 :]
+        bd = alg.bidegree(candidate, pw)
+        v = image_coords(pres, bd, f, {pw: 1})
+        if np.count_nonzero(v) and class_of(bd, v).any():
             kind_failures.append(f"{g.name}^{k} survives in homology")
 
     # relations must evaluate to boundaries; each one's lex-least term leads
@@ -501,8 +511,9 @@ def verify_presentation_iso(
             skipped.append((spec.label, rbd))
             continue
         leads.append(min(rel.coeffs))
-        val = alg.map_element(pres, f, rel)
-        if val and not H.is_zero_class(val):
+        v = image_coords(pres, rbd, f, rel)
+        if np.count_nonzero(v) and class_of(rbd, v).any():
+            val = element_from_coords(pres, rbd, v)
             relation_failures.append(
                 (spec.label, rbd, f"image {alg.element_str(pres, val)} survives")
             )
@@ -515,7 +526,8 @@ def verify_presentation_iso(
     for bd in sorted(bd for bd in set(standard) | hom_bds if sum(bd) <= bound):
         basis = standard.get(bd, [])
         want = H.dim(bd)
-        vecs = [H.homology_coords(img) for img in map(f, basis) if img]
+        mapped = (image_coords(pres, bd, f, {m: 1}) for m in basis)
+        vecs = [class_of(bd, v) for v in mapped if np.count_nonzero(v)]
         got = rank(pres.p, vecs) if want and vecs else 0
         if got < want:
             surj_failures.append((bd, got, want))

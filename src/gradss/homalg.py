@@ -25,7 +25,10 @@ from .linfp import check_index, check_prime, homology_dims
 
 
 class ResourceLimit(RuntimeError):
-    """The bar complex grew past the configured size cap."""
+    """The bar complex grew past BAR_CAP chains."""
+
+
+BAR_CAP = 200_000  # chains hochschild_homology builds before it refuses
 
 
 @dataclass(frozen=True)
@@ -201,16 +204,14 @@ def recognize_free_presentation(series: list[int], p: int) -> Recognition:
     return Recognition(pres, forced, note)
 
 
-def hochschild_homology(
-    pres: Presentation, s_max: int, t_max: int, cap: int = 200_000
-) -> dict:
+def hochschild_homology(pres: Presentation, s_max: int, t_max: int) -> dict:
     """HH_{s,t} of the presented algebra via the normalized cyclic bar complex.
 
     Chains in simplicial degree s are A (x) Abar^{(x) s} with Abar the
     positive-degree part; the rotating face carries the Koszul sign for
     moving the last tensor factor to the front.  Every face keeps the
     internal degree t, so the chains are grouped by t as they are built and
-    d_s is one block per t.  Refuses past the size cap.
+    d_s is one block per t.  Refuses past BAR_CAP chains.
     """
     if t_max > pres.max_degree:
         raise alg.BeyondTruncation(t_max, pres.max_degree)
@@ -242,10 +243,8 @@ def hochschild_homology(
         for m0, d0 in monos:
             build([m0], d0, s)
         total += sum(map(len, level.values()))
-        if total > cap:
-            raise ResourceLimit(
-                f"bar complex size {total} exceeds the cap {cap}"
-            )
+        if total > BAR_CAP:
+            raise ResourceLimit(f"bar complex size {total} exceeds the cap {BAR_CAP}")
         chains.append(level)
 
     def boundary(s, t):

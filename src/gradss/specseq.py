@@ -2,11 +2,12 @@
 
 A page is one linfp.Subquotient per bidegree (dga.Classes): the surviving
 classes modulo the boundaries accumulated by earlier differentials, in the
-coordinates of the fixed E2-monomial basis.  It reduces elements modulo the
-boundaries and gives class coordinates; the classes as elements are built
-from it on first read.  Products of classes are computed by multiplying their
-representatives in the E2 algebra and reducing modulo those boundaries, so
-the multiplicative structure stays effective on every page.
+coordinates of the fixed E2-monomial basis.  Class coordinates come from
+dga.Classes.vector_coords, and assemble_abutment reads a relation's image in
+them through dga.image_coords; the classes as elements are built on first
+read.  Products of classes are computed by multiplying their representatives
+in the E2 algebra and reducing modulo those boundaries, so the multiplicative
+structure stays effective on every page.
 
 Differentials are only accepted on algebra generators of the E2 presentation
 and are extended by the Leibniz rule with the sign (-1)^{n+m} on the right
@@ -41,9 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra as alg
-from .algebra import Element, Presentation, ZERO
+from .algebra import Element, Presentation
 from .dga import (
     Classes, coords, d_matrix, d_source, d_target, element_from_coords, extend_derivation,
+    image_coords,
 )
 from .linfp import Subquotient, kernel_basis, matmul, stack_rows
 
@@ -85,14 +87,6 @@ class Page(Classes):
         differential into degree cert_bound comes from past the certified box."""
         return self.cert_bound - 1
 
-    def reduce(self, el: Element) -> Element:
-        """Canonical representative of el modulo the accumulated boundaries."""
-        if not el:
-            return ZERO
-        bd = alg.bidegree_of(self.pres, el)
-        v = self.subquotients[bd].reduce(coords(self.pres, bd, el))
-        return element_from_coords(self.pres, bd, v)
-
     def class_coords(self, el: Element) -> np.ndarray:
         """Coordinates of el in the surviving basis of its bidegree.
 
@@ -102,7 +96,7 @@ class Page(Classes):
         if not el:
             return np.zeros(0, dtype=np.int64)
         bd = alg.bidegree_of(self.pres, el)
-        x = self.subquotients[bd].coords(coords(self.pres, bd, el))
+        x = self.vector_coords(bd, coords(self.pres, bd, el))
         if x is None:
             raise PageError("element is not a class on this page")
         return x
@@ -183,7 +177,6 @@ def turn_page(page: Page, specs: list) -> Page:
         img = rep_images[bd] = matmul(reps, mat.T, p)
         if not img.any():
             continue
-        tsub = page.subquotients[target]
         target2 = d.target(target)
         if target in support:
             dds = matmul(img, d_matrix(d, target).T, p)
@@ -191,7 +184,7 @@ def turn_page(page: Page, specs: list) -> Page:
             dds = np.zeros((len(img), 0), dtype=np.int64)  # d is zero on the target
         cols = []
         for v, dd in zip(img, dds):
-            x = tsub.coords(v)
+            x = page.vector_coords(target, v)
             if x is None:
                 raise PageError(
                     f"differential image of a class at {bd} leaves the page"
@@ -476,12 +469,12 @@ def assemble_abutment(
 
     Generators must have surviving lifts in their bidegree with a unique
     representative among classes of equal weight.  A relation must hold at
-    E-infinity (the lift of its lhs - rhs reduces to zero) and is settled by
-    one of: the free-commutative shortcut (no relations, E-infinity free
-    graded-commutative of matching size), a strict lift (no lower-filtration
-    classes in that total degree), or a weight obstruction (every
-    lower-filtration class has a different weight).  Anything else is listed
-    as unresolved, never accepted silently.
+    E-infinity (the image of lhs - rhs under the lifts, dga.image_coords, is
+    a boundary by vector_coords) and is settled by one of: the free-commutative
+    shortcut (no relations, E-infinity free graded-commutative of matching
+    size), a strict lift (no lower-filtration classes in that total degree), or
+    a weight obstruction (every lower-filtration class has a different weight).
+    Anything else is listed as unresolved, never accepted silently.
     """
     pres = einf.pres
 
@@ -542,9 +535,12 @@ def assemble_abutment(
         if filt + row > einf.survival_bound:
             beyond.append(rel.label)
             continue
-        if einf.reduce(alg.map_element(pres, lift, diff)):
-            unresolved.append((rel.label, "fails-at-E-infinity"))
-            continue
+        v = image_coords(pres, (filt, row), lift, diff)
+        if np.count_nonzero(v):
+            x = einf.vector_coords((filt, row), v)
+            if x is None or x.any():  # not a boundary at E-infinity
+                unresolved.append((rel.label, "fails-at-E-infinity"))
+                continue
         # classes of the same total degree in strictly lower filtration
         lower = _lower_classes(einf, filt + row, filt)
         if not lower:

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from importlib.resources import files
 
@@ -25,6 +26,7 @@ from oracles import (
     reference_check_d_squared,
     reference_d_monomial,
     reference_homology,
+    reference_map_element,
 )
 from gradss.dga import (
     DifferentialError,
@@ -347,8 +349,8 @@ def test_homology_degree_ten_vanishes():
 def test_homology_degree_fifty_contains_m1_power():
     pres, d = intro_dga(5, 60)
     H = homology(pres, d, 56)
-    m1_5 = monomial_element(pres, {"m1": 5})
-    assert np.any(H.homology_coords(m1_5))
+    m1_5 = coords(pres, (50, 0), monomial_element(pres, {"m1": 5}))
+    assert np.any(H.vector_coords((50, 0), m1_5))
     assert H.dim((50, 0)) >= 1
 
 
@@ -415,14 +417,14 @@ def test_homology_matches_the_every_bidegree_reference(d, data):
             data.draw(st.lists(coeffs, min_size=sub.dim, max_size=sub.dim)), dtype=np.int64
         )
         for v in (cycle, arbitrary):
-            el = dga.element_from_coords(pres, bd, v)
-            try:
-                expected = want.homology_coords(el).tolist()
-            except ValueError:
-                with pytest.raises(ValueError):
-                    got.homology_coords(el)
+            expected = want.vector_coords(bd, v)
+            if expected is None:
+                assert got.vector_coords(bd, v) is None
             else:
-                assert got.homology_coords(el).tolist() == expected
+                assert got.vector_coords(bd, v).tolist() == expected.tolist()
+    # nothing is stored past n_max: no vector there is a class
+    past = (0, n_max + 1)
+    assert got.vector_coords(past, np.zeros(0, dtype=np.int64)) is None
 
 
 def test_homology_refusal_message_matches_the_reference():
@@ -488,8 +490,69 @@ def test_verify_iso_bogus_relation_fails():
     rels = abutment_relations(p) + [bogus]
     report = verify_presentation_iso(H, cand, omega_reps(pres, p), rels, N)
     assert not report.ok
-    assert [label for label, _, _ in report.relation_failures] == ["bogus"]
+    assert report.relation_failures == [("bogus", (43, 6), "image u^3 su m1^4 survives")]
     assert report.dimension_mismatches
+
+
+def test_verify_iso_refuses_an_image_that_is_no_class():
+    # a homology that stores nothing at u's bidegree: f(u) = u is no class there
+    p, N = 5, 60
+    pres, d = intro_dga(p, N)
+    H = homology(pres, d, N)
+    subs = H.subquotients | {(0, 2): linfp.Subquotient(p, 1, [], [])}
+    broken = dataclasses.replace(H, subquotients=subs)
+    with pytest.raises(ValueError, match="^element does not represent a homology class$"):
+        verify_presentation_iso(broken, omega_candidate(p, N), omega_reps(pres, p),
+                                abutment_relations(p), N)
+
+
+@st.composite
+def mapped_elements(draw):
+    """(target, bd, f, el): f a monomial_map from a random source presentation
+    into a random target, which half the time also holds the source's
+    generators, each generator sent to a random combination, often zero, of
+    the target's monomials of its bidegree (zero where there are none), and el
+    a random element of the source at bd inside the target's box, which may
+    hold no monomial of the target; half the time bd is the largest cell."""
+    p = draw(st.sampled_from([5, 7]))
+
+    def generators(prefix):
+        gens = []
+        for i in range(draw(st.integers(1, 4))):
+            n = draw(st.integers(0, 2))
+            m = draw(st.integers(0 if n else 1, 2))
+            if (n + m) % 2:
+                gens.append(ext(f"{prefix}{i}", (n, m)))
+            elif draw(st.booleans()):
+                gens.append(trunc(f"{prefix}{i}", draw(st.integers(2, 4)), (n, m)))
+            else:
+                gens.append(poly(f"{prefix}{i}", (n, m)))
+        return tuple(gens)
+
+    source = Presentation(p, generators("s"), 12)
+    shared = source.generators if draw(st.booleans()) else ()
+    target = Presentation(p, generators("t") + shared, 12)
+    coeffs = st.integers(-p, 2 * p)
+    images = {}
+    for g in source.generators:
+        monos = alg.monomial_table(target).get(g.bidegree, [])
+        cs = draw(st.lists(coeffs, min_size=len(monos), max_size=len(monos)))
+        images[g.name] = element(target, dict(zip(monos, cs)))
+    table = alg.monomial_table(source)
+    cells = sorted(table, key=lambda b: (-len(table[b]), b))
+    bd = draw(st.just(cells[0]) | st.sampled_from(cells))
+    cs = draw(st.lists(coeffs, min_size=len(table[bd]), max_size=len(table[bd])))
+    el = element(source, dict(zip(table[bd], cs)))
+    return target, bd, alg.monomial_map(source, target, images), el
+
+
+@settings(max_examples=200, deadline=None)
+@given(mapped_elements())
+def test_image_coords_match_the_element_arithmetic_reference(case):
+    target, bd, f, el = case
+    got = dga.image_coords(target, bd, f, el)
+    assert got.dtype == np.int64
+    assert got.tolist() == coords(target, bd, reference_map_element(target, f, el)).tolist()
 
 
 def test_verify_iso_identity_candidate():

@@ -184,7 +184,8 @@ def test_hh_connectivity_bound():
         assert t >= 2 * s or v == 0
 
 
-def test_hh_resource_cap():
+def test_hh_resource_cap(monkeypatch):
     pres = Presentation(5, (trunc("u", 4, (0, 2)),), 16)
-    with pytest.raises(ResourceLimit):
-        hochschild_homology(pres, 3, 14, cap=5)
+    monkeypatch.setattr(homalg, "BAR_CAP", 5)
+    with pytest.raises(ResourceLimit, match=r"^bar complex size \d+ exceeds the cap 5$"):
+        hochschild_homology(pres, 3, 14)

@@ -57,6 +57,7 @@ from oracles import (
     naive_exact_couple_run,
     reference_certify_collapse,
     reference_turn_page,
+    reduce_on_page,
 )
 
 
@@ -835,8 +836,10 @@ def test_page_takes_coordinates_in_its_stored_subquotients(monkeypatch):
     page = Page(pres, 2, 2, {(1, 0): Subquotient(5, 2, [va + vb, vb], [])})
     assert page.class_coords(a).tolist() == [1, 4]
     page = Page(pres, 2, 2, {(1, 0): Subquotient(5, 2, [vb, va], [vb])})
-    assert not page.reduce(b)
+    assert not reduce_on_page(page, b)
     assert page.class_coords(a).tolist() == [1]
+    assert page.vector_coords((1, 0), va).tolist() == [1]
+    assert page.vector_coords((2, 0), va) is None
 
 
 def test_turn_page_rejects_an_image_that_is_no_class():
