@@ -400,13 +400,6 @@ class RelationSpec:
             raise ValueError(f"relation {self.label}: terms of different bidegrees")
         return element(pres, coeffs)
 
-    def is_kind_bound(self, pres: Presentation) -> bool:
-        """Whether this is x^k = 0 with k at the exponent cap of x, such as
-        u^{p-1} or a_i^2: the kind of x already imposes it."""
-        return not self.rhs and any(
-            cap and e >= cap for e, cap in zip(self.monomial(pres, self.lhs), pres.caps)
-        )
-
 
 @lru_cache(maxsize=None)
 def monomial_table(pres: Presentation):

@@ -33,12 +33,14 @@ coordinates of a vector, and image_coords the one way to evaluate an element
 under an algebra.monomial_map: straight into coordinates, no element built.
 
 verify_presentation_iso certifies candidate/(relations) = homology degree by
-degree: relations, algebra.RelationSpecs as assemble_abutment reads them, must
-become boundaries, and the standard monomials (divisible by no relation's
-lex-least term), which span the quotient, must map to a basis of the
-homology, one square rank per bidegree.  Its one limit: a relation set that
-is not a Groebner basis for lex order has too many standard monomials
-somewhere and is refused with a dimension mismatch, never accepted wrongly.
+degree: relations, algebra.RelationSpecs as assemble_abutment reads them,
+must become boundaries, and the standard monomials (divisible by no
+relation's lex-least term), which span the quotient, must map to a basis of
+the homology, one square rank per bidegree.  A generator's kind is one more
+relation, g^cap = 0, checked, led and counted like the given ones.  Its one
+limit: a relation set that is not a Groebner basis for lex order has too
+many standard monomials somewhere and is refused with a dimension mismatch,
+never accepted wrongly.
 """
 
 from __future__ import annotations
@@ -182,7 +184,7 @@ def d_matrix(d: Derivation, bd) -> np.ndarray:
         target = table.get(d.target(bd), [])
         mat = np.zeros((len(target), len(basis)), dtype=np.int64)
         if target:
-            index = {m: i for i, m in enumerate(target)}
+            index = alg.basis_positions(d.base, d.target(bd))
             for j, mono in enumerate(basis):
                 for m, c in d_monomial(d, mono).items():
                     mat[index[m], j] = c
@@ -397,21 +399,20 @@ class IsoReport:
 
     bound: int
     generator_failures: list
-    kind_failures: list
     relation_failures: list  # (label, bd, reason) of relations that survive
     surjectivity_failures: list  # (bd, rank of f(standard monomials), dim H)
     dimension_mismatches: list  # (bd, count of standard monomials, dim H)
     skipped_relations: list  # (label, bd) of relations past the bound
 
+    def failures(self) -> dict:
+        """The non-empty failure lists, by field name."""
+        names = ("generator_failures", "relation_failures",
+                 "surjectivity_failures", "dimension_mismatches")
+        return {name: getattr(self, name) for name in names if getattr(self, name)}
+
     @property
     def ok(self) -> bool:
-        return not (
-            self.generator_failures
-            or self.kind_failures
-            or self.relation_failures
-            or self.surjectivity_failures
-            or self.dimension_mismatches
-        )
+        return not self.failures()
 
     def to_json_dict(self) -> dict:
         return {
@@ -419,6 +420,7 @@ class IsoReport:
             "bound": self.bound,
             "skipped_relations": len(self.skipped_relations),
             "ok": self.ok,
+            **self.failures(),
         }
 
 
@@ -431,9 +433,12 @@ def verify_presentation_iso(
 ) -> IsoReport:
     """Certify H = candidate/(relations) as bigraded algebras up to degree bound.
 
-    (a) Every relation, an algebra.RelationSpec, and every kind-bound power
-    (which also stands for a kind-bound relation) must map to a boundary, so
+    (a) Every relation, an algebra.RelationSpec, must map to a boundary, so
     the algebra map f factors through the quotient by the relation ideal I.
+    A generator's kind is a relation too: g^cap = 0, labelled "g^cap", is
+    checked for each capped generator g (Presentation.caps) unless a given
+    relation is already that power alone, as rel1 = u^{p-1} is.  A relation
+    past the bound is skipped and counted, a kind power included.
     (b) In every bidegree the standard monomials S, those divisible by no
     relation's lead, must satisfy rank f(S) = |S| = dim H.
 
@@ -454,7 +459,6 @@ def verify_presentation_iso(
     pres = H.pres
     bound = min(H.cert_bound, n_max, candidate.max_degree)
     gen_failures = []
-    kind_failures = []
 
     # (pre) generator representatives: right bidegree, honest cycles
     images = {}
@@ -475,7 +479,7 @@ def verify_presentation_iso(
             continue
         images[g.name] = rep
     if gen_failures:
-        return IsoReport(bound, gen_failures, [], [], [], [], [])
+        return IsoReport(bound, gen_failures, [], [], [], [])
 
     # induced map on candidate monomials, one multiply per new monomial
     f = alg.monomial_map(candidate, pres, images)
@@ -487,35 +491,32 @@ def verify_presentation_iso(
             raise ValueError("element does not represent a homology class")
         return x
 
-    # kind-bound relations: exterior squares and truncated powers must die
+    # the relations and the unlisted kind powers
+    rels = [(spec.label, spec.element(candidate)) for spec in relations]
+    listed = {mono for _, rel in rels if len(rel.coeffs) == 1 for mono in rel.coeffs}
     unit = candidate.unit_monomial
     for i, (g, k) in enumerate(zip(candidate.generators, candidate.caps)):
-        if k is None or k * g.total_degree > pres.max_degree:
-            continue  # no kind bound, or the power lives past the box
-        pw = unit[:i] + (k,) + unit[i + 1 :]
-        bd = alg.bidegree(candidate, pw)
-        v = image_coords(pres, bd, f, {pw: 1})
-        if np.count_nonzero(v) and class_of(bd, v).any():
-            kind_failures.append(f"{g.name}^{k} survives in homology")
+        power = unit[:i] + (k,) + unit[i + 1 :]
+        if k and power not in listed:
+            rels.append((f"{g.name}^{k}", Element({power: 1})))
 
     # relations must evaluate to boundaries; each one's lex-least term leads
     relation_failures = []
     skipped = []
     leads = []
-    for spec in relations:
-        rel = spec.element(candidate)
-        if not rel or spec.is_kind_bound(candidate):
-            continue  # the kind check above covers a kind bound
+    for label, rel in rels:
+        if not rel:
+            continue
         rbd = alg.bidegree_of(candidate, rel)
         if sum(rbd) > bound:
-            skipped.append((spec.label, rbd))
+            skipped.append((label, rbd))
             continue
         leads.append(min(rel.coeffs))
         v = image_coords(pres, rbd, f, rel)
         if np.count_nonzero(v) and class_of(rbd, v).any():
             val = element_from_coords(pres, rbd, v)
             relation_failures.append(
-                (spec.label, rbd, f"image {alg.element_str(pres, val)} survives")
+                (label, rbd, f"image {alg.element_str(pres, val)} survives")
             )
 
     # the standard monomials must map to a basis of the homology
@@ -534,5 +535,5 @@ def verify_presentation_iso(
         if len(basis) != want:
             dim_mismatches.append((bd, len(basis), want))
 
-    return IsoReport(bound, gen_failures, kind_failures, relation_failures,
-                     surj_failures, dim_mismatches, skipped)
+    return IsoReport(bound, gen_failures, relation_failures, surj_failures,
+                     dim_mismatches, skipped)

@@ -12,10 +12,13 @@ Grammar (whitespace-separated tokens, '#' starts a comment):
     term    := [INT] factor+;  factor := NAME["^"INT]
 
 A file parses to exactly one presentation (all blocks are tensored together in
-order) plus a list of page differentials; an image whose coefficients all
-vanish mod p is the zero image and prints as "0".  The printer emits the
-normalized single-block form; parse-print-parse is the identity on the
-parsed data, and `run` treats the printed file as it treats the original.
+order) plus a list of page differentials.  An image's terms are summed mod p
+into one element, built once: a monomial whose coefficients sum to 0 mod p
+drops out before homogeneity is checked, so the terms' order never matters,
+and an image whose coefficients all vanish is the zero image and prints as
+"0".  Every refusal is a ParseError naming its line.  The printer emits the
+normalized single-block form; parse-print-parse is the identity on the parsed
+data, and `run` treats the printed file as it treats the original.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ def parse_expression(pres: Presentation, tokens: list, line: int):
             terms[-1].append(tok)
     if not terms[-1]:
         raise ParseError(line, "empty term in expression")
-    result = alg.ZERO
+    coeffs: dict = {}
     for term in terms:
         coeff = 1
         if term and term[0].lstrip("-").isdigit():
@@ -102,12 +105,11 @@ def parse_expression(pres: Presentation, tokens: list, line: int):
             mono = pres.monomial(exponents)
         except (KeyError, ValueError) as err:
             raise ParseError(line, str(err))
-        result = alg.add(pres, result, alg.element(pres, {mono: coeff}))
+        coeffs[mono] = coeffs.get(mono, 0) + coeff
     try:
-        alg.bidegree_of(pres, result)
+        return alg.element(pres, coeffs)
     except ValueError as err:
         raise ParseError(line, str(err))
-    return result
 
 
 def parse(text: str) -> ParsedFile:

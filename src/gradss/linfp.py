@@ -101,26 +101,13 @@ def _residues(p: int, a, ndim: int = 2) -> np.ndarray:
     return np.mod(arr, p)
 
 
-# The most entries _rref_inplace reduces on Python int lists for p <= 2**15.
+# The most entries _rref_inplace reduces on Python int lists, for every p.
 # Near it the two loops cost about the same on dense p = 5 matrices (2-CPU
 # Xeon, Python 3.11, numpy 2.4; 8 x 16: numpy 116, lists 105 us; 12 x 12:
-# numpy 168, lists 188 us; 16 x 16: numpy 251, lists 391 us).
+# numpy 168, lists 188 us; 16 x 16: numpy 251, lists 391 us).  Past 2**15
+# the list loop's products outgrow one 30-bit digit and it loses sooner, but
+# no workload runs such a prime; it stays exact there.
 _LIST_CELLS = 128
-
-
-def _list_cells(p: int) -> int:
-    """The most entries _rref_inplace reduces on Python int lists mod p.
-
-    The list loop slows as its ints outgrow one 30-bit digit: a product of
-    two residues takes two digits for p > 2**15, and a residue itself two
-    for p > 2**30.  Each step halves the bound, which keeps it near where the
-    loops cost the same (same machine; 8 x 8 at p = 2**16 + 1: numpy 120,
-    lists 99 us, 8 x 16: numpy 123, lists 167 us; at p = 2**31 - 1, 4 x 8:
-    numpy 58, lists 47 us, 8 x 8: numpy 116, lists 215 us).
-    """
-    if p <= 2**15:
-        return _LIST_CELLS
-    return _LIST_CELLS // 2 if p <= 2**30 else _LIST_CELLS // 4
 
 
 def _rref_inplace(a: np.ndarray, p: int) -> list[int]:
@@ -129,7 +116,7 @@ def _rref_inplace(a: np.ndarray, p: int) -> list[int]:
     Entries must be residues in [0, p).  Both loops take the leftmost
     nonzero column and, in it, the topmost row, so they agree bit for bit.
     """
-    if a.size > _list_cells(p):
+    if a.size > _LIST_CELLS:
         return _rref_numpy(a, p)
     rows = a.tolist()
     pivots = _rref_rows(rows, p)
@@ -203,7 +190,9 @@ def rank(p: int, a) -> int:
     p = check_prime(p)
     a = _residues(p, a)
     # a single row or column has rank 1 exactly when it is nonzero
-    return int(a.any()) if min(a.shape) <= 1 else len(_rref_inplace(a, p))
+    if min(a.shape) <= 1:
+        return 1 if np.count_nonzero(a) else 0
+    return len(_rref_inplace(a, p))
 
 
 def homology_dims(p: int, dims: dict, mats: dict) -> dict:

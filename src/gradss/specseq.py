@@ -169,7 +169,7 @@ def turn_page(page: Page, specs: list) -> Page:
         sub = page.subquotients[bd]
         target = d.target(bd)
         for v in matmul(stack_rows(sub.boundaries, sub.dim), mat.T, p):
-            if v.any() and page.subquotients[target].reduce(v).any():
+            if np.count_nonzero(v) and np.count_nonzero(page.subquotients[target].reduce(v)):
                 raise PageError(
                     f"differential does not preserve boundaries at {bd}"
                 )
@@ -190,8 +190,8 @@ def turn_page(page: Page, specs: list) -> Page:
                     f"differential image of a class at {bd} leaves the page"
                 )
             cols.append(x)
-            dd = page.subquotients[target2].reduce(dd) if dd.any() else dd
-            if dd.any():
+            dd = page.subquotients[target2].reduce(dd) if np.count_nonzero(dd) else dd
+            if np.count_nonzero(dd):
                 raise PageError(
                     f"d^2 != 0 on class at {bd}: "
                     f"{alg.element_str(pres, element_from_coords(pres, target2, dd))}"
@@ -205,7 +205,7 @@ def turn_page(page: Page, specs: list) -> Page:
     for bd in sorted(support | {d.target(bd) for bd in support}):
         # new boundaries: the old ones plus images from one shift up; the
         # old boundaries stay cycles too
-        incoming = [v for v in rep_images.get(d_source(bd, r), ()) if v.any()]
+        incoming = [v for v in rep_images.get(d_source(bd, r), ()) if np.count_nonzero(v)]
         if bd not in kernels and not incoming:
             continue
         sub = page.subquotients[bd]
@@ -291,7 +291,10 @@ class ZeroDifferentialCertificate:
         return not self.obstructions
 
     def to_json_dict(self) -> dict:
-        return {"page": self.page, "reasons": dict(self.reasons), "ok": self.ok}
+        out = {"page": self.page, "reasons": dict(self.reasons), "ok": self.ok}
+        if self.obstructions:
+            out["obstructions"] = self.obstructions
+        return out
 
 
 def _permanent_classes(page: Page, bd, permanent) -> Subquotient:

@@ -186,14 +186,6 @@ def presentation_dict(pres: Presentation) -> dict:
     }
 
 
-def _require_prime(p: int) -> int:
-    """p as a Python int; PipelineError unless it is a prime >= 5."""
-    try:
-        return check_prime(p, alg.LEAST_PRIME)
-    except ValueError as err:
-        raise PipelineError(str(err)) from None
-
-
 def _require_box(p: int, N: int, gens) -> int:
     """N as an int; ValueError unless it is an integer of at least the
     largest total degree of gens plus 2."""
@@ -225,7 +217,7 @@ def step1_tor(p: int):
     Returns the recognized presentation, its generator renamed su (bidegree
     (3, 0) in the total-degree convention, weight 0), and its step report.
     """
-    p = _require_prime(p)
+    p = check_prime(p, alg.LEAST_PRIME)
     table = koszul_tor(BaseRing("zp", p), "fp", "zp", TOR_BOX)
     rec = recognize_free_presentation(table.total_series(TOR_BOX), p)
     report = StepReport("tor-of-smash", {}, ["ku-homotopy"], TOR_BOX)
@@ -298,7 +290,7 @@ def absolute_e2(rel_pres: Presentation, N: int) -> Presentation:
 def weight_table(p: int) -> dict:
     """Galois weights of the abutment generators, in Z/(p-1), typed in apart
     from "delta-weights" so that a wrong entry there fails the lift checks."""
-    p = _require_prime(p)
+    p = check_prime(p, alg.LEAST_PRIME)
     table = {"u": 1, "l1": 0, "mu2": 0}
     for i in range(p):
         table[f"a{i}"] = 1
@@ -312,7 +304,8 @@ def _omega(p: int) -> list:
     mu2 = m1^p, a_i = su m1^i for 0 <= i < p, b_i = u m1^i for 0 < i < p.
 
     Kinds encode the monomial-bound relations: u is truncated at p-1 and the
-    a_i are exterior; all remaining relations are handled separately.
+    a_i and l1 are exterior; verify_presentation_iso checks each kind bound
+    once, as a relation, listed in abutment_relations or not.
     """
     return [
         (trunc("u", p - 1, (0, 2)), {"u": 1}),
@@ -477,7 +470,7 @@ def reproduce_thh_ku(p: int, N: int) -> PipelineReport:
 
     Step 3 needs the largest box, so its bound is checked before step 1.
     """
-    p = _require_prime(p)
+    p = check_prime(p, alg.LEAST_PRIME)
     N = _require_box(p, N, (g for g, _ in _omega(p)))
     tor_pres, tor_report = step1_tor(p)
     rel_pres, rel_report = step2_v0(tor_pres, N)

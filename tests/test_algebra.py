@@ -343,22 +343,5 @@ def test_relation_spec_refusals_name_the_label():
     with pytest.raises(ValueError, match="rel-mixed"):
         mixed.element(pres)
     unknown = alg.RelationSpec("rel-unknown", (("x", 1),))
-    for method in (unknown.element, unknown.is_kind_bound):
-        with pytest.raises(ValueError, match="rel-unknown: unknown generator x"):
-            method(pres)
-
-
-def test_relation_spec_kind_bounds():
-    pres = omega_like()
-    kind_bound = [(("u", 4),), (("a", 2),), (("a", 2), ("c", 1)), (("u", 5),)]
-    for lhs in kind_bound:
-        assert alg.RelationSpec("r", lhs).is_kind_bound(pres), lhs
-    # below the caps, on a polynomial generator, or with a right-hand side
-    others = [
-        alg.RelationSpec("r", (("u", 3),)),
-        alg.RelationSpec("r", (("a", 1), ("u", 3))),
-        alg.RelationSpec("r", (("c", 9),)),
-        alg.RelationSpec("r", (("u", 4),), ((1, (("u", 4),)),)),
-    ]
-    for rel in others:
-        assert not rel.is_kind_bound(pres), rel
+    with pytest.raises(ValueError, match="rel-unknown: unknown generator x"):
+        unknown.element(pres)

@@ -67,6 +67,29 @@ def test_parse_rejects_wrong_bidegree_differential():
     assert "bidegree" in str(err.value)
 
 
+BRUNKU2_P5_HEAD = (
+    "prime 5\nmaxdeg 30\nalgebra A {\n gen u trunc 4 bideg 0 2 weight 1\n"
+    " gen su ext bideg 3 0 weight 1\n gen m1 poly bideg 10 0\n}\n"
+)
+
+
+def test_parse_names_the_line_of_an_inhomogeneous_image():
+    text = BRUNKU2_P5_HEAD + "\n# a comment\nd 7 m1 -> u^3 su + u\n"
+    with pytest.raises(ParseError, match="^line 10: inhomogeneous element") as err:
+        parse(text)
+    assert err.value.line == 10
+
+
+@pytest.mark.parametrize("image", [
+    "u + 4 u + u^3 su", "u^3 su + u + 4 u", "u + u^3 su + 4 u", "2 u^3 su + 3 u^3 su + u^3 su",
+])
+def test_parse_sums_an_image_in_any_term_order(image):
+    # u + 4 u vanishes mod 5, so every order leaves the same homogeneous image
+    (spec,) = parse(BRUNKU2_P5_HEAD + f"d 7 m1 -> {image}\n").differentials
+    pres = parse(BRUNKU2_P5_HEAD).presentation
+    assert spec.image == alg.monomial_element(pres, {"u": 3, "su": 1})
+
+
 def test_parse_rejects_non_prime():
     with pytest.raises(ParseError):
         parse("prime 9\nmaxdeg 10\n")
@@ -323,6 +346,24 @@ def test_oracle_certificate_failure_exits_one(damage, monkeypatch, capsys):
     assert run_command(["oracle", "filtered", "--seed", "5", "--cases", "3"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("certificate failure: ") and err.count("\n") == 1
+
+
+def test_reproduce_failure_names_the_surviving_relation(monkeypatch, capsys):
+    # u^{p-2} a_{p-1} = 0 is wrong: that class survives, and the printed
+    # presentation-iso certificate says which relation and where
+    bogus = alg.RelationSpec("bogus", (("u", 3), ("a4", 1)))
+    relations = thhku.abutment_relations
+    monkeypatch.setattr(thhku, "abutment_relations", lambda p: relations(p) + [bogus])
+    assert run_command(["reproduce", "thh-ku", "--prime", "5", "--max-degree", "103"]) == 1
+    err = capsys.readouterr().err
+    first, report = err.split("\n", 1)
+    assert first == "certificate failure: E-infinity is not the expected presentation"
+    iso = json.loads(report)["certificates"][-1]
+    assert iso["kind"] == "presentation-iso" and iso["ok"] is False
+    assert iso["relation_failures"] == [["bogus", [43, 6], "image u^3 su m1^4 survives"]]
+    # the empty failure list is left out, as success leaves out all four
+    assert "generator_failures" not in iso
+    assert iso["dimension_mismatches"][0] == [[43, 6], 0, 1]
 
 
 def test_homology_command(capsys):

@@ -1,4 +1,8 @@
-"""Every demo runs to completion as a script."""
+"""Every demo runs to completion as a script and prints its golden bytes.
+
+tests/data/demo_<stem>.txt holds each demo's stdout; the demos are
+deterministic, so a changed byte is a changed result.
+"""
 
 import os
 import subprocess
@@ -9,6 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).parent / "data"
 
 
 def test_all_demos_found():
@@ -24,3 +29,4 @@ def test_demo_runs(demo):
     )
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
+    assert done.stdout == (GOLDEN / f"demo_{demo.stem}.txt").read_text()

@@ -321,11 +321,10 @@ def test_rref_loop_chosen_by_entry_count(monkeypatch):
         _, pivots = rref(5, np.eye(rows, cols, dtype=np.int64))
         assert len(pivots) == min(rows, cols)
     assert loops == ["_rref_rows"] * 3 + ["_rref_numpy"] * 3
-    # past one 30-bit digit per product, then per residue, the list loop
-    # loses sooner: half the bound above 2^15, a quarter above 2^30
-    for p, cells in ((2**15 - 19, bound), (2**16 + 1, bound // 2), (MAX_PRIME, bound // 4)):
+    # the one bound holds for every p, far past 2^15 and up to MAX_PRIME
+    for p in (2**15 - 19, 2**16 + 1, MAX_PRIME):
         loops.clear()
-        for shape in ((1, 1), (1, cells), (1, cells + 1), (16, 16)):
+        for shape in ((1, 1), (1, bound), (1, bound + 1), (16, 16)):
             _, pivots = rref(p, np.eye(*shape, dtype=np.int64))
             assert len(pivots) == min(shape)
         assert loops == ["_rref_rows"] * 2 + ["_rref_numpy"] * 2, p

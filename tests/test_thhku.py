@@ -65,9 +65,14 @@ def test_step1_is_p_independent():
     ]
 
 
-def test_step1_rejects_composite():
-    with pytest.raises(PipelineError):
-        step1_tor(4)
+@pytest.mark.parametrize("call", [reproduce_thh_ku, step1_tor, weight_table])
+@pytest.mark.parametrize("p", [4, 3, 2147483659])
+def test_a_bad_prime_is_a_value_error(call, p):
+    # linfp.check_prime is the one refuser: a bad prime is bad input, not a
+    # failed certificate
+    args = (p, 103) if call is reproduce_thh_ku else (p,)
+    with pytest.raises(ValueError, match=rf"^p = {p}: need a prime in \[5, 2147483647\]$"):
+        call(*args)
 
 
 def test_step2_result_degrees():
@@ -198,6 +203,29 @@ def test_a_failing_zero_differential_page_ends_the_report(monkeypatch):
     assert [(z["page"], z["ok"]) for z in certs[-1]["pages"]] == [
         (2, True), (3, True), (4, False)
     ]
+    # only the failed page names its obstructions
+    assert [z.get("obstructions") for z in certs[-1]["pages"]] == [None, None, [("m1", (0, 4))]]
+
+
+def test_skipped_relations_count_every_relation_past_the_bound():
+    # the listed relations and the kind powers none of them states (l1^2
+    # here), each once; past N - 1 each is skipped and counted, and from the
+    # least full box 4p^2 - 4p + 8 = 88 none is
+    p = 5
+    candidate = omega_candidate(p, 10)
+    rels = [r.element(candidate) for r in abutment_relations(p)]
+    unit = candidate.unit_monomial
+    for i, cap in enumerate(candidate.caps):
+        power = alg.Element({unit[:i] + (cap,) + unit[i + 1 :]: 1}) if cap else None
+        if power and power not in rels:
+            rels.append(power)
+    assert len(rels) == len(abutment_relations(p)) + 1
+    degrees = [sum(alg.bidegree_of(candidate, rel)) for rel in rels]
+    for N in range(52, 111):
+        step3 = reproduce_thh_ku(p, N).steps[2]
+        (iso,) = [c for c in step3.certificates if c["kind"] == "presentation-iso"]
+        assert iso["skipped_relations"] == sum(d > N - 1 for d in degrees), N
+        assert N < 88 or iso["skipped_relations"] == 0, N
 
 
 def test_abutment_relation_count():
@@ -436,7 +464,15 @@ def test_candidate_relations_match_golden(p):
     thhku; regenerate only for an intended change of the relations."""
     candidate = omega_candidate(p, 10)
     specs = abutment_relations(p)
-    got = [r.element(candidate) for r in specs if not r.is_kind_bound(candidate)]
+
+    def states_a_kind(spec):
+        """Whether spec is g^cap = 0 for a capped generator g."""
+        if spec.rhs or len(spec.lhs) != 1:
+            return False
+        ((name, e),) = spec.lhs
+        return e == candidate.caps[candidate.index(name)]
+
+    got = [r.element(candidate) for r in specs if not states_a_kind(r)]
     want = [
         line
         for line in GOLDEN_OMEGA.read_text().splitlines()
@@ -445,7 +481,7 @@ def test_candidate_relations_match_golden(p):
     assert [render_relation(p, candidate, el) for el in got] == want
     # abutment_relations minus rel1 and the p relations rel8[i,i] = a_i^2
     kind_bounds = {"rel1"} | {f"rel8[{i},{i}]" for i in range(p)}
-    assert kind_bounds <= {rel.label for rel in specs}
+    assert kind_bounds == {rel.label for rel in specs if states_a_kind(rel)}
     assert len(got) == len(specs) - len(kind_bounds)
     assert got[0] == monomial_element(candidate, {"u": p - 2, "a0": 1})
 
@@ -492,9 +528,9 @@ def test_an_inhomogeneous_relation_is_refused_by_both_certificates():
 
 
 def test_a_non_integer_prime_or_box_is_refused():
-    with pytest.raises(PipelineError, match="p = 5.0"):
+    with pytest.raises(ValueError, match="p = 5.0"):
         reproduce_thh_ku(5.0, 103)
-    with pytest.raises(PipelineError, match="p = True"):
+    with pytest.raises(ValueError, match="p = True"):
         reproduce_thh_ku(True, 103)
     with pytest.raises(ValueError, match="max degree 103.5 is not an integer"):
         reproduce_thh_ku(5, 103.5)
