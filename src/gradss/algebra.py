@@ -8,8 +8,9 @@ max total degree N, and any product that would land past N raises
 BeyondTruncation rather than being dropped silently.  Each monomial's bidegree
 and its position in the basis of its bidegree are computed once and kept on
 the presentation, and so is each algebra map out of it (monomial_map) and
-each derivation on it (dga.extend_derivation).  A relation is one
-RelationSpec, read as an element of each presentation that checks it.
+each derivation on it (dga.extend_derivation).  A map evaluates a monomial on
+exponent tuples into a {monomial: coefficient} dict, no Element built.  A
+relation is one RelationSpec, built as an element once per presentation.
 
 Conventions: column n is the filtration degree, row m the coefficient degree.
 Koszul signs use the total degree n + m.  p is an odd prime >= 5, so exterior
@@ -128,8 +129,10 @@ class Presentation:
     _bidegrees: dict = field(init=False, repr=False, compare=False)
     _positions: dict = field(init=False, repr=False, compare=False)
     # objects built on the presentation, keyed by what built them: monomial
-    # maps out of it and derivations on it, also gone with the presentation
+    # maps out of it, derivations on it and relation elements in it, also
+    # gone with the presentation; _index maps a generator name to its position
     _built: dict = field(init=False, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = check_prime(self.p, LEAST_PRIME)
@@ -150,8 +153,9 @@ class Presentation:
         object.__setattr__(
             self, "caps", tuple(2 if g.kind == EXTERIOR else g.height for g in gens)
         )
-        names = [g.name for g in self.generators]
-        if len(set(names)) != len(names):
+        index = {g.name: i for i, g in enumerate(gens)}
+        object.__setattr__(self, "_index", index)
+        if len(index) != len(gens):
             raise ValueError("generator names must be unique")
         if self.max_degree < 0:
             raise ValueError("max_degree must be non-negative")
@@ -165,10 +169,7 @@ class Presentation:
         return self._hash
 
     def index(self, name: str) -> int:
-        for i, g in enumerate(self.generators):
-            if g.name == name:
-                return i
-        raise KeyError(name)
+        return self._index[name]
 
     def gen(self, name: str) -> GeneratorSpec:
         return self.generators[self.index(name)]
@@ -322,47 +323,49 @@ def multiply(pres: Presentation, a: Element, b: Element) -> Element:
     return Element({m: c for m, c in coeffs.items() if c})
 
 
-def add(pres: Presentation, a: Element, b: Element) -> Element:
-    coeffs = dict(a.coeffs)
-    for mono, c in b.coeffs.items():
-        coeffs[mono] = (coeffs.get(mono, 0) + c) % pres.p
-    el = Element({m: c for m, c in coeffs.items() if c})
-    bidegree_of(pres, el)
-    return el
-
-
-def scale(pres: Presentation, c: int, a: Element) -> Element:
-    c %= pres.p
-    if c == 0:
-        return ZERO
-    return Element({m: (c * v) % pres.p for m, v in a.coeffs.items()})
-
-
 def monomial_map(source: Presentation, target: Presentation, images: dict):
     """The algebra map source -> target fixed by generator images, on monomials.
 
     Returns a memoized f with f(1) = 1 and f(m) = f(m / g) * images[g] for g
-    the last generator dividing m: the factors are multiplied left to right
-    in generator order, one multiply per new monomial.  Equal target and
-    generator images give the same f, kept on the source presentation, so
-    every caller shares its cache.
+    the last generator dividing m, as a {monomial: coefficient} dict without
+    zeros: the factors are multiplied left to right in generator order, one
+    product per new monomial by multiply_monomials, reduced mod p once.  A
+    nonzero product past the target's box raises BeyondTruncation.  Equal
+    target and generator images give the same f, kept on the source
+    presentation, so every caller shares its cache.
     """
     gen_images = tuple(images[g.name] for g in source.generators)
     key = ("monomial_map", target, gen_images)
     if key in source._built:
         return source._built[key]
-    cache = {source.unit_monomial: element(target, {target.unit_monomial: 1})}
+    p, bound = target.p, target.max_degree
+    # each image's terms and total degree, read once
+    factors = [(tuple(img.items()), total_degree(target, min(img.coeffs)) if img else 0)
+               for img in gen_images]
+    cache = {source.unit_monomial: {target.unit_monomial: 1}}
 
-    def f(mono: Monomial) -> Element:
+    def f(mono: Monomial) -> dict:
         chain = []  # (monomial, its last generator), peeled down to a cached one
         while mono not in cache:
-            i = max(k for k, e in enumerate(mono) if e)
+            i = len(mono) - 1
+            while not mono[i]:
+                i -= 1
             chain.append((mono, i))
             mono = mono[:i] + (mono[i] - 1,) + mono[i + 1 :]
         out = cache[mono]
         for mono, i in reversed(chain):
-            out = multiply(target, out, gen_images[i])
-            cache[mono] = out
+            terms, d = factors[i]
+            prod: dict = {}
+            if out and terms:
+                d += total_degree(target, next(iter(out)))
+                if d > bound:
+                    raise BeyondTruncation(d, bound)
+                for ma, ca in out.items():
+                    for mb, cb in terms:
+                        sign, m = multiply_monomials(target, ma, mb)
+                        if sign:
+                            prod[m] = prod.get(m, 0) + sign * ca * cb
+            out = cache[mono] = {m: r for m, c in prod.items() if (r := c % p)}
         return out
 
     source._built[key] = f
@@ -391,14 +394,18 @@ class RelationSpec:
 
     def element(self, pres: Presentation) -> Element:
         """lhs - sum c * rhs in pres, equal monomials summed mod p; ValueError,
-        naming the label, when the terms' bidegrees differ."""
-        coeffs = {}
-        for c, factors in [(1, self.lhs), *((-c, mono) for c, mono in self.rhs)]:
-            mono = self.monomial(pres, factors)
-            coeffs[mono] = coeffs.get(mono, 0) + c
-        if len({bidegree(pres, mono) for mono in coeffs}) > 1:
-            raise ValueError(f"relation {self.label}: terms of different bidegrees")
-        return element(pres, coeffs)
+        naming the label, when the terms' bidegrees differ.  Built once per
+        presentation and kept on it, so every certificate reads one element."""
+        key = ("relation", self)
+        if key not in pres._built:
+            coeffs = {}
+            for c, factors in [(1, self.lhs), *((-c, mono) for c, mono in self.rhs)]:
+                mono = self.monomial(pres, factors)
+                coeffs[mono] = coeffs.get(mono, 0) + c
+            if len({bidegree(pres, mono) for mono in coeffs}) > 1:
+                raise ValueError(f"relation {self.label}: terms of different bidegrees")
+            pres._built[key] = element(pres, coeffs)
+        return pres._built[key]
 
 
 @lru_cache(maxsize=None)

@@ -30,14 +30,15 @@ on first read, a whole cell prints its monomials with no element built, and
 class counts per bidegree and per total degree (through a column index) read
 it directly.  Classes.vector_coords is the one way to take class
 coordinates of a vector, and image_coords the one way to evaluate an element
-under an algebra.monomial_map: straight into coordinates, no element built.
+under an algebra.monomial_map: its coefficient dicts summed into coordinates.
 
 verify_presentation_iso certifies candidate/(relations) = homology degree by
 degree: relations, algebra.RelationSpecs as assemble_abutment reads them,
 must become boundaries, and the standard monomials (divisible by no
 relation's lex-least term), which span the quotient, must map to a basis of
 the homology, one square rank per bidegree.  A generator's kind is one more
-relation, g^cap = 0, checked, led and counted like the given ones.  Its one
+relation, g^cap = 0, checked, led and counted like the given ones; each
+relation's element is built once, shared with assemble_abutment.  Its one
 limit: a relation set that is not a Groebner basis for lex order has too
 many standard monomials somewhere and is refused with a dimension mismatch,
 never accepted wrongly.
@@ -282,6 +283,13 @@ class Classes:
             columns.setdefault(n + m, []).append(n)
         return columns
 
+    @cached_property
+    def _totals(self) -> dict:
+        totals = {}
+        for (n, m), sub in self.subquotients.items():
+            totals[n + m] = totals.get(n + m, 0) + len(sub)
+        return totals
+
     def reps(self, bd) -> list:
         """The classes at bd as elements, [] where none are stored."""
         reps = self._reps.get(bd)
@@ -325,7 +333,8 @@ class Classes:
         return {bd: len(sub) for bd, sub in sorted(self.subquotients.items()) if len(sub)}
 
     def dim_total(self, d: int) -> int:
-        return sum(len(self.subquotients[n, d - n]) for n in self.columns(d))
+        """The number of classes of total degree d, all totals counted in one pass."""
+        return self._totals.get(d, 0)
 
     def columns(self, d: int) -> list:
         """Sorted columns n of the nonzero cells (n, d - n), indexed once."""
@@ -454,7 +463,10 @@ def verify_presentation_iso(
 
     f is built multiplicatively, f(m) = f(m / g) * f(g) with g the last
     generator dividing m, and S is an order ideal, so f is evaluated on S and
-    the relation terms only, never on all of the candidate algebra.
+    the relation terms only, never on all of the candidate algebra; not at
+    all where pres has no monomial, since every image there is 0.  A whole H
+    cell has no boundaries, so with one standard monomial m there rank f({m})
+    is 1 iff f(m) != 0, read from f(m) with no coordinates or row reduction.
     """
     pres = H.pres
     bound = min(H.cert_bound, n_max, candidate.max_degree)
@@ -501,6 +513,7 @@ def verify_presentation_iso(
             rels.append((f"{g.name}^{k}", Element({power: 1})))
 
     # relations must evaluate to boundaries; each one's lex-least term leads
+    table = alg.monomial_table(pres)
     relation_failures = []
     skipped = []
     leads = []
@@ -512,6 +525,8 @@ def verify_presentation_iso(
             skipped.append((label, rbd))
             continue
         leads.append(min(rel.coeffs))
+        if rbd not in table:  # pres holds no monomial there: the image is 0
+            continue
         v = image_coords(pres, rbd, f, rel)
         if np.count_nonzero(v) and class_of(rbd, v).any():
             val = element_from_coords(pres, rbd, v)
@@ -527,9 +542,14 @@ def verify_presentation_iso(
     for bd in sorted(bd for bd in set(standard) | hom_bds if sum(bd) <= bound):
         basis = standard.get(bd, [])
         want = H.dim(bd)
-        mapped = (image_coords(pres, bd, f, {m: 1}) for m in basis)
-        vecs = [class_of(bd, v) for v in mapped if np.count_nonzero(v)]
-        got = rank(pres.p, vecs) if want and vecs else 0
+        if bd not in table:
+            got = 0
+        elif len(basis) == 1 and H.subquotients[bd].is_whole:
+            got = 1 if f(basis[0]) else 0  # no boundaries: nonzero spans
+        else:
+            mapped = (image_coords(pres, bd, f, {m: 1}) for m in basis)
+            vecs = [class_of(bd, v) for v in mapped if np.count_nonzero(v)]
+            got = rank(pres.p, vecs) if want and vecs else 0
         if got < want:
             surj_failures.append((bd, got, want))
         if len(basis) != want:

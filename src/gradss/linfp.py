@@ -332,8 +332,14 @@ class Subquotient:
     def __init__(self, p: int, dim: int, cycles, boundaries):
         self.p = p = check_prime(p)
         self.dim = dim
-        rows = _residues(p, stack_rows([*boundaries, *cycles], dim))
+        self.is_whole = False
+        self._boundary_echelon = None
+        self._solver = None
         nb = len(boundaries)
+        if not nb and not len(cycles):  # the zero subquotient: nothing to reduce
+            self.boundaries, self.reps = [], []
+            return
+        rows = _residues(p, stack_rows([*boundaries, *cycles], dim))
         picks = _independent(p, rows)
         # the boundaries lie in span(cycles) when they add nothing to its rank
         if nb and len(picks) > len(_independent(p, rows[nb:])):
@@ -341,9 +347,6 @@ class Subquotient:
         vectors = list(rows)
         self.boundaries = [vectors[i] for i in picks if i < nb]
         self.reps = [vectors[i] for i in picks if i >= nb]
-        self.is_whole = False
-        self._boundary_echelon = None
-        self._solver = None
 
     @classmethod
     def whole(cls, p: int, dim: int) -> "Subquotient":

@@ -20,8 +20,11 @@ every class's element and sorting the rows, where cli.chart_rows prints each
 class from its cell in the order the rows come out.  These loops visit every bidegree
 and never read the support.  Collapse is certified by scanning every target
 of every class, where specseq.certify_collapse reads one column index per
-page.  An element's image under an algebra.monomial_map is summed by Element
-arithmetic (add, scale), where dga.image_coords sums coordinates, and
+page.  An element's image under an algebra map is multiplied out of the
+generator images and summed by Element arithmetic (multiply, add, scale),
+where algebra.monomial_map multiplies exponent tuples and dga.image_coords
+sums coordinates; Element sums and scalar multiples (add, scale) live only
+here, since the library sums coefficient dicts and coordinates instead, and
 reduce_on_page gives an element's normal form modulo a page's boundaries.
 check_leibniz checks d_r(xy) = d_r(x) y + (-1)^{n+m} x d_r(y) on every pair
 of classes of a page by brute force; only tests call it.
@@ -43,6 +46,24 @@ from gradss.specseq import (
     turn_page,
 )
 from gradss.linfp import Subquotient, kernel_basis, matmul, rank
+
+
+def add(pres, a, b):
+    """a + b, an Element of pres, with its homogeneity checked."""
+    coeffs = dict(a.coeffs)
+    for mono, c in b.coeffs.items():
+        coeffs[mono] = (coeffs.get(mono, 0) + c) % pres.p
+    el = alg.Element({m: c for m, c in coeffs.items() if c})
+    alg.bidegree_of(pres, el)
+    return el
+
+
+def scale(pres, c, a):
+    """c * a, an Element of pres."""
+    c %= pres.p
+    if c == 0:
+        return alg.ZERO
+    return alg.Element({m: (c * v) % pres.p for m, v in a.coeffs.items()})
 
 
 def truncated_poly_basis(height, var_degree, t_max):
@@ -282,7 +303,7 @@ def reference_d_monomial(d, mono):
             right = [0] * (i + 1) + list(mono[i + 1 :])
             term = alg.multiply(pres, alg.element(pres, {tuple(left): e}), img)
             term = alg.multiply(pres, term, alg.element(pres, {tuple(right): 1}))
-            out = alg.add(pres, out, alg.scale(pres, (-1) ** prefix_degree, term))
+            out = add(pres, out, scale(pres, (-1) ** prefix_degree, term))
         prefix_degree += e * g.total_degree
     return out
 
@@ -299,7 +320,7 @@ def reference_check_d_squared(d, n_max):
         for mono in monos:
             v = alg.ZERO
             for term, c in reference_d_monomial(d, mono).items():
-                v = alg.add(pres, v, alg.scale(pres, c, reference_d_monomial(d, term)))
+                v = add(pres, v, scale(pres, c, reference_d_monomial(d, term)))
             if v:
                 violations.append((mono, v))
     return violations
@@ -341,12 +362,18 @@ def reference_homology(pres, d, n_max):
     return dga.HomologyResult(pres, d, n_max, n_max - 1, subs), reps
 
 
-def reference_map_element(target, f, el):
-    """sum c * f(m) over the terms c * m of el, for f an algebra.monomial_map
-    into target, summed by Element arithmetic (add, scale)."""
+def reference_map_element(source, target, images, el):
+    """The image of el, an element of source, under the algebra map into
+    target fixed by images (generator name -> Element), by Element arithmetic:
+    each monomial's image is the left-to-right product of its generators'
+    images, in generator order, and the terms are summed by add and scale."""
     out = alg.ZERO
     for mono, c in el.items():
-        out = alg.add(target, out, alg.scale(target, c, f(mono)))
+        image = alg.element(target, {target.unit_monomial: 1})
+        for e, g in zip(mono, source.generators):
+            for _ in range(e):
+                image = alg.multiply(target, image, images[g.name])
+        out = add(target, out, scale(target, c, image))
     return out
 
 
@@ -363,7 +390,7 @@ def _leibniz(d, el):
     """d on an element, summed from reference_d_monomial on its monomials."""
     out = alg.ZERO
     for mono, c in el.items():
-        out = alg.add(d.base, out, alg.scale(d.base, c, reference_d_monomial(d, mono)))
+        out = add(d.base, out, scale(d.base, c, reference_d_monomial(d, mono)))
     return out
 
 
@@ -504,10 +531,10 @@ def check_leibniz(page, specs):
             xy = alg.multiply(pres, x, y)
             lhs = reduce_on_page(page, dd(xy))
             sign = (-1) ** (bd1[0] + bd1[1])
-            rhs = alg.add(
+            rhs = add(
                 pres,
                 alg.multiply(pres, dd(x), y),
-                alg.scale(pres, sign, alg.multiply(pres, x, dd(y))),
+                scale(pres, sign, alg.multiply(pres, x, dd(y))),
             )
             if lhs != reduce_on_page(page, rhs):
                 violations.append((bd1, i1, bd2, i2))

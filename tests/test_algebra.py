@@ -16,6 +16,7 @@ from gradss.algebra import (
     trunc,
     weight_of,
 )
+from oracles import scale
 
 
 def brunku1(p=5, N=60):
@@ -76,7 +77,7 @@ def test_koszul_sign_on_odd_swap():
     su = monomial_element(pres, {"su": 1})
     lhs = multiply(pres, l1, su)
     rhs = multiply(pres, su, l1)
-    assert lhs == alg.scale(pres, -1, rhs)
+    assert lhs == scale(pres, -1, rhs)
     assert rhs == monomial_element(pres, {"su": 1, "l1": 1})
 
 
@@ -109,6 +110,29 @@ def test_multiply_beyond_truncation_raises():
     m2 = monomial_element(pres, {"m1": 2})
     with pytest.raises(BeyondTruncation):
         multiply(pres, m2, m2)
+
+
+def test_monomial_map_keeps_the_koszul_sign_of_reordered_images():
+    # a -> y and b -> x put the odd images out of generator order, so
+    # f(a b) = y x = -x y, and the sign survives the later factor c -> z
+    p = 5
+    source = Presentation(p, (ext("a", (0, 1)), ext("b", (1, 0)), poly("c", (1, 1))), 6)
+    target = Presentation(p, (ext("x", (1, 0)), ext("y", (0, 1)), poly("z", (1, 1))), 6)
+    images = {name: monomial_element(target, {gen: 1}) for name, gen in zip("abc", "yxz")}
+    f = alg.monomial_map(source, target, images)
+    assert f((1, 1, 0)) == {(1, 1, 0): p - 1}
+    assert f((1, 1, 2)) == {(1, 1, 2): p - 1}
+    assert f((1, 0, 2)) == {(0, 1, 2): 1}
+
+
+def test_monomial_map_beyond_truncation_raises():
+    # m1 -> m1 into a box of degree 25: m1^2 maps in, m1^3 would land at 30
+    source = Presentation(5, (poly("m1", (10, 0)),), 40)
+    target = Presentation(5, (poly("m1", (10, 0)),), 25)
+    f = alg.monomial_map(source, target, {"m1": monomial_element(target, {"m1": 1})})
+    assert f((2,)) == {(2,): 1}
+    with pytest.raises(BeyondTruncation):
+        f((3,))
 
 
 def test_exterior_even_degree_rejected():
@@ -181,7 +205,7 @@ def test_graded_commutativity(data):
     da = alg.total_degree(pres, next(iter(a.coeffs))) if a else 0
     db = alg.total_degree(pres, next(iter(b.coeffs))) if b else 0
     sign = (-1) ** (da * db)
-    assert ab == alg.scale(pres, sign, ba)
+    assert ab == scale(pres, sign, ba)
 
 
 @settings(max_examples=40, deadline=None)
@@ -280,7 +304,7 @@ def test_monomial_map_is_left_to_right_product(data):
         for e, g in zip(mono, pres.generators):
             for _ in range(e):
                 want = multiply(pres, want, images[g.name])
-        assert f(mono) == want
+        assert f(mono) == want.coeffs
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,7 +5,7 @@ from importlib.resources import files
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gradss import algebra as alg
 from gradss import cli, dga, filtered, thhku
@@ -521,11 +521,22 @@ def test_determinism_across_runs_and_thread_caps(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+# the shipped file up to its differential's image: a fuzzed tail after it
+# reaches the expression parser, its sums ("+") and its coefficients ("2 u")
+FUZZ_HEAD = data_text("brunku2_p5.ss").rpartition("->")[0] + "->"
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.text(alphabet="prime algebr{}gen ext poly trunc bideg weight d\n->^#0123456789 uxm", max_size=200))
-def test_parser_fuzz_only_raises_parse_errors(text):
+@given(
+    st.sampled_from(["", FUZZ_HEAD]),
+    st.text(alphabet="prime algebr{}gen ext poly trunc bideg weight d\n->^#0123456789 uxms+",
+            max_size=200),
+)
+@example(FUZZ_HEAD, " u^3 su + u")
+@example(FUZZ_HEAD, " 2 u^3 su + u^3 su")
+def test_parser_fuzz_only_raises_parse_errors(head, text):
     try:
-        parse(text)
+        parse(head + text)
     except ParseError:
         pass
 

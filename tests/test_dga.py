@@ -22,11 +22,13 @@ from gradss.algebra import (
 from gradss.thhku import abutment_relations, omega_candidate, omega_reps
 from helpers import intro_dga, random_derivations
 from oracles import (
+    add,
     quotient_dims,
     reference_check_d_squared,
     reference_d_monomial,
     reference_homology,
     reference_map_element,
+    scale,
 )
 from gradss.dga import (
     DifferentialError,
@@ -508,12 +510,13 @@ def test_verify_iso_refuses_an_image_that_is_no_class():
 
 @st.composite
 def mapped_elements(draw):
-    """(target, bd, f, el): f a monomial_map from a random source presentation
-    into a random target, which half the time also holds the source's
-    generators, each generator sent to a random combination, often zero, of
-    the target's monomials of its bidegree (zero where there are none), and el
-    a random element of the source at bd inside the target's box, which may
-    hold no monomial of the target; half the time bd is the largest cell."""
+    """(source, target, images, bd, el): images fix an algebra map from a
+    random source presentation into a random target, which half the time
+    also holds the source's generators, each generator sent to a random
+    combination, often zero, of the target's monomials of its bidegree (zero
+    where there are none), and el a random element of the source at bd
+    inside the target's box, which may hold no monomial of the target; half
+    the time bd is the largest cell."""
     p = draw(st.sampled_from([5, 7]))
 
     def generators(prefix):
@@ -543,16 +546,17 @@ def mapped_elements(draw):
     bd = draw(st.just(cells[0]) | st.sampled_from(cells))
     cs = draw(st.lists(coeffs, min_size=len(table[bd]), max_size=len(table[bd])))
     el = element(source, dict(zip(table[bd], cs)))
-    return target, bd, alg.monomial_map(source, target, images), el
+    return source, target, images, bd, el
 
 
 @settings(max_examples=200, deadline=None)
 @given(mapped_elements())
 def test_image_coords_match_the_element_arithmetic_reference(case):
-    target, bd, f, el = case
-    got = dga.image_coords(target, bd, f, el)
+    source, target, images, bd, el = case
+    got = dga.image_coords(target, bd, alg.monomial_map(source, target, images), el)
     assert got.dtype == np.int64
-    assert got.tolist() == coords(target, bd, reference_map_element(target, f, el)).tolist()
+    want = reference_map_element(source, target, images, el)
+    assert got.tolist() == coords(target, bd, want).tolist()
 
 
 def test_verify_iso_identity_candidate():
@@ -562,6 +566,20 @@ def test_verify_iso_identity_candidate():
     reps = {g.name: monomial_element(pres, {g.name: 1}) for g in pres.generators}
     report = verify_presentation_iso(H, pres, reps, [], 29)
     assert report.ok, report
+
+
+def test_verify_iso_lists_a_whole_cell_whose_one_standard_monomial_maps_to_zero():
+    # x is truncated at height 2 in the DGA but polynomial in the candidate,
+    # so the standard monomials x^2 and x^3 map to 0 in whole H cells, each
+    # spanned by one class (y and x y): rank 0 of 1, though the counts agree
+    p, N = 5, 8
+    pres = Presentation(p, (trunc("x", 2, (0, 2)), poly("y", (0, 4))), N)
+    H = homology(pres, extend_derivation(pres, {}, 2), N)
+    cand = Presentation(p, (poly("x", (0, 2)),), N)
+    report = verify_presentation_iso(H, cand, {"x": monomial_element(pres, {"x": 1})}, [], N)
+    assert H.subquotients[0, 4].is_whole and H.subquotients[0, 6].is_whole
+    assert report.surjectivity_failures == [((0, 4), 0, 1), ((0, 6), 0, 1)]
+    assert report.dimension_mismatches == [] and not report.ok
 
 
 def test_euler_characteristic_conservation():
@@ -608,8 +626,8 @@ def test_leibniz_independent_of_split(data):
     lhs = d_element(d, alg.multiply(pres, x, y))
     dx = alg.multiply(pres, d_element(d, x), y)
     sign = (-1) ** alg.total_degree(pres, m1)
-    dy = alg.scale(pres, sign, alg.multiply(pres, x, d_element(d, y)))
-    assert lhs == alg.add(pres, dx, dy)
+    dy = scale(pres, sign, alg.multiply(pres, x, d_element(d, y)))
+    assert lhs == add(pres, dx, dy)
 
 
 def test_homology_of_tensor_with_zero_factor():

@@ -332,23 +332,77 @@ def test_step3_expands_each_monomial_once_and_reads_each_cell_once(monkeypatch):
     assert max(reads.values(), default=1) == 1
 
 
+def _count_calls(monkeypatch, *targets):
+    """Count the calls of each (module, name) from now on, by name."""
+    calls = Counter()
+    for module, name in targets:
+        def call(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, call)
+    return calls
+
+
 def test_reproduce_builds_each_derivation_and_lift_once(monkeypatch):
     # the page turn and the DGA homology share one derivation, and the
-    # presentation certificate and the abutment share one lift map; sharing
-    # neither, the run expands d 38 times and multiplies 337 times
-    calls = Counter()
-
-    def counted(name, fn):
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
-        return call
-
-    monkeypatch.setattr(dga, "d_monomial", counted("d_monomial", dga.d_monomial))
-    monkeypatch.setattr(alg, "multiply", counted("multiply", alg.multiply))
+    # presentation certificate and the abutment share one lift map, so the
+    # run expands d 19 times and multiplies monomials 210 times; with a
+    # second lift map it multiplies them 272 times, and sharing neither
+    # expands d 38 times
+    calls = _count_calls(monkeypatch, (dga, "d_monomial"), (alg, "multiply_monomials"))
     assert reproduce_thh_ku(5, 103).ok
     assert calls["d_monomial"] <= 19
-    assert calls["multiply"] <= 217
+    assert calls["multiply_monomials"] <= 217
+
+
+def test_a_second_lift_map_breaks_the_sharing_bound(monkeypatch):
+    # the bound above is not vacuous: a run that builds the lift map anew
+    # for the abutment goes past it
+    fresh = alg.monomial_map
+
+    def unshared(source, target, images):
+        for key in [k for k in source._built if k[0] == "monomial_map"]:
+            del source._built[key]
+        return fresh(source, target, images)
+
+    monkeypatch.setattr(alg, "monomial_map", unshared)
+    calls = _count_calls(monkeypatch, (alg, "multiply_monomials"))
+    assert reproduce_thh_ku(5, 103).ok
+    assert calls["multiply_monomials"] > 217
+
+
+def test_verify_iso_evaluates_no_image_where_the_dga_has_no_monomial(monkeypatch):
+    # at (5, 103) 20 of the given relations and the kind power l1^2 lie in
+    # bidegrees where the DGA holds no monomial; their images are 0 and are
+    # never evaluated, and the certificate still passes
+    seen = []
+    fresh, inside = alg.monomial_map, []
+
+    def recording(source, target, images):
+        f = fresh(source, target, images)
+
+        def g(mono):
+            if inside:
+                seen.append((target, alg.bidegree(source, mono)))
+            return f(mono)
+        return g
+
+    def verify(*args):
+        inside.append(True)
+        try:
+            return verify_presentation_iso(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(alg, "monomial_map", recording)
+    monkeypatch.setattr(thhku, "verify_presentation_iso", verify)
+    report = reproduce_thh_ku(5, 103)
+    assert report.ok
+    assert seen and all(bd in alg.monomial_table(target) for target, bd in seen)
+    cand, table = omega_candidate(5, 103), alg.monomial_table(absolute_e2(5, 103))
+    rbds = [alg.bidegree_of(cand, r.element(cand)) for r in abutment_relations(5)]
+    assert sum(bd not in table for bd in rbds if sum(bd) <= 102) == 20
+    assert (18, 0) not in table  # l1^2
 
 
 GOLDEN_REPORT = Path(__file__).parent / "data" / "reproduce_thh_ku_p5_N103.json"
