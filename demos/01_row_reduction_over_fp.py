@@ -25,5 +25,6 @@ sq = Subquotient(p, 3, [e[0], e[1]], [(e[0] + e[1]) % p])
 print("representatives:", [v.tolist() for v in sq.reps])
 print("one class survives, as the dimension count 2 - 1 says it must")
 print("e2 in that class's coordinates:", sq.coords(e[1]).tolist(), "(e2 = -e1 modulo e1 + e2)")
-print("normal form of e1 modulo the boundary:", sq.reduce(e[0]).tolist())
-print("e3 is a class:", sq.contains(e[2]))
+print("e1 in that class's coordinates:", sq.coords(e[0]).tolist())
+print("e1 + e2 in them:", sq.coords(e[0] + e[1]).tolist(), "(zero: it is a boundary)")
+print("e3 is a class:", sq.coords(e[2]) is not None)

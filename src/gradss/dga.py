@@ -24,17 +24,20 @@ a class in the homology basis; every other bidegree is its own homology, the
 whole-space Subquotient with its monomials as representatives, and needs
 neither a matrix nor row reduction.
 
-Classes, shared by HomologyResult and specseq.Page, stores classes one way,
-one Subquotient per bidegree; representatives as elements are built from it
-on first read, a whole cell prints its monomials with no element built, and
-class counts per bidegree and per total degree (through a column index) read
-it directly.  Classes.vector_coords is the one way to take class
-coordinates of a vector, and image_coords the one way to evaluate an element
-under an algebra.monomial_map: its coefficient dicts summed into coordinates.
+Page is the one store of classes, for a spectral-sequence page and for a DGA
+homology alike (homology of d_r on E_r is E_{r+1}): one Subquotient per
+bidegree; representatives as elements are built from it on first read, a
+whole cell prints its monomials with no element built, and class counts per
+bidegree and per total degree (through a column index) read it directly.
+Page.vector_coords is the one way to take class coordinates of a vector,
+Page.is_boundary the one test of "zero modulo the boundaries", and
+image_coords the one way to evaluate an element under an
+algebra.monomial_map: its coefficient dicts summed into coordinates.
 
 verify_presentation_iso certifies candidate/(relations) = homology degree by
-degree: relations, algebra.RelationSpecs as assemble_abutment reads them,
-must become boundaries, and the standard monomials (divisible by no
+degree: generator representatives must be cycles, a class plus boundaries of
+the homology; relations, algebra.RelationSpecs as assemble_abutment reads
+them, must become boundaries, and the standard monomials (divisible by no
 relation's lex-least term), which span the quotient, must map to a basis of
 the homology, one square rank per bidegree.  A generator's kind is one more
 relation, g^cap = 0, checked, led and counted like the given ones; each
@@ -256,19 +259,27 @@ def element_from_coords(pres: Presentation, bd, v) -> Element:
     return Element({basis[i]: int(v[i]) for i in np.flatnonzero(v)})
 
 
-class Classes:
-    """Classes of a bigraded presentation, stored one way: `subquotients[bd]`,
-    a linfp.Subquotient in the monomial coordinates of bd.
+class PageError(ValueError):
+    """A differential specification is inconsistent with the page."""
 
-    Used by specseq.Page and HomologyResult, dataclasses with the fields
-    `pres` and `subquotients`.  Elements are built from a subquotient on the
-    first read of its reps: a whole cell's reps are its basis monomials, any
-    other cell's go through element_from_coords.
+
+@dataclass
+class Page:
+    """Classes of a bigraded presentation on page r, stored one way:
+    `subquotients[bd]`, a linfp.Subquotient in the monomial coordinates of bd.
+
+    A spectral-sequence page and a DGA homology (the page after d) are both
+    Pages, an immutable snapshot by convention.  Classes are certified
+    through total degree cert_bound.  Elements are built from a subquotient
+    on the first read of its reps: a whole cell's reps are its basis
+    monomials, any other cell's go through element_from_coords.
     """
 
-    @cached_property
-    def _reps(self) -> dict:
-        return {}
+    pres: Presentation
+    r: int
+    cert_bound: int
+    subquotients: dict
+    _reps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def _table(self) -> dict:
@@ -289,6 +300,12 @@ class Classes:
         for (n, m), sub in self.subquotients.items():
             totals[n + m] = totals.get(n + m, 0) + len(sub)
         return totals
+
+    @property
+    def survival_bound(self) -> int:
+        """Total degree through which a class is certified to survive: a
+        differential into degree cert_bound comes from past the certified box."""
+        return self.cert_bound - 1
 
     def reps(self, bd) -> list:
         """The classes at bd as elements, [] where none are stored."""
@@ -319,6 +336,36 @@ class Classes:
         sub = self.subquotients.get(bd)
         return None if sub is None else sub.coords(v)
 
+    def is_boundary(self, bd, v) -> bool:
+        """Whether v, a vector in the monomial basis of bd, is zero modulo the
+        boundaries there: v is zero or zero-length, or a class plus
+        boundaries whose class coordinates are all zero.  Exact, since the
+        reps and boundaries of a cell are independent."""
+        if not np.count_nonzero(v):
+            return True
+        x = self.vector_coords(bd, v)
+        return x is not None and not x.any()
+
+    def class_coords(self, el: Element) -> np.ndarray:
+        """Coordinates of el in the surviving basis of its bidegree.
+
+        Raises PageError when el is not a combination of surviving classes
+        and boundaries.
+        """
+        if not el:
+            return np.zeros(0, dtype=np.int64)
+        bd = alg.bidegree_of(self.pres, el)
+        x = self.vector_coords(bd, coords(self.pres, bd, el))
+        if x is None:
+            raise PageError("element is not a class on this page")
+        return x
+
+    def is_surviving(self, el: Element) -> bool:
+        try:
+            return bool(np.any(self.class_coords(el)))
+        except PageError:
+            return False
+
     def classes(self):
         """(bd, index, rep) for every class, in bidegree order."""
         for bd in sorted(self.subquotients):
@@ -341,25 +388,10 @@ class Classes:
         return self._columns.get(d, [])
 
 
-@dataclass
-class HomologyResult(Classes):
-    """Degreewise homology of (presentation, derivation).
-
-    subquotients[bd] is the kernel of d modulo its image in the monomial
-    coordinates of bd; its reps, read as elements, are actual cycles.
-    Results are certified up to total degree cert_bound = N - 1, since
-    boundaries out of degree N + 1 are invisible.
-    """
-
-    pres: Presentation
-    derivation: Derivation
-    max_degree: int
-    cert_bound: int
-    subquotients: dict
-
-
-def homology(pres: Presentation, d: Derivation, n_max: int) -> HomologyResult:
-    """Per-bidegree homology via kernel/image subquotients.
+def homology(pres: Presentation, d: Derivation, n_max: int) -> Page:
+    """Per-bidegree homology via kernel/image subquotients: the page after d,
+    certified to n_max - 1, since boundaries out of degree n_max + 1 are
+    invisible.  Each cell's reps, read as elements, are actual cycles.
 
     Row reduction runs only on d's support, where the kernel is taken, and on
     its targets, which hold the boundaries.  Every other bidegree is
@@ -399,7 +431,7 @@ def homology(pres: Presentation, d: Derivation, n_max: int) -> HomologyResult:
         else:
             cycles = np.eye(dim, dtype=np.int64)
         subs[bd] = Subquotient(pres.p, dim, cycles, bvecs)
-    return HomologyResult(pres, d, n_max, n_max - 1, subs)
+    return Page(pres, d.page + 1, n_max - 1, subs)
 
 
 @dataclass
@@ -434,16 +466,18 @@ class IsoReport:
 
 
 def verify_presentation_iso(
-    H: HomologyResult,
-    candidate: Presentation,
-    gen_reps: dict,
-    relations: list,
-    n_max: int,
+    H: Page, candidate: Presentation, gen_reps: dict, relations: list
 ) -> IsoReport:
-    """Certify H = candidate/(relations) as bigraded algebras up to degree bound.
+    """Certify H = candidate/(relations) as bigraded algebras up to degree
+    bound = min(H.cert_bound, candidate.max_degree).
 
-    (a) Every relation, an algebra.RelationSpec, must map to a boundary, so
-    the algebra map f factors through the quotient by the relation ideal I.
+    (pre) Each generator's representative must be a cycle: a class plus
+    boundaries of H at its bidegree, read by H.vector_coords.  A generator
+    where H stores no cell lives outside the box H was computed in.
+
+    (a) Every relation, an algebra.RelationSpec, must map to a boundary, read
+    by H.is_boundary (an image that is no class is listed too), so the
+    algebra map f factors through the quotient by the relation ideal I.
     A generator's kind is a relation too: g^cap = 0, labelled "g^cap", is
     checked for each capped generator g (Presentation.caps) unless a given
     relation is already that power alone, as rel1 = u^{p-1} is.  A relation
@@ -469,13 +503,13 @@ def verify_presentation_iso(
     is 1 iff f(m) != 0, read from f(m) with no coordinates or row reduction.
     """
     pres = H.pres
-    bound = min(H.cert_bound, n_max, candidate.max_degree)
+    bound = min(H.cert_bound, candidate.max_degree)
     gen_failures = []
 
     # (pre) generator representatives: right bidegree, honest cycles
     images = {}
     for g in candidate.generators:
-        if g.total_degree > pres.max_degree:
+        if g.bidegree not in H.subquotients:
             gen_failures.append(f"{g.name}: generator lives outside the box")
             continue
         rep = gen_reps.get(g.name)
@@ -486,7 +520,7 @@ def verify_presentation_iso(
         if bd != g.bidegree:
             gen_failures.append(f"{g.name}: representative bidegree {bd} != {g.bidegree}")
             continue
-        if d_element(H.derivation, rep):
+        if H.vector_coords(bd, coords(pres, bd, rep)) is None:
             gen_failures.append(f"{g.name}: representative is not a cycle")
             continue
         images[g.name] = rep
@@ -495,13 +529,6 @@ def verify_presentation_iso(
 
     # induced map on candidate monomials, one multiply per new monomial
     f = alg.monomial_map(candidate, pres, images)
-
-    def class_of(bd, v):
-        """Homology coordinates at bd of v, a nonzero image under f."""
-        x = H.vector_coords(bd, v)
-        if x is None:
-            raise ValueError("element does not represent a homology class")
-        return x
 
     # the relations and the unlisted kind powers
     rels = [(spec.label, spec.element(candidate)) for spec in relations]
@@ -528,7 +555,7 @@ def verify_presentation_iso(
         if rbd not in table:  # pres holds no monomial there: the image is 0
             continue
         v = image_coords(pres, rbd, f, rel)
-        if np.count_nonzero(v) and class_of(rbd, v).any():
+        if not H.is_boundary(rbd, v):
             val = element_from_coords(pres, rbd, v)
             relation_failures.append(
                 (label, rbd, f"image {alg.element_str(pres, val)} survives")
@@ -548,7 +575,9 @@ def verify_presentation_iso(
             got = 1 if f(basis[0]) else 0  # no boundaries: nonzero spans
         else:
             mapped = (image_coords(pres, bd, f, {m: 1}) for m in basis)
-            vecs = [class_of(bd, v) for v in mapped if np.count_nonzero(v)]
+            vecs = [H.vector_coords(bd, v) for v in mapped if np.count_nonzero(v)]
+            if any(x is None for x in vecs):
+                raise ValueError("element does not represent a homology class")
             got = rank(pres.p, vecs) if want and vecs else 0
         if got < want:
             surj_failures.append((bd, got, want))

@@ -3,10 +3,10 @@
 Everything downstream (homology, Tor tables, spectral sequence pages) reduces
 to rank/kernel/subquotient computations done here.  Every "class modulo
 boundaries" question (page classes, homology classes, exact-couple pages) is
-answered by one object, Subquotient: greedily picked representatives,
-canonical normal forms and unique coordinates.  Pivoting is deterministic
-(leftmost nonzero column, topmost row), so every basis produced by the package
-is reproducible bit for bit.
+answered by one object, Subquotient: greedily picked representatives and
+unique coordinates.  Pivoting is deterministic (leftmost nonzero column,
+topmost row), so every basis produced by the package is reproducible bit for
+bit.
 
 Every row reduction goes through _rref_inplace, which picks its loop by the
 matrix's entry count: up to 128 entries it eliminates on Python int lists
@@ -321,19 +321,20 @@ class Subquotient:
     SubquotientError when some boundary is not a combination of the cycles
     (the signature of an inconsistent differential).
 
-    The echelon forms behind reduce, contains and coords are built on first
-    use.  The whole space with no boundaries, span(e_1..e_dim) / 0, is
-    Subquotient.whole, and `is_whole` says so: its reps are the unit vectors,
-    built on first read (len counts them without building them), and every
-    vector is its own normal form and its own coordinates, so it needs no
-    echelon form and no arithmetic beyond reducing mod p.
+    A subquotient answers one question, `coords`, from one echelon form
+    built on first use; reps and boundaries are independent, so v lies in
+    span(boundaries) exactly when its coords are the zero vector.  The whole
+    space with no boundaries, span(e_1..e_dim) / 0, is Subquotient.whole, and
+    `is_whole` says so: its reps are the unit vectors, built on first read
+    (len counts them without building them), and every vector is its own
+    coordinates, so it needs no echelon form and no arithmetic beyond
+    reducing mod p.
     """
 
     def __init__(self, p: int, dim: int, cycles, boundaries):
         self.p = p = check_prime(p)
         self.dim = dim
         self.is_whole = False
-        self._boundary_echelon = None
         self._solver = None
         nb = len(boundaries)
         if not nb and not len(cycles):  # the zero subquotient: nothing to reduce
@@ -367,30 +368,15 @@ class Subquotient:
         """The unit vectors of a whole subquotient; __init__ assigns the others."""
         return list(np.eye(self.dim, dtype=np.int64))
 
-    def _vector(self, v) -> np.ndarray:
-        """v mod p as a fresh array; raises ValueError unless its shape is (dim,)."""
-        v = _residues(self.p, v, 1)
-        if v.shape != (self.dim,):
-            raise ValueError(f"vector of shape {v.shape}, expected ({self.dim},)")
-        return v
-
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        """The normal form of v modulo the boundaries: zero at their pivots."""
-        v = self._vector(v)
-        if self.is_whole:
-            return v
-        if self._boundary_echelon is None:
-            rows = stack_rows(self.boundaries, self.dim)
-            self._boundary_echelon = (_rref_inplace(rows, self.p), rows)
-        pivots, rows = self._boundary_echelon
-        return (v - matmul(v[pivots], rows, self.p)) % self.p
-
     def coords(self, v: np.ndarray) -> np.ndarray | None:
         """The unique x with v = sum x_i reps_i modulo the boundaries.
 
-        None when v is not in span(reps + boundaries).
+        None when v is not in span(reps + boundaries); ValueError unless v
+        has shape (dim,).
         """
-        v = self._vector(v)
+        v = _residues(self.p, v, 1)
+        if v.shape != (self.dim,):
+            raise ValueError(f"vector of shape {v.shape}, expected ({self.dim},)")
         if self.is_whole:
             return v
         if self._solver is None:
@@ -405,10 +391,6 @@ class Subquotient:
         if np.any((v - matmul(y, a[:, : self.dim], self.p)) % self.p):
             return None
         return matmul(y, a[:, self.dim : self.dim + len(self.reps)], self.p)
-
-    def contains(self, v: np.ndarray) -> bool:
-        """Whether v lies in span(reps + boundaries)."""
-        return self.coords(v) is not None
 
 
 def subquotient_basis(

@@ -1,13 +1,16 @@
 """Multiplicative first-quadrant spectral sequence engine over F_p.
 
-A page is one linfp.Subquotient per bidegree (dga.Classes): the surviving
+A page is a dga.Page, one linfp.Subquotient per bidegree: the surviving
 classes modulo the boundaries accumulated by earlier differentials, in the
 coordinates of the fixed E2-monomial basis.  Class coordinates come from
-dga.Classes.vector_coords, and assemble_abutment reads a relation's image in
-them through dga.image_coords; the classes as elements are built on first
-read.  Products of classes are computed by multiplying their representatives
-in the E2 algebra and reducing modulo those boundaries, so the multiplicative
-structure stays effective on every page.
+Page.vector_coords, and "zero modulo the boundaries" from Page.is_boundary,
+which the page turn's soundness checks and assemble_abutment both read; a
+relation's image is evaluated in coordinates by dga.image_coords, and the
+classes as elements are built on first read.  Products of classes are
+computed by multiplying their representatives in the E2 algebra and taking
+their coordinates modulo those boundaries, so the multiplicative structure
+stays effective on every page.  Page and PageError live in dga and are
+exported here too.
 
 Differentials are only accepted on algebra generators of the E2 presentation
 and are extended by the Leibniz rule with the sign (-1)^{n+m} on the right
@@ -44,14 +47,10 @@ import numpy as np
 from . import algebra as alg
 from .algebra import Element, Presentation
 from .dga import (
-    Classes, coords, d_matrix, d_source, d_target, element_from_coords, extend_derivation,
-    image_coords,
+    Page, PageError, coords, d_matrix, d_source, d_target, element_from_coords,
+    extend_derivation, image_coords,
 )
 from .linfp import Subquotient, kernel_basis, matmul, stack_rows
-
-
-class PageError(ValueError):
-    """A differential specification is inconsistent with the page."""
 
 
 @dataclass(frozen=True)
@@ -70,42 +69,6 @@ class DifferentialSpec:
         if sum(mono) != 1:
             raise PageError("differential source must be an algebra generator")
         return pres.generators[mono.index(1)].name
-
-
-@dataclass
-class Page(Classes):
-    """One page of the spectral sequence, an immutable snapshot by convention."""
-
-    pres: Presentation
-    r: int
-    cert_bound: int
-    subquotients: dict
-
-    @property
-    def survival_bound(self) -> int:
-        """Total degree through which a class is certified to survive: a
-        differential into degree cert_bound comes from past the certified box."""
-        return self.cert_bound - 1
-
-    def class_coords(self, el: Element) -> np.ndarray:
-        """Coordinates of el in the surviving basis of its bidegree.
-
-        Raises PageError when el is not a combination of surviving classes
-        and boundaries.
-        """
-        if not el:
-            return np.zeros(0, dtype=np.int64)
-        bd = alg.bidegree_of(self.pres, el)
-        x = self.vector_coords(bd, coords(self.pres, bd, el))
-        if x is None:
-            raise PageError("element is not a class on this page")
-        return x
-
-    def is_surviving(self, el: Element) -> bool:
-        try:
-            return bool(np.any(self.class_coords(el)))
-        except PageError:
-            return False
 
 
 def spec_images(pres: Presentation, specs: list) -> dict:
@@ -169,7 +132,7 @@ def turn_page(page: Page, specs: list) -> Page:
         sub = page.subquotients[bd]
         target = d.target(bd)
         for v in matmul(stack_rows(sub.boundaries, sub.dim), mat.T, p):
-            if np.count_nonzero(v) and np.count_nonzero(page.subquotients[target].reduce(v)):
+            if not page.is_boundary(target, v):
                 raise PageError(
                     f"differential does not preserve boundaries at {bd}"
                 )
@@ -190,8 +153,7 @@ def turn_page(page: Page, specs: list) -> Page:
                     f"differential image of a class at {bd} leaves the page"
                 )
             cols.append(x)
-            dd = page.subquotients[target2].reduce(dd) if np.count_nonzero(dd) else dd
-            if np.count_nonzero(dd):
+            if not page.is_boundary(target2, dd):
                 raise PageError(
                     f"d^2 != 0 on class at {bd}: "
                     f"{alg.element_str(pres, element_from_coords(pres, target2, dd))}"
@@ -335,7 +297,7 @@ def certify_zero_differentials(page: Page, permanent: list = ()) -> ZeroDifferen
             continue
         # every class in the target must be a recorded permanent cycle
         known = _permanent_classes(page, target, permanent)
-        if all(known.contains(v) for v in page.subquotients[target].reps):
+        if all(known.coords(v) is not None for v in page.subquotients[target].reps):
             reasons[g.name] = "target-permanent"
         else:
             obstructions.append((g.name, target))
@@ -359,7 +321,7 @@ def infer_forced_differentials(
 
     def is_permanent(el: Element) -> bool:
         bd = alg.bidegree_of(pres, el)
-        return _permanent_classes(page, bd, permanent).contains(coords(pres, bd, el))
+        return _permanent_classes(page, bd, permanent).coords(coords(pres, bd, el)) is not None
 
     if is_permanent(must_die):
         return []
@@ -473,7 +435,8 @@ def assemble_abutment(
     Generators must have surviving lifts in their bidegree with a unique
     representative among classes of equal weight.  A relation must hold at
     E-infinity (the image of lhs - rhs under the lifts, dga.image_coords, is
-    a boundary by vector_coords) and is settled by one of: the free-commutative
+    a boundary by Page.is_boundary; it is 0, and not evaluated, where E2
+    holds no monomial) and is settled by one of: the free-commutative
     shortcut (no relations, E-infinity free graded-commutative of matching
     size), a strict lift (no lower-filtration classes in that total degree), or
     a weight obstruction (every lower-filtration class has a different weight).
@@ -526,6 +489,7 @@ def assemble_abutment(
             )
 
     lift = alg.monomial_map(candidate, pres, gen_lifts)
+    table = alg.monomial_table(pres)
 
     resolved = []
     unresolved = []
@@ -538,12 +502,11 @@ def assemble_abutment(
         if filt + row > einf.survival_bound:
             beyond.append(rel.label)
             continue
-        v = image_coords(pres, (filt, row), lift, diff)
-        if np.count_nonzero(v):
-            x = einf.vector_coords((filt, row), v)
-            if x is None or x.any():  # not a boundary at E-infinity
-                unresolved.append((rel.label, "fails-at-E-infinity"))
-                continue
+        # where E2 holds no monomial the image is 0 and is not evaluated
+        bd = (filt, row)
+        if bd in table and not einf.is_boundary(bd, image_coords(pres, bd, lift, diff)):
+            unresolved.append((rel.label, "fails-at-E-infinity"))
+            continue
         # classes of the same total degree in strictly lower filtration
         lower = _lower_classes(einf, filt + row, filt)
         if not lower:

@@ -434,7 +434,7 @@ def step3_v1(rel_pres: Presentation, N: int):
 
     candidate, reps = omega_candidate(p, N), omega_reps(pres, p)
     relations = abutment_relations(p)
-    iso = verify_presentation_iso(H, candidate, reps, relations, N)
+    iso = verify_presentation_iso(H, candidate, reps, relations)
     _certify(report, iso.to_json_dict(), "E-infinity is not the expected presentation")
     abutment = assemble_abutment(einf, candidate, reps, relations)
     _certify(report, abutment.to_json_dict(), "unresolved multiplicative extensions")

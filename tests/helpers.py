@@ -170,3 +170,22 @@ def random_images(draw, pres, r):
                                max_size=len(target)))
         images[g.name] = element(pres, dict(zip(target, coeffs)))
     return images
+
+
+@st.composite
+def subquotient_inputs(draw):
+    """(p, dim, cycles, boundaries, vectors): boundaries are combinations of cycles."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    dim = draw(st.integers(0, 6))
+    coeffs = st.integers(0, p - 1)
+    vec = st.lists(coeffs, min_size=dim, max_size=dim).map(lambda v: np.array(v, dtype=np.int64))
+    cycles = draw(st.lists(vec, max_size=6))
+
+    def combination():
+        cs = draw(st.lists(coeffs, min_size=len(cycles), max_size=len(cycles)))
+        return sum((c * z for c, z in zip(cs, cycles)), np.zeros(dim, dtype=np.int64)) % p
+
+    boundaries = [combination() for _ in range(draw(st.integers(0, 4)))]
+    # vectors to query: some inside span(cycles), some arbitrary
+    vectors = [combination() for _ in range(3)] + draw(st.lists(vec, min_size=1, max_size=3))
+    return p, dim, cycles, boundaries, vectors

@@ -25,7 +25,8 @@ generator images and summed by Element arithmetic (multiply, add, scale),
 where algebra.monomial_map multiplies exponent tuples and dga.image_coords
 sums coordinates; Element sums and scalar multiples (add, scale) live only
 here, since the library sums coefficient dicts and coordinates instead, and
-reduce_on_page gives an element's normal form modulo a page's boundaries.
+reduce_on_page gives an element's normal form modulo a page's boundaries,
+from its own rref of them, where the library asks Page.is_boundary.
 check_leibniz checks d_r(xy) = d_r(x) y + (-1)^{n+m} x d_r(y) on every pair
 of classes of a page by brute force; only tests call it.
 """
@@ -45,7 +46,7 @@ from gradss.specseq import (
     spec_images,
     turn_page,
 )
-from gradss.linfp import Subquotient, kernel_basis, matmul, rank
+from gradss.linfp import Subquotient, kernel_basis, matmul, rank, rref
 
 
 def add(pres, a, b):
@@ -330,8 +331,8 @@ def reference_homology(pres, d, n_max):
     """dga.homology with a kernel and a checked Subquotient in every bidegree,
     d^2 = 0 checked by reference_check_d_squared through degree n_max + 1 (the
     sources of the boundaries) and every representative built up front by the
-    homogeneity-checking algebra.element.  Returns the HomologyResult and
-    those representatives, {bd: list of elements}."""
+    homogeneity-checking algebra.element.  Returns the homology, a dga.Page,
+    and those representatives, {bd: list of elements}."""
     if n_max > pres.max_degree:
         raise alg.BeyondTruncation(n_max, pres.max_degree)
     bad = reference_check_d_squared(d, n_max + 1)
@@ -359,7 +360,7 @@ def reference_homology(pres, d, n_max):
         reps[n, m] = [
             alg.element(pres, {mono: int(c) for mono, c in zip(basis, v)}) for v in sub.reps
         ]
-    return dga.HomologyResult(pres, d, n_max, n_max - 1, subs), reps
+    return Page(pres, d.page + 1, n_max - 1, subs), reps
 
 
 def reference_map_element(source, target, images, el):
@@ -378,12 +379,18 @@ def reference_map_element(source, target, images, el):
 
 
 def reduce_on_page(page, el):
-    """The canonical representative of el modulo the page's boundaries."""
+    """The canonical representative of el modulo the page's boundaries: zero
+    at the pivots of their reduced row-echelon form."""
     if not el:
         return alg.ZERO
-    bd = alg.bidegree_of(page.pres, el)
-    v = page.subquotients[bd].reduce(dga.coords(page.pres, bd, el))
-    return dga.element_from_coords(page.pres, bd, v)
+    pres = page.pres
+    bd = alg.bidegree_of(pres, el)
+    v = dga.coords(pres, bd, el)
+    boundaries = page.subquotients[bd].boundaries
+    if boundaries:
+        red, pivots = rref(pres.p, np.array(boundaries))
+        v = (v - matmul(v[pivots], red[: len(pivots)], pres.p)) % pres.p
+    return dga.element_from_coords(pres, bd, v)
 
 
 def _leibniz(d, el):
@@ -429,9 +436,7 @@ def reference_turn_page(page, specs):
                     raise PageError(f"differential image of a class at {bd} leaves the page")
             dd = _leibniz(d, img)
             if dd and reduce_on_page(page, dd):
-                raise PageError(
-                    f"d^2 != 0 on class at {bd}: {alg.element_str(pres, reduce_on_page(page, dd))}"
-                )
+                raise PageError(f"d^2 != 0 on class at {bd}: {alg.element_str(pres, dd)}")
     subs = {}
     for bd in sorted(page.subquotients):
         n, m = bd

@@ -290,12 +290,20 @@ def test_multiply_monomials_matches_koszul_reference(data):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_monomial_map_is_left_to_right_product(data):
-    pres = data.draw(random_presentations())
+    # two odd generators x < y are sent across each other, x to a combination
+    # holding y and y to one holding x, so f(x y) carries the Koszul sign of
+    # y x = -x y
+    drawn = data.draw(random_presentations())
+    pair = (ext("x", (1, 0)), ext("y", (1, 0)))
+    pres = Presentation(drawn.p, drawn.generators + pair, drawn.max_degree)
     images = {}
     for g in pres.generators:
         monos = basis_in_bidegree(pres, g.bidegree)
         coeffs = data.draw(st.lists(st.integers(0, 4), min_size=len(monos), max_size=len(monos)))
         images[g.name] = element(pres, dict(zip(monos, coeffs)))
+    for name, other in (("x", "y"), ("y", "x")):
+        cross = {pres.monomial({other: 1}): data.draw(st.integers(1, 4))}
+        images[name] = element(pres, images[name].coeffs | cross)
     f = alg.monomial_map(pres, pres, images)
     table = alg.monomial_table(pres)
     monos = data.draw(st.permutations(sorted(m for ms in table.values() for m in ms)))

@@ -266,8 +266,8 @@ def test_printing_a_whole_cell_builds_no_element(monkeypatch, tmp_path, capsys):
     built = []
     monkeypatch.setattr(dga, "Element", lambda coeffs: built.append(coeffs) or alg.Element(coeffs))
     read = []
-    reps = dga.Classes.reps
-    monkeypatch.setattr(dga.Classes, "reps", lambda self, bd: read.append(
+    reps = dga.Page.reps
+    monkeypatch.setattr(dga.Page, "reps", lambda self, bd: read.append(
         self.subquotients[bd]) or reps(self, bd))
     for command in ("run", "homology"):
         assert run_command([command, str(src)]) == 0

@@ -20,7 +20,7 @@ from gradss.algebra import (
     trunc,
 )
 from gradss.thhku import abutment_relations, omega_candidate, omega_reps
-from helpers import intro_dga, random_derivations
+from helpers import intro_dga, random_derivations, subquotient_inputs
 from oracles import (
     add,
     quotient_dims,
@@ -462,7 +462,7 @@ def test_row_reduction_only_where_d_acts(monkeypatch):
     assert len(shapes) <= 3 * touched
     shapes.clear()
     cand = omega_candidate(p, N)
-    iso = verify_presentation_iso(H, cand, omega_reps(pres, p), abutment_relations(p), N)
+    iso = verify_presentation_iso(H, cand, omega_reps(pres, p), abutment_relations(p))
     assert iso.ok
     # one square rank per nonzero homology bidegree, and one coordinate
     # solver per bidegree where d acts
@@ -477,7 +477,7 @@ def test_verify_iso_target_candidate_passes():
     pres, d = intro_dga(p, N)
     H = homology(pres, d, N)
     cand = omega_candidate(p, N)
-    report = verify_presentation_iso(H, cand, omega_reps(pres, p), abutment_relations(p), N)
+    report = verify_presentation_iso(H, cand, omega_reps(pres, p), abutment_relations(p))
     assert report.ok, report
     assert report.bound == N - 1
 
@@ -490,22 +490,84 @@ def test_verify_iso_bogus_relation_fails():
     cand = omega_candidate(p, N)
     bogus = RelationSpec("bogus", (("u", p - 2), (f"a{p - 1}", 1)))
     rels = abutment_relations(p) + [bogus]
-    report = verify_presentation_iso(H, cand, omega_reps(pres, p), rels, N)
+    report = verify_presentation_iso(H, cand, omega_reps(pres, p), rels)
     assert not report.ok
     assert report.relation_failures == [("bogus", (43, 6), "image u^3 su m1^4 survives")]
     assert report.dimension_mismatches
 
 
+def with_cell(H, bd, sub):
+    """H with its cell at bd replaced by sub."""
+    return dataclasses.replace(H, subquotients=H.subquotients | {bd: sub})
+
+
 def test_verify_iso_refuses_an_image_that_is_no_class():
-    # a homology that stores nothing at u's bidegree: f(u) = u is no class there
+    # a homology that stores nothing at (0, 4), a bidegree only the product
+    # u^2 reaches: the standard monomial u^2 maps to no class there
     p, N = 5, 60
     pres, d = intro_dga(p, N)
-    H = homology(pres, d, N)
-    subs = H.subquotients | {(0, 2): linfp.Subquotient(p, 1, [], [])}
-    broken = dataclasses.replace(H, subquotients=subs)
+    broken = with_cell(homology(pres, d, N), (0, 4), linfp.Subquotient(p, 1, [], []))
     with pytest.raises(ValueError, match="^element does not represent a homology class$"):
         verify_presentation_iso(broken, omega_candidate(p, N), omega_reps(pres, p),
-                                abutment_relations(p), N)
+                                abutment_relations(p))
+
+
+def test_verify_iso_lists_a_generator_whose_rep_is_no_cycle():
+    # nothing stored at u's bidegree: its rep u is no class plus boundaries
+    p, N = 5, 60
+    pres, d = intro_dga(p, N)
+    broken = with_cell(homology(pres, d, N), (0, 2), linfp.Subquotient(p, 1, [], []))
+    report = verify_presentation_iso(broken, omega_candidate(p, N), omega_reps(pres, p),
+                                     abutment_relations(p))
+    assert report.generator_failures == ["u: representative is not a cycle"]
+    assert not report.ok
+
+
+def test_verify_iso_lists_a_generator_past_the_homology_as_outside_the_box():
+    # H holds cells through total degree 5 only, so y at (0, 6) lies past it
+    p, N = 5, 8
+    pres = Presentation(p, (poly("x", (0, 2)),), N)
+    H = homology(pres, extend_derivation(pres, {}, 2), 5)
+    cand = Presentation(p, (poly("x", (0, 2)), poly("y", (0, 6))), N)
+    reps = {"x": monomial_element(pres, {"x": 1}), "y": monomial_element(pres, {"x": 3})}
+    report = verify_presentation_iso(H, cand, reps, [])
+    assert report.generator_failures == ["y: generator lives outside the box"]
+
+
+def test_verify_iso_lists_a_relation_whose_image_is_no_class():
+    # x^2 = 0 is false in the free algebra on x; with nothing stored at
+    # (0, 4) its image x^2 is no class either, and it is listed all the same
+    p, N = 5, 8
+    pres = Presentation(p, (poly("x", (0, 2)),), N)
+    H = homology(pres, extend_derivation(pres, {}, 2), N)
+    reps = {"x": monomial_element(pres, {"x": 1})}
+    rel = RelationSpec("x2", (("x", 2),))
+    failure = [("x2", (0, 4), "image x^2 survives")]
+    assert verify_presentation_iso(H, pres, reps, [rel]).relation_failures == failure
+    broken = with_cell(H, (0, 4), linfp.Subquotient(p, 1, [], []))
+    assert verify_presentation_iso(broken, pres, reps, [rel]).relation_failures == failure
+
+
+@settings(max_examples=150, deadline=None)
+@given(subquotient_inputs(), st.data())
+def test_is_boundary_matches_a_rank_reference(inputs, data):
+    # v is zero modulo the boundaries exactly when it adds nothing to their
+    # rank: boundary combinations, cycles, arbitrary vectors (often no
+    # class), a whole cell and a zero-length vector
+    p, dim, cycles, boundaries, vectors = inputs
+    page = dga.Page(None, 2, 0, {  # is_boundary reads the cells alone
+        (0, 0): linfp.Subquotient(p, dim, cycles, boundaries),
+        (1, 0): linfp.Subquotient.whole(p, dim),
+    })
+    cs = data.draw(st.lists(st.integers(0, p - 1), min_size=len(boundaries),
+                            max_size=len(boundaries)))
+    zero = np.zeros(dim, dtype=np.int64)
+    spanned = sum((c * b for c, b in zip(cs, boundaries)), zero) % p
+    for bd, bvecs in (((0, 0), boundaries), ((1, 0), [])):
+        rank_b = linfp.rank(p, bvecs + [zero])
+        for v in [spanned, zero, *vectors]:
+            assert page.is_boundary(bd, v) == (linfp.rank(p, bvecs + [v]) == rank_b)
+    assert page.is_boundary((2, 0), np.zeros(0, dtype=np.int64))
 
 
 @st.composite
@@ -516,7 +578,10 @@ def mapped_elements(draw):
     combination, often zero, of the target's monomials of its bidegree (zero
     where there are none), and el a random element of the source at bd
     inside the target's box, which may hold no monomial of the target; half
-    the time bd is the largest cell."""
+    the time bd is the largest cell.  Half the time both hold two more odd
+    generators x < y at (1, 0), sx and sy sent across tx and ty (sx to a
+    combination holding ty, sy to one holding tx), and bd is (2, 0) with sx
+    sy in el, so its image carries the Koszul sign of ty tx = -tx ty."""
     p = draw(st.sampled_from([5, 7]))
 
     def generators(prefix):
@@ -532,21 +597,33 @@ def mapped_elements(draw):
                 gens.append(poly(f"{prefix}{i}", (n, m)))
         return tuple(gens)
 
-    source = Presentation(p, generators("s"), 12)
+    crossed = draw(st.booleans())
+
+    def pair(prefix):
+        return (ext(f"{prefix}x", (1, 0)), ext(f"{prefix}y", (1, 0))) if crossed else ()
+
+    source = Presentation(p, generators("s") + pair("s"), 12)
     shared = source.generators if draw(st.booleans()) else ()
-    target = Presentation(p, generators("t") + shared, 12)
+    target = Presentation(p, generators("t") + shared + pair("t"), 12)
     coeffs = st.integers(-p, 2 * p)
+    nonzero = st.integers(1, p - 1)
     images = {}
     for g in source.generators:
         monos = alg.monomial_table(target).get(g.bidegree, [])
         cs = draw(st.lists(coeffs, min_size=len(monos), max_size=len(monos)))
         images[g.name] = element(target, dict(zip(monos, cs)))
+    if crossed:
+        for name, other in (("sx", "ty"), ("sy", "tx")):
+            cross = {target.monomial({other: 1}): draw(nonzero)}
+            images[name] = element(target, images[name].coeffs | cross)
     table = alg.monomial_table(source)
     cells = sorted(table, key=lambda b: (-len(table[b]), b))
-    bd = draw(st.just(cells[0]) | st.sampled_from(cells))
+    bd = (2, 0) if crossed else draw(st.just(cells[0]) | st.sampled_from(cells))
     cs = draw(st.lists(coeffs, min_size=len(table[bd]), max_size=len(table[bd])))
-    el = element(source, dict(zip(table[bd], cs)))
-    return source, target, images, bd, el
+    el = dict(zip(table[bd], cs))
+    if crossed:
+        el[source.monomial({"sx": 1, "sy": 1})] = draw(nonzero)
+    return source, target, images, bd, element(source, el)
 
 
 @settings(max_examples=200, deadline=None)
@@ -564,7 +641,7 @@ def test_verify_iso_identity_candidate():
     zero = extend_derivation(pres, {}, 2)
     H = homology(pres, zero, 29)
     reps = {g.name: monomial_element(pres, {g.name: 1}) for g in pres.generators}
-    report = verify_presentation_iso(H, pres, reps, [], 29)
+    report = verify_presentation_iso(H, pres, reps, [])
     assert report.ok, report
 
 
@@ -576,7 +653,7 @@ def test_verify_iso_lists_a_whole_cell_whose_one_standard_monomial_maps_to_zero(
     pres = Presentation(p, (trunc("x", 2, (0, 2)), poly("y", (0, 4))), N)
     H = homology(pres, extend_derivation(pres, {}, 2), N)
     cand = Presentation(p, (poly("x", (0, 2)),), N)
-    report = verify_presentation_iso(H, cand, {"x": monomial_element(pres, {"x": 1})}, [], N)
+    report = verify_presentation_iso(H, cand, {"x": monomial_element(pres, {"x": 1})}, [])
     assert H.subquotients[0, 4].is_whole and H.subquotients[0, 6].is_whole
     assert report.surjectivity_failures == [((0, 4), 0, 1), ((0, 6), 0, 1)]
     assert report.dimension_mismatches == [] and not report.ok
@@ -675,7 +752,7 @@ def test_verify_iso_dropped_relation_only_mismatches_dimensions():
     (dropped,) = [r for r in rels if r.label == "rel2[0]"]
     assert dropped.element(cand) == monomial_element(cand, {"u": p - 2, "a0": 1})
     rest = [r for r in rels if r is not dropped]
-    report = verify_presentation_iso(H, cand, omega_reps(pres, p), rest, N)
+    report = verify_presentation_iso(H, cand, omega_reps(pres, p), rest)
     assert report.dimension_mismatches
     assert not (
         report.generator_failures
@@ -691,7 +768,7 @@ def test_verify_iso_missing_generator_fails_surjectivity():
     H = homology(pres, d, N)
     full = omega_candidate(p, N)
     cand = Presentation(p, tuple(g for g in full.generators if g.name != "l1"), N)
-    report = verify_presentation_iso(H, cand, omega_reps(pres, p), abutment_relations(p), N)
+    report = verify_presentation_iso(H, cand, omega_reps(pres, p), abutment_relations(p))
     l1 = full.gen("l1").bidegree
     assert (l1, 0, 1) in report.surjectivity_failures
     assert not (report.generator_failures or report.relation_failures)
@@ -740,7 +817,7 @@ def test_single_relation_drops_agree_with_ranked_ideal(p, N):
     assert full is None
     for k, rel in enumerate(rels):
         rest = rels[:k] + rels[k + 1 :]
-        report = verify_presentation_iso(H, cand, reps, specs[:k] + specs[k + 1 :], N)
+        report = verify_presentation_iso(H, cand, reps, specs[:k] + specs[k + 1 :])
         if sum(alg.bidegree_of(cand, rel)) > H.cert_bound:
             want = full  # a skipped relation leaves the ideal in the box alone
         else:
@@ -753,7 +830,7 @@ def test_single_relation_drops_agree_with_ranked_ideal(p, N):
 @pytest.mark.parametrize("p, N", [(5, 60), (7, 120)])
 def test_standard_counts_equal_ranked_quotient_dims(p, N):
     H, cand, specs, reps = omega_setup(p, N)
-    assert verify_presentation_iso(H, cand, reps, specs, N).ok
+    assert verify_presentation_iso(H, cand, reps, specs).ok
     rels = [r.element(cand) for r in specs]
     live = [r for r in rels if sum(alg.bidegree_of(cand, r)) <= H.cert_bound]
     standard = alg.standard_monomials(cand, [min(r.coeffs) for r in live], H.cert_bound)
@@ -773,7 +850,7 @@ def test_verify_iso_never_enumerates_the_candidate(monkeypatch):
         return table(pres)
 
     monkeypatch.setattr(alg, "monomial_table", recorded)
-    assert verify_presentation_iso(H, cand, reps, rels, 60).ok
+    assert verify_presentation_iso(H, cand, reps, rels).ok
     assert seen and cand not in seen
 
 
@@ -784,12 +861,12 @@ def test_verify_iso_refuses_a_surviving_kind_bound_power():
     H, full, rels, reps = omega_setup(p, N)
     short_u = trunc("u", p - 2, (0, 2), weight=1)
     cand = Presentation(p, (short_u,) + full.generators[1:], N)
-    report = verify_presentation_iso(H, cand, reps, [], N)
+    report = verify_presentation_iso(H, cand, reps, [])
     assert report.relation_failures == [(f"u^{p - 2}", (0, 6), f"image u^{p - 2} survives")]
     assert not report.ok
     # a listed u^{p-2} = 0 stands for the bound: checked once, under its label
     listed = RelationSpec("short-u", (("u", p - 2),))
-    report = verify_presentation_iso(H, cand, reps, [listed], N)
+    report = verify_presentation_iso(H, cand, reps, [listed])
     assert report.relation_failures == [("short-u", (0, 6), f"image u^{p - 2} survives")]
 
 
@@ -799,8 +876,8 @@ def test_verify_iso_checks_each_kind_power_once():
     # and once either way
     p, N = 5, 60
     H, cand, specs, reps = omega_setup(p, N)
-    unlisted = verify_presentation_iso(H, cand, reps, specs, N)
-    listed = verify_presentation_iso(H, cand, reps, abutment_relations(p), N)
+    unlisted = verify_presentation_iso(H, cand, reps, specs)
+    listed = verify_presentation_iso(H, cand, reps, abutment_relations(p))
     assert unlisted.ok and listed.ok
     assert {"a3^2", "a4^2"} <= {label for label, _ in unlisted.skipped_relations}
     rename = {"a3^2": "rel8[3,3]", "a4^2": "rel8[4,4]"}

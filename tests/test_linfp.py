@@ -27,7 +27,9 @@ from gradss.linfp import (
     subquotient_basis,
 )
 
-from helpers import check_plain_int_answer_or_value_error, integer_like, intro_dga
+from helpers import (
+    check_plain_int_answer_or_value_error, integer_like, intro_dga, subquotient_inputs,
+)
 
 # the first prime past the int64 bound
 PAST_MAX_PRIME = 2147483659
@@ -131,14 +133,11 @@ def test_whole_subquotient_matches_the_general_one(p, dim, data):
     vectors = st.lists(entries, min_size=dim, max_size=dim)
     for v in data.draw(st.lists(vectors, min_size=1, max_size=4)):
         v = np.array(v, dtype=np.int64)
-        assert whole.reduce(v).tolist() == general.reduce(v).tolist()
-        assert whole.coords(v).tolist() == general.coords(v).tolist()
-        assert whole.contains(v) and general.contains(v)
+        assert whole.coords(v).tolist() == general.coords(v).tolist() == (v % p).tolist()
     wrong = np.ones(data.draw(st.integers(0, 8).filter(lambda n: n != dim)), dtype=np.int64)
     for sub in (whole, general):
-        for method in (sub.reduce, sub.coords):
-            with pytest.raises(ValueError):
-                method(wrong)
+        with pytest.raises(ValueError):
+            sub.coords(wrong)
     assert "reps" not in vars(whole)
     assert [r.tolist() for r in whole.reps] == [r.tolist() for r in general.reps]
 
@@ -150,9 +149,7 @@ def test_whole_subquotient_needs_no_row_reduction(monkeypatch):
     monkeypatch.setattr(linfp, "_rref_inplace", refused)
     whole = Subquotient.whole(MAX_PRIME, 3)
     v = np.array([MAX_PRIME + 2, -1, 4 * MAX_PRIME], dtype=np.int64)
-    assert whole.reduce(v).tolist() == [2, MAX_PRIME - 1, 0]
     assert whole.coords(v).tolist() == [2, MAX_PRIME - 1, 0]
-    assert whole.contains(v)
 
 
 def test_subquotient_rejects_boundary_outside_cycles():
@@ -436,25 +433,6 @@ def test_homology_dims_empty_matrix_checks_the_prime():
 
 # ------------------------------------------------------------ Subquotient
 
-@st.composite
-def subquotient_inputs(draw):
-    """(p, dim, cycles, boundaries, vectors): boundaries are combinations of cycles."""
-    p = draw(st.sampled_from([2, 3, 5, 7]))
-    dim = draw(st.integers(0, 6))
-    coeffs = st.integers(0, p - 1)
-    vec = st.lists(coeffs, min_size=dim, max_size=dim).map(lambda v: np.array(v, dtype=np.int64))
-    cycles = draw(st.lists(vec, max_size=6))
-
-    def combination():
-        cs = draw(st.lists(coeffs, min_size=len(cycles), max_size=len(cycles)))
-        return sum((c * z for c, z in zip(cs, cycles)), np.zeros(dim, dtype=np.int64)) % p
-
-    boundaries = [combination() for _ in range(draw(st.integers(0, 4)))]
-    # vectors to query: some inside span(cycles), some arbitrary
-    vectors = [combination() for _ in range(3)] + draw(st.lists(vec, min_size=1, max_size=3))
-    return p, dim, cycles, boundaries, vectors
-
-
 def reference_coords(sub, v):
     """The rep part of one solution of [reps | boundaries] x = v, or None."""
     cols = sub.reps + sub.boundaries
@@ -476,14 +454,18 @@ def test_subquotient_coords_match_solve(inputs):
         assert (got is None) == (want is None)
         if got is not None:
             assert got.tolist() == want.tolist()
-        assert sub.contains(v) == (got is not None)
-    for rep in sub.reps:
-        assert sub.contains(rep)
+    # each rep is its own unit vector, each boundary the zero vector
+    for i, rep in enumerate(sub.reps):
+        assert sub.coords(rep).tolist() == [int(i == j) for j in range(len(sub.reps))]
+    for b in boundaries:
+        assert not sub.coords(b).any()
 
 
 @settings(max_examples=150, deadline=None)
 @given(subquotient_inputs(), st.randoms(use_true_random=False))
-def test_subquotient_reduce_is_a_normal_form(inputs, rnd):
+def test_subquotient_coords_ignore_the_boundary_order(inputs, rnd):
+    # the reps are picked before the boundaries are read, and coords modulo
+    # the boundaries depend on their span alone
     p, dim, cycles, boundaries, vectors = inputs
     sub = Subquotient(p, dim, cycles, boundaries)
     shuffled = list(boundaries)
@@ -493,12 +475,13 @@ def test_subquotient_reduce_is_a_normal_form(inputs, rnd):
     for b in boundaries:
         bspan.add(b)
     for v in vectors:
-        normal = sub.reduce(v)
-        assert normal.tolist() == other.reduce(v).tolist()
-        assert bspan.contains((v - normal) % p)
-        assert sub.reduce(normal).tolist() == normal.tolist()
-    for b in boundaries:
-        assert not np.any(sub.reduce(b))
+        got, want = sub.coords(v), other.coords(v)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.tolist() == want.tolist()
+            # v minus its class part is a boundary
+            part = sum((c * r for c, r in zip(got, sub.reps)), np.zeros(dim, dtype=np.int64))
+            assert bspan.contains((v - part) % p)
     assert len(sub.boundaries) == bspan.rank()
 
 

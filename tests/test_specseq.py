@@ -820,6 +820,22 @@ def test_turn_page_rejects_a_boundary_whose_image_survives():
         turn_page(page, [spec])
 
 
+def test_turn_page_rejects_a_boundary_whose_image_is_no_class():
+    # as above, with nothing stored at (1, 1): the image y z of the boundary
+    # x z is not even a class there, so it is no boundary either
+    pres = Presentation(5, (poly("x", (2, 0)), ext("y", (0, 1)), ext("z", (1, 0))), 6)
+    page = init_page(pres)
+    xz = coords(pres, (3, 0), monomial_element(pres, {"x": 1, "z": 1}))
+    page.subquotients[(3, 0)] = Subquotient(5, len(xz), [xz], [xz])
+    page.subquotients[(1, 1)] = Subquotient(5, 1, [], [])
+    spec = DifferentialSpec(
+        2, monomial_element(pres, {"x": 1}), monomial_element(pres, {"y": 1})
+    )
+    refusal = r"^differential does not preserve boundaries at \(3, 0\)$"
+    with pytest.raises(PageError, match=refusal):
+        turn_page(page, [spec])
+
+
 def test_page_takes_coordinates_in_its_stored_subquotients(monkeypatch):
     # bidegree (1, 0) holds b, a in lex order: E2 takes coordinates in them without
     # row reduction; a page built from other subquotients takes them in those

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import sys
 import types
 import weakref
@@ -371,12 +372,12 @@ def test_a_second_lift_map_breaks_the_sharing_bound(monkeypatch):
     assert calls["multiply_monomials"] > 217
 
 
-def test_verify_iso_evaluates_no_image_where_the_dga_has_no_monomial(monkeypatch):
-    # at (5, 103) 20 of the given relations and the kind power l1^2 lie in
-    # bidegrees where the DGA holds no monomial; their images are 0 and are
-    # never evaluated, and the certificate still passes
+def images_evaluated_inside(monkeypatch, name):
+    """(target, bidegree) of every monomial an algebra map evaluates while
+    thhku's `name` runs in reproduce_thh_ku(5, 103), which must pass."""
     seen = []
     fresh, inside = alg.monomial_map, []
+    wrapped = getattr(thhku, name)
 
     def recording(source, target, images):
         f = fresh(source, target, images)
@@ -387,22 +388,40 @@ def test_verify_iso_evaluates_no_image_where_the_dga_has_no_monomial(monkeypatch
             return f(mono)
         return g
 
-    def verify(*args):
+    def traced(*args):
         inside.append(True)
         try:
-            return verify_presentation_iso(*args)
+            return wrapped(*args)
         finally:
             inside.pop()
 
     monkeypatch.setattr(alg, "monomial_map", recording)
-    monkeypatch.setattr(thhku, "verify_presentation_iso", verify)
-    report = reproduce_thh_ku(5, 103)
-    assert report.ok
+    monkeypatch.setattr(thhku, name, traced)
+    assert reproduce_thh_ku(5, 103).ok
+    return seen
+
+
+def test_verify_iso_evaluates_no_image_where_the_dga_has_no_monomial(monkeypatch):
+    # at (5, 103) 20 of the given relations and the kind power l1^2 lie in
+    # bidegrees where the DGA holds no monomial; their images are 0 and are
+    # never evaluated, and the certificate still passes
+    seen = images_evaluated_inside(monkeypatch, "verify_presentation_iso")
     assert seen and all(bd in alg.monomial_table(target) for target, bd in seen)
     cand, table = omega_candidate(5, 103), alg.monomial_table(absolute_e2(5, 103))
     rbds = [alg.bidegree_of(cand, r.element(cand)) for r in abutment_relations(5)]
     assert sum(bd not in table for bd in rbds if sum(bd) <= 102) == 20
     assert (18, 0) not in table  # l1^2
+
+
+def test_abutment_evaluates_no_image_where_e2_has_no_monomial(monkeypatch):
+    # the same 20 relations are settled at E-infinity without evaluating
+    # their images, which are 0; only relation terms are evaluated
+    seen = images_evaluated_inside(monkeypatch, "assemble_abutment")
+    assert seen and all(bd in alg.monomial_table(target) for target, bd in seen)
+    cand = omega_candidate(5, 103)
+    rbds = {alg.bidegree_of(cand, r.element(cand)) for r in abutment_relations(5)}
+    evaluated = {bd for _, bd in seen}
+    assert evaluated <= rbds and len(evaluated) < len(rbds)
 
 
 GOLDEN_REPORT = Path(__file__).parent / "data" / "reproduce_thh_ku_p5_N103.json"
@@ -421,6 +440,22 @@ def test_reproduce_report_bytes_match_golden_p7():
     """The p = 7 box that first holds every relation, pinned the same way."""
     golden = GOLDEN_REPORT.with_name("reproduce_thh_ku_p7_N176.json")
     assert reproduce_thh_ku(7, 176).to_json().encode() == golden.read_bytes()
+
+
+def test_reproduce_reports_match_the_digest_grid():
+    """The report JSON of every box of a grid is pinned by its sha256: p = 5
+    at N = 52..130, p = 7 at N = 100, 120, 150, 176 and 199, (11, 448) and
+    (13, 632).  Regenerate the file only for an intended change of the
+    report, one `p N sha256` line per box."""
+    grid = GOLDEN_REPORT.with_name("reproduce_digests.txt").read_text().splitlines()
+    assert len(grid) == 86
+    changed = []
+    for line in grid:
+        p, N, digest = line.split()
+        report = reproduce_thh_ku(int(p), int(N)).to_json().encode()
+        if hashlib.sha256(report).hexdigest() != digest:
+            changed.append((p, N))
+    assert changed == []
 
 
 @pytest.mark.parametrize("p, N", [(5, 103), (7, 176)])
@@ -555,7 +590,7 @@ def test_a_mutated_relation_fails_both_certificates():
     p, N = 5, 60
     H, einf, cand, reps = step3_inputs(p, N)
     rels = abutment_relations(p)
-    assert verify_presentation_iso(H, cand, reps, rels, N).ok
+    assert verify_presentation_iso(H, cand, reps, rels).ok
     assert assemble_abutment(einf, cand, reps, rels).ok
     ((c, mono),) = rels[[r.label for r in rels].index("rel4[1,1]")].rhs
     assert c == 1
@@ -563,7 +598,7 @@ def test_a_mutated_relation_fails_both_certificates():
         dataclasses.replace(r, rhs=((2, mono),)) if r.label == "rel4[1,1]" else r
         for r in rels
     ]
-    iso = verify_presentation_iso(H, cand, reps, rels, N)
+    iso = verify_presentation_iso(H, cand, reps, rels)
     assert [label for label, _, _ in iso.relation_failures] == ["rel4[1,1]"]
     abutment = assemble_abutment(einf, cand, reps, rels)
     assert abutment.unresolved == [("rel4[1,1]", "fails-at-E-infinity")]
@@ -576,7 +611,7 @@ def test_an_inhomogeneous_relation_is_refused_by_both_certificates():
     mixed = RelationSpec("rel-mixed", (("b1", 1),), ((1, (("u", 1), ("b1", 1))),))
     rels = abutment_relations(p) + [mixed]
     with pytest.raises(ValueError, match="rel-mixed: terms of different bidegrees"):
-        verify_presentation_iso(H, cand, reps, rels, N)
+        verify_presentation_iso(H, cand, reps, rels)
     with pytest.raises(ValueError, match="rel-mixed: terms of different bidegrees"):
         assemble_abutment(einf, cand, reps, rels)
 
